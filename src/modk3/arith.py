@@ -52,6 +52,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def primes_up_to(n: int) -> list:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, math.isqrt(n) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, n + 1, i)))
+    return [i for i, f in enumerate(flags) if f]
+
+
 def _check_odd_prime(p: int) -> None:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise InvalidPrimeError(f"need an odd prime, got {p}")

@@ -1,27 +1,24 @@
 """Command-line front door: verification suites with JSON-lines output.
 
 Every subcommand prints one JSON object per line (machine format), or a
-plain table with --pretty, or CSV with --csv.  Exit code 0 means every
-emitted record has ok true (or carries no ok field); 1 means some check
-failed; 2 is reserved for usage errors (argparse's default).
+plain table with --pretty, or CSV with --csv; keys are sorted in every
+format.  Exit code 0 means every emitted record has ok true (or carries no
+ok field); 1 means some check failed; 2 is reserved for usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
-from .arith import is_prime, kronecker_character
+from .arith import primes_up_to
 from .cmforms import HECKE_SPECS, ap as form_ap, verify_against_eta
 from .congruence import group_report
-from .counting import (ap_elliptic, count_report, good_primes, h3_trace,
-                       k3_point_count, ns_trace_prediction, twist_fit)
+from .counting import (count_report, good_primes, h3_trace,
+                       ns_trace_prediction, twist_fit)
 from .families import FAMILY_NAMES, preset
 from .kodaira import config_vs_expected, ns_report, scan
 from .lfunctions import assemble_h3, betti_hodge_report, h3_local_factor
@@ -29,6 +26,10 @@ from .qseries import FORM_IDS, GRID, form_series
 
 FAMILY_ALIASES = {"g4": "g4_legendre"}
 COUNT_PMAX_CEILING = 499
+
+
+class UsageError(Exception):
+    """A request the command refuses; exit code 2, like argparse's errors."""
 
 
 def _family(name: str):
@@ -42,46 +43,53 @@ def _parse_curve(text: str) -> tuple:
     return tuple(parts)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _emit(records: list, args) -> int:
     """Write records in the selected format; return the exit code."""
-    out = sys.stdout
-    if getattr(args, "csv", False) and records:
+    if args.csv and records:
         keys = sorted({k for r in records for k in r})
-        w = csv.DictWriter(out, fieldnames=keys)
+        w = csv.DictWriter(sys.stdout, fieldnames=keys)
         w.writeheader()
         for r in records:
-            w.writerow({k: json.dumps(v) if isinstance(v, (list, dict))
+            w.writerow({k: json.dumps(v) if isinstance(v, (list, tuple, dict))
                         else v for k, v in r.items()})
-    elif getattr(args, "pretty", False):
+    elif args.pretty:
         for r in records:
-            buf = io.StringIO()
-            for k, v in r.items():
-                buf.write(f"{k}={v}  ")
-            print(buf.getvalue().rstrip(), file=out)
+            print("  ".join(f"{k}={r[k]}" for k in sorted(r)))
     else:
         for r in records:
-            print(json.dumps(r, sort_keys=True), file=out)
+            print(json.dumps(r, sort_keys=True))
     return 0 if all(r.get("ok", True) for r in records) else 1
 
 
 def _primes(args, family=None) -> list:
-    if getattr(args, "p", None):
+    if args.p is not None:
         return [args.p]
-    pmin = getattr(args, "pmin", None) or 5
-    pmax = getattr(args, "pmax", None) or 97
     if family is not None:
-        return good_primes(family, pmin, pmax)
-    return [p for p in range(pmin, pmax + 1) if is_prime(p)]
+        return good_primes(family, args.pmin, args.pmax)
+    return [p for p in primes_up_to(args.pmax) if p >= args.pmin]
 
 
-def _pool(args):
-    threads = getattr(args, "threads", None) or os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=threads)
+def _count_primes(args, family) -> list:
+    """The primes of a point count, which is O(p^2) work per prime."""
+    primes = _primes(args, family)
+    if max(primes, default=0) > COUNT_PMAX_CEILING and not args.force:
+        raise UsageError(f"refusing p > {COUNT_PMAX_CEILING} without --force")
+    return primes
 
 
-# ---- subcommand implementations -------------------------------------------
+# ---- subcommand implementations: each returns its records ---------------
 
-def cmd_groups_verify(args) -> int:
+def cmd_groups_verify(args) -> list:
     records = []
     for k in range(1, 10):
         r = group_report(k)
@@ -95,88 +103,75 @@ def cmd_groups_verify(args) -> int:
                         "lift_has_minus_id": r["lift_has_minus_id"],
                         "trace_minus2_free": r["trace_minus2_free"],
                         "ok": ok})
-    return _emit(records, args)
+    return records
 
 
-def cmd_forms_qexp(args) -> int:
-    n = args.prec or 50
+def cmd_forms_qexp(args) -> list:
+    n = args.prec
     series = form_series(args.form, (n + 2) * GRID)
-    return _emit([{"form": args.form, "n": n,
-                   "coefficients": series.coefficients(n)}], args)
+    return [{"form": args.form, "n": n, "coefficients": series.coefficients(n)}]
 
 
-def cmd_forms_ap(args) -> int:
+def cmd_forms_ap(args) -> list:
     spec = HECKE_SPECS[args.form]
-    records = []
-    for p in _primes(args):
-        if spec.level % p == 0:
-            continue
-        records.append({"form": args.form, "p": p, "ap": form_ap(spec, p)})
-    return _emit(records, args)
+    return [{"form": args.form, "p": p, "ap": form_ap(spec, p)}
+            for p in _primes(args) if spec.level % p != 0]
 
 
-def cmd_forms_check(args) -> int:
-    n = args.prec or 500
+def cmd_forms_check(args) -> list:
     records = []
     for fid in ([args.form] if args.form else ["h3", "h4", "h7", "h8"]):
-        mism = verify_against_eta(HECKE_SPECS[fid], n)
-        records.append({"suite": "forms", "target": fid, "n": n,
+        mism = verify_against_eta(HECKE_SPECS[fid], args.prec)
+        records.append({"suite": "forms", "target": fid, "n": args.prec,
                         "mismatches": mism[:5], "ok": not mism})
-    return _emit(records, args)
+    return records
 
 
-def cmd_surface_scan(args) -> int:
+def cmd_surface_scan(args) -> list:
     family = _family(args.family)
     records = []
     for p in _primes(args, family):
         rep = scan(family, p)
-        cfg = config_vs_expected(family, p)
+        cfg = config_vs_expected(family, p, rep)
         rec = {"suite": "scan", "target": family.name, "p": p,
                "config": list(rep.config),
-               "fibers": [asdict(f) for f in rep.fibers],
+               "fibers": [dict(sorted(asdict(f).items()))
+                          for f in rep.fibers],
                "euler_total": rep.euler_total, "ns_trace": rep.ns_trace,
                "ok": rep.euler_ok and cfg["match"]}
         if "note" in cfg:
             rec["note"] = cfg["note"]
         records.append(rec)
-    return _emit(records, args)
+    return records
 
 
-def cmd_surface_count(args) -> int:
+def cmd_surface_count(args) -> list:
     family = _family(args.family)
-    primes = _primes(args, family)
-    if max(primes, default=0) > COUNT_PMAX_CEILING and not args.force:
-        print(f"refusing p > {COUNT_PMAX_CEILING} without --force",
-              file=sys.stderr)
-        return 2
-    with _pool(args) as pool:
-        reports = list(pool.map(lambda p: count_report(family, p), primes))
-    records = [dict(asdict(r), suite="count") for r in reports]
-    records.sort(key=lambda r: r["p"])
-    return _emit(records, args)
+    primes = _count_primes(args, family)
+    fit = twist_fit(family)
+    return [dict(asdict(count_report(family, p, fit)), suite="count")
+            for p in primes]
 
 
-def cmd_surface_verify(args) -> int:
+def cmd_surface_verify(args) -> list:
     family = _family(args.family)
-    primes = _primes(args, family)
-    form_id, disc = twist_fit(family, primes)
+    primes = _count_primes(args, family)
+    form_id, disc = fit = twist_fit(family, primes)
     failing = []
     for p in primes:
-        rep = count_report(family, p)
+        rep = count_report(family, p, fit)
         ns_ok = (family.ns_data is None
-                 or k3_point_count(family, p).ns_trace_used
-                 == ns_trace_prediction(family, p))
+                 or rep.ns_trace_used == ns_trace_prediction(family, p))
         if not (rep.ok and ns_ok):
             failing.append(p)
-    rec = {"suite": "surface", "target": family.name,
-           "form": form_id, "twist_disc": disc,
-           "primes": [primes[0], primes[-1]],
-           "first_failure": failing[0] if failing else None,
-           "ok": not failing}
-    return _emit([rec], args)
+    return [{"suite": "surface", "target": family.name,
+             "form": form_id, "twist_disc": disc,
+             "primes": [primes[0], primes[-1]],
+             "first_failure": failing[0] if failing else None,
+             "ok": not failing}]
 
 
-def cmd_l3fold_euler(args) -> int:
+def cmd_l3fold_euler(args) -> list:
     family = _family(args.family)
     records = []
     for p in _primes(args, family):
@@ -184,70 +179,49 @@ def cmd_l3fold_euler(args) -> int:
         records.append({"family": family.name, "p": p,
                         "coefficients": list(f.coefficients),
                         "trace": h3_trace(family, args.curve, p)})
-    return _emit(records, args)
+    return records
 
 
-def cmd_l3fold_series(args) -> int:
+def cmd_l3fold_series(args) -> list:
     family = _family(args.family)
-    n = args.n or 100
-    coeffs = assemble_h3(family, args.curve, n)
-    return _emit([{"family": family.name, "n": n, "coefficients": coeffs,
-                   "betti": betti_hodge_report()}], args)
+    coeffs = assemble_h3(family, args.curve, args.n)
+    return [{"family": family.name, "n": args.n, "coefficients": coeffs,
+             "betti": betti_hodge_report()}]
 
 
-def cmd_verify_all(args) -> int:
-    records = []
+def cmd_verify_all(args) -> list:
+    parser = build_parser()
 
-    def run(fn, ns):
-        buf = io.StringIO()
-        old = sys.stdout
-        sys.stdout = buf
-        try:
-            code = fn(ns)
-        finally:
-            sys.stdout = old
-        for line in buf.getvalue().splitlines():
-            records.append(json.loads(line))
-        return code
+    def sub(*argv) -> list:
+        ns = parser.parse_args([str(a) for a in argv])
+        return ns.func(ns)
 
-    base = argparse.Namespace(pretty=False, csv=False, p=None, pmin=5,
-                              pmax=args.pmax or 97, prec=None, form=None,
-                              threads=args.threads, force=False)
-    def with_family(name):
-        ns = argparse.Namespace(**vars(base))
-        ns.family = name
-        return ns
-
-    run(cmd_groups_verify, base)
-    run(cmd_forms_check, base)
+    records = sub("groups", "verify") + sub("forms", "check")
     for name in FAMILY_NAMES:
         if name == "x0_12":
             continue  # report-only family
-        ns = with_family(name)
-        fam = _family(name)
-        ns.p = min(good_primes(fam, 5, ns.pmax))  # one scan per family
-        run(cmd_surface_scan, ns)
+        p = min(good_primes(_family(name), 5, args.pmax))  # one scan each
+        records += sub("surface", "scan", "--family", name, "--p", p)
     for name in ("g4_legendre", "g62", "g82", "g8_412"):
-        run(cmd_surface_verify, with_family(name))
-        records.append(dict(ns_report(name), suite="eigenspace",
-                            ok=ns_report(name)["counts_match"]))
+        records += sub("surface", "verify", "--family", name,
+                       "--pmax", args.pmax)
+        ns = ns_report(name)
+        records.append(dict(ns, suite="eigenspace", ok=ns["counts_match"]))
     records.append(dict(betti_hodge_report(), suite="betti", ok=True))
-    return _emit(records, args)
+    return records
 
 
 # ---- argument parsing ------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--json", action="store_true", help="JSON lines (default)")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
 
 
 def _add_primes(p: argparse.ArgumentParser):
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--pmin", type=int, default=None)
-    p.add_argument("--pmax", type=int, default=None)
+    p.add_argument("--p", type=_positive_int, default=None)
+    p.add_argument("--pmin", type=_positive_int, default=5)
+    p.add_argument("--pmax", type=_positive_int, default=97)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                    required=True)
     f = forms.add_parser("qexp")
     f.add_argument("--form", choices=FORM_IDS, required=True)
-    f.add_argument("--prec", type=int, default=None)
+    f.add_argument("--prec", type=_positive_int, default=50)
     _add_common(f)
     f.set_defaults(func=cmd_forms_qexp)
     f = forms.add_parser("ap")
@@ -274,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_forms_ap)
     f = forms.add_parser("check")
     f.add_argument("--form", choices=sorted(HECKE_SPECS), default=None)
-    f.add_argument("--prec", type=int, default=None)
+    f.add_argument("--prec", type=_positive_int, default=500)
     _add_common(f)
     f.set_defaults(func=cmd_forms_check)
 
@@ -286,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                        ("verify", cmd_surface_verify)):
         s = surface.add_parser(action)
         s.add_argument("--family", choices=fam_choices, required=True)
-        s.add_argument("--force", action="store_true",
-                       help="allow counting past the p ceiling")
+        if action != "scan":
+            s.add_argument("--force", action="store_true",
+                           help=f"allow counting at p > {COUNT_PMAX_CEILING}")
         _add_primes(s)
         _add_common(s)
         s.set_defaults(func=fn)
@@ -302,26 +277,35 @@ def build_parser() -> argparse.ArgumentParser:
     ls = l3.add_parser("series")
     ls.add_argument("--family", choices=fam_choices, required=True)
     ls.add_argument("--curve", type=_parse_curve, required=True)
-    ls.add_argument("--n", type=int, default=None)
+    ls.add_argument("--n", type=_positive_int, default=100)
     _add_common(ls)
     ls.set_defaults(func=cmd_l3fold_series)
 
     va = sub.add_parser("verify").add_subparsers(dest="action", required=True)
     v = va.add_parser("all")
-    v.add_argument("--pmax", type=int, default=None)
+    v.add_argument("--pmax", type=_positive_int, default=97)
     _add_common(v)
     v.set_defaults(func=cmd_verify_all)
     return top
 
 
 def run(argv=None) -> int:
+    """Parse argv, run the command, print its records; the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        records = args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (ValueError, KeyError, AssertionError) as exc:
         print(json.dumps({"ok": False, "error": str(exc)}), file=sys.stderr)
         return 1
+    return _emit(records, args)
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

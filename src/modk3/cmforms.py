@@ -5,6 +5,10 @@ fields Q(sqrt(-d)) for d = 1, 3, 7, 2 with conductors (2), (2), (1), (1).
 At a split prime p the coefficient is the trace of pi^2 for a generator pi
 of a prime above p normalized by pi = +-1 mod c*O_K; the eta products of
 ``qseries`` serve as the independent ground truth.
+
+Local Euler factors are integer polynomials in T = p^(-s); every Dirichlet
+series here and in ``lfunctions`` is built from them by
+``euler_to_dirichlet``.
 """
 
 from __future__ import annotations
@@ -12,9 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy
+
 from .arith import (FIELD_DISC, QuadFieldElement, is_prime,
-                    kronecker_character, norm_equation_solutions)
+                    kronecker_character, norm_equation_solutions,
+                    primes_up_to)
 from .qseries import GRID, form_series
+
+
+class WeilBoundError(ValueError):
+    pass
 
 
 class BadPrimeError(ValueError):
@@ -51,11 +62,6 @@ HECKE_SPECS = {
     "h3": HeckeCharSpec("h3", d=7, conductor_gen=1, level=7),
     "h4": HeckeCharSpec("h4", d=2, conductor_gen=1, level=8),
 }
-
-
-def newtype(spec: HeckeCharSpec) -> int:
-    """Fundamental discriminant of the nebentypus character."""
-    return spec.disc
 
 
 def splitting(spec: HeckeCharSpec, p: int) -> int:
@@ -129,66 +135,107 @@ def _eta_coefficients(form_id: str, nmax: int) -> tuple:
     return tuple(form_series(form_id, (nmax + 1) * GRID).coefficients(nmax))
 
 
-def _sieve(n: int) -> list:
-    flags = [True] * (n + 1)
-    flags[:2] = [False, False]
-    for i in range(2, int(n ** 0.5) + 1):
-        if flags[i]:
-            flags[i * i::i] = [False] * len(flags[i * i::i])
-    return [i for i, f in enumerate(flags) if f]
+@dataclass(frozen=True)
+class LocalFactor:
+    p: int
+    weight: int
+    coefficients: tuple  # polynomial in T, constant term first
+    nebentypus: int = 1
+
+    def __post_init__(self):
+        assert self.coefficients[0] == 1
+
+    def __mul__(self, other: "LocalFactor") -> "LocalFactor":
+        assert self.p == other.p
+        a, b = self.coefficients, other.coefficients
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return LocalFactor(self.p, max(self.weight, other.weight),
+                           tuple(out), self.nebentypus)
+
+    def series_inverse(self, nterms: int) -> list:
+        """First nterms coefficients of 1 / L_p as a power series in T."""
+        c = self.coefficients
+        inv = [1] + [0] * (nterms - 1)
+        for k in range(1, nterms):
+            inv[k] = -sum(c[j] * inv[k - j]
+                          for j in range(1, min(k, len(c) - 1) + 1))
+        return inv
+
+    def root_moduli_error(self) -> float:
+        """Largest relative deviation of the complex root moduli from
+        p^(-(w-1)/2); good factors of pure weight must pass 1e-9."""
+        roots = numpy.roots(list(self.coefficients)[::-1])
+        target = float(self.p) ** (-(self.weight - 1) / 2)
+        return max(abs(abs(r) - target) / target for r in roots)
+
+
+def weight3_factor(B: int, eps_p: int, p: int) -> LocalFactor:
+    """1 - B T + eps(p) p^2 T^2 for a weight-3 newform."""
+    if B * B > 4 * p * p:
+        raise WeilBoundError(f"|B|={abs(B)} exceeds 2p for p={p}")
+    if eps_p not in (-1, 0, 1):
+        raise ValueError("nebentypus value must be -1, 0 or 1")
+    if eps_p == 0:
+        return LocalFactor(p, 3, (1, -B), 0)
+    return LocalFactor(p, 3, (1, -B, eps_p * p * p), eps_p)
+
+
+def euler_to_dirichlet(factors: dict, N: int) -> list:
+    """[a_1, ..., a_N] of prod_p L_p(p^-s)^-1; primes without a supplied
+    factor contribute the factor 1 (their power coefficients vanish)."""
+    a = [0] * (N + 1)
+    a[1] = 1
+    primes = primes_up_to(N)
+    for p in primes:
+        if p not in factors:
+            continue
+        kmax = 0
+        q = p
+        while q <= N:
+            kmax += 1
+            q *= p
+        inv = factors[p].series_inverse(kmax + 1)
+        q = p
+        for k in range(1, kmax + 1):
+            a[q] = inv[k]
+            q *= p
+    for n in range(2, N + 1):
+        for p in primes:
+            if p * p > n:
+                break  # n is prime
+            if n % p == 0:
+                q = 1
+                m = n
+                while m % p == 0:
+                    m //= p
+                    q *= p
+                if m > 1:
+                    a[n] = a[q] * a[m]
+                break
+    return a[1:]
 
 
 def coefficient_sequence(spec: HeckeCharSpec, N: int,
                          normalize: bool = True) -> list:
-    """[a_1, ..., a_N] by multiplicative extension of the prime values.
+    """[a_1, ..., a_N] of the product of the weight-3 Euler factors.
 
     Prime coefficients come from the Hecke character; primes where that is
     undefined (p | c^2 * d ... the true bad primes) are read off the eta
-    expansion.  Prime powers follow a_{p^(k+1)} = a_p a_{p^k} - eps(p) p^2
-    a_{p^(k-1)} with eps the nebentypus.
+    expansion.  The factor at p is 1 - a_p T + eps(p) p^2 T^2 with eps the
+    nebentypus as a character mod the level (0 at bad primes).
     """
-    a = [0] * (N + 1)
-    a[1] = 1
-    for p in _sieve(N):
+    factors = {}
+    for p in primes_up_to(N):
         try:
             app = ap(spec, p, normalize=normalize)
         except BadPrimeError:
-            app = _eta_coefficients(spec.form_id, min(N, p))[p - 1]
-        # nebentypus as a character mod the level: 0 at bad primes
+            app = _eta_coefficients(spec.form_id, p)[p - 1]
         eps = 0 if spec.level % p == 0 else kronecker_character(spec.disc, p)
-        # fill p-power coefficients
-        powers = {1: 1, p: app}
-        q = p * p
-        while q <= N:
-            prev, prev2 = powers[q // p], powers[q // (p * p)]
-            powers[q] = app * prev - eps * p * p * prev2
-            q *= p
-        for q, aq in powers.items():
-            if 1 < q <= N:
-                a[q] = aq
-    # multiplicative extension
-    for n in range(2, N + 1):
-        if a[n] != 0 or _is_prime_power(n):
-            continue
-        m, q = n, 1
-        for p in _sieve(int(n ** 0.5) + 1):
-            if m % p == 0:
-                q = 1
-                while m % p == 0:
-                    m //= p
-                    q *= p
-                break
-        a[n] = a[q] * a[n // q]
-    return a[1:]
-
-
-def _is_prime_power(n: int) -> bool:
-    for p in _sieve(n):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return False
+        factors[p] = weight3_factor(app, eps, p)
+    return euler_to_dirichlet(factors, N)
 
 
 def verify_against_eta(spec: HeckeCharSpec, N: int,

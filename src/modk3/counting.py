@@ -13,14 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import sympy
-from sympy import Poly
-
-from .arith import is_prime, kronecker_character
+from .arith import is_prime, kronecker_character, primes_up_to
 from .cmforms import HECKE_SPECS, ap as form_ap
-from .families import WeierstrassCurve, WeierstrassFamily, preset
-from .kodaira import (BadReductionError, _check_prime, _model_invariants,
-                      _valuation, integral_model, scan)
+from .families import WeierstrassCurve, WeierstrassFamily
+from .kodaira import BadReductionError, scan
 
 #: fundamental discriminants D with |D| dividing 48
 TWIST_DISCS = (1, -3, -4, 8, -8, 12, -24, 24)
@@ -63,14 +59,10 @@ def curve_count(curve: WeierstrassCurve) -> int:
     p = curve.p
     if p in (0, 2, 3):
         raise BadReductionError("need a finite field of characteristic >= 5")
-    b2, b4, b6, _ = curve.b_invariants()
-    chi = _chi_table(p)
-    # complete the square: (2y + a1 x + a3)^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    total = 1
-    for x in range(p):
-        f = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
-        total += 1 + chi[f]
-    return total
+    # (x, y) -> (36x + 3b2, 108(2y + a1 x + a3)) is an affine bijection of
+    # F_p^2 onto the short model, singular or not
+    c4, c6 = curve._invariants()[4:6]
+    return _short_count(c4, c6, p, _chi_table(p))
 
 
 def ap_elliptic(ainvs, p: int) -> int:
@@ -95,53 +87,31 @@ def _short_count(c4v: int, c6v: int, p: int, chi) -> int:
     return total
 
 
-def _minimal_values_at(pi: Poly, c4: Poly, c6: Poly, disc: Poly, p: int):
-    """(c4, c6) of the minimal model at a rational zero of the discriminant."""
-    vd = _valuation(disc, pi)
-    v4 = _valuation(c4, pi) if not c4.is_zero else 10 ** 9
-    v6 = _valuation(c6, pi) if not c6.is_zero else 10 ** 9
-    k = min(v4 // 4, v6 // 6, vd // 12)
-    c4m, c6m = c4, c6
-    for _ in range(4 * k):
-        c4m, r = sympy.div(c4m, pi, c4.gens[0])
-        assert r.is_zero
-    for _ in range(6 * k):
-        c6m, r = sympy.div(c6m, pi, c6.gens[0])
-        assert r.is_zero
-    lead = int(pi.LC()) % p
-    root = (-int(pi.all_coeffs()[-1]) * pow(lead, -1, p)) % p
-    return root, int(c4m.eval(root)) % p, int(c6m.eval(root)) % p
+def _evaluate(coefficients: tuple, x: int, p: int) -> int:
+    """Value mod p of a polynomial given by its coefficients, leading first."""
+    value = 0
+    for c in coefficients:
+        value = (value * x + c) % p
+    return value
 
 
 @lru_cache(maxsize=None)
 def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
     """Fiberwise surface total over P^1(F_p) and the trace B(p) it leaves."""
-    _check_prime(family, p)
-    chi = _chi_table(p)
     report = scan(family, p)
+    chi = _chi_table(p)
+    c4, c6 = report.t_chart_c4_c6
+    minimal = report.minimal_values
     total = 0
-    # finite fibers from the t-chart
-    model = integral_model(family, "zero")
-    c4, c6, disc = _model_invariants(model, p)
-    special = {}
-    for pi, _ in disc.factor_list()[1]:
-        if pi.degree() == 1:
-            root, c4v, c6v = _minimal_values_at(pi, c4, c6, disc, p)
-            special[root] = (c4v, c6v)
+    # finite fibers from the t-chart, minimalized at the zeros of Delta
     for t0 in range(p):
-        if t0 in special:
-            c4v, c6v = special[t0]
+        if t0 in minimal:
+            c4v, c6v = minimal[t0]
         else:
-            c4v, c6v = int(c4.eval(t0)) % p, int(c6.eval(t0)) % p
+            c4v, c6v = _evaluate(c4, t0, p), _evaluate(c6, t0, p)
         total += _short_count(c4v, c6v, p, chi)
     # the fiber at infinity from the s-chart
-    minf = integral_model(family, "inf")
-    c4i, c6i, disci = _model_invariants(minf, p)
-    s0 = Poly(minf.var, minf.var, modulus=p)
-    if _valuation(disci, s0) > 0:
-        _, c4v, c6v = _minimal_values_at(s0, c4i, c6i, disci, p)
-    else:
-        c4v, c6v = int(c4i.eval(0)) % p, int(c6i.eval(0)) % p
+    c4v, c6v = minimal["inf"]
     total += _short_count(c4v, c6v, p, chi)
     # extra components of the resolved singular fibers
     total += p * sum(f.tau for f in report.fibers)
@@ -151,8 +121,8 @@ def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
 
 
 def good_primes(family: WeierstrassFamily, pmin: int = 5, pmax: int = 97):
-    return [p for p in range(max(pmin, 5), pmax + 1)
-            if is_prime(p) and p not in family.bad_primes]
+    return [p for p in primes_up_to(pmax)
+            if p >= max(pmin, 5) and p not in family.bad_primes]
 
 
 def twist_fit(family: WeierstrassFamily, primes=None) -> tuple:
@@ -179,8 +149,8 @@ def twist_fit(family: WeierstrassFamily, primes=None) -> tuple:
         # the coefficients (a_p = 0 off its kernel), so such twins can never
         # be separated by more data; any other survivor signals too few
         # primes, which a cheap coefficient-only comparison detects
-        probe = [q for q in range(5, 500)
-                 if is_prime(q) and spec.level % q != 0]
+        probe = [q for q in primes_up_to(499)
+                 if q >= 5 and spec.level % q != 0]
         base = candidates[0]
         for D in candidates[1:]:
             if any(kronecker_character(base, q) * form_ap(spec, q)
@@ -201,9 +171,10 @@ def ns_trace_prediction(family: WeierstrassFamily, p: int) -> int:
     return family.ns_data.trace(p, kronecker_character)
 
 
-def count_report(family: WeierstrassFamily, p: int) -> CountReport:
-    """k3_point_count with the fitted twist filled in and verified."""
-    form_id, disc = twist_fit(family)
+def count_report(family: WeierstrassFamily, p: int, fit: tuple) -> CountReport:
+    """k3_point_count with the fitted (form id, twist discriminant) filled
+    in and verified."""
+    form_id, disc = fit
     base = k3_point_count(family, p)
     expected = kronecker_character(disc, p) * form_ap(HECKE_SPECS[form_id], p)
     return CountReport(base.family, base.p, base.total, base.ns_trace_used,

@@ -52,10 +52,7 @@ class NSDecomposition:
 
     def trace(self, p: int, chi) -> int:
         """n' + sum chi_D(p) * n'' over both parts; chi(D, p) supplied."""
-        s = 0
-        for d, m in self.plus_part + self.minus_part:
-            s += m * (1 if d == 1 else chi(d, p))
-        return s
+        return self.plus_trace_terms(p, chi) + self.minus_trace_terms(p, chi)
 
     def minus_trace_terms(self, p: int, chi) -> int:
         return sum(m * (1 if d == 1 else chi(d, p)) for d, m in self.minus_part)
@@ -80,6 +77,20 @@ class WeierstrassFamily:
         return frozenset({2, 3} | set(self.level_primes))
 
 
+def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
+    """(b2, b4, b6, b8, c4, c6, Delta) of a long Weierstrass equation, over
+    any commutative ring (integers, fractions, polynomials)."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    assert 1728 * disc == c4 ** 3 - c6 ** 2
+    return b2, b4, b6, b8, c4, c6, disc
+
+
 @dataclass(frozen=True)
 class WeierstrassCurve:
     """Long Weierstrass curve over Q (p=0, Fraction coefficients) or F_p."""
@@ -98,35 +109,23 @@ class WeierstrassCurve:
     def ainvs(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
+    def _invariants(self) -> tuple:
+        inv = weierstrass_invariants(*(self._f(a) for a in self.ainvs))
+        return tuple(x % self.p for x in inv) if self.p else inv
+
     def b_invariants(self):
-        a1, a2, a3, a4, a6 = (self._f(a) for a in self.ainvs)
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4
-              + a2 * a3 * a3 - a4 * a4)
-        if self.p:
-            b2, b4, b6, b8 = (x % self.p for x in (b2, b4, b6, b8))
-        return b2, b4, b6, b8
+        return self._invariants()[:4]
 
     def invariants(self):
         """(b2, b4, b6, b8, c4, c6, Delta, j); raises on Delta = 0."""
-        b2, b4, b6, b8 = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
-        disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        if self.p:
-            c4, c6, disc = (x % self.p for x in (c4, c6, disc))
-        assert self._eq(1728 * disc, c4 ** 3 - c6 ** 2)
+        inv = self._invariants()
+        c4, disc = inv[4], inv[6]
         if self._is_zero(disc):
             raise SingularCurveError("singular curve (Delta = 0)", c4=c4)
-        j = self._div(c4 ** 3, disc)
-        return b2, b4, b6, b8, c4, c6, disc, j
+        return inv + (self._div(c4 ** 3, disc),)
 
     def discriminant(self):
-        b2, b4, b6, b8 = self.b_invariants()
-        disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        return disc % self.p if self.p else disc
+        return self._invariants()[6]
 
     def _is_zero(self, x) -> bool:
         return (x % self.p == 0) if self.p else x == 0
@@ -187,10 +186,6 @@ class WeierstrassCurve:
         for _ in range(n):
             R = self.add(R, P)
         return R
-
-
-def group_law(curve: WeierstrassCurve, P, Q):
-    return curve.add(P, Q)
 
 
 def torsion_order(curve: WeierstrassCurve, P, bound: int = 12):

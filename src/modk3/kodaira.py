@@ -4,20 +4,24 @@ For each family the t-line is covered by two affine charts (t and s = 1/t);
 the coefficients are cleared to integer polynomials by an admissible
 (x, y) -> (u^2 x, u^3 y) change, the discriminant is factored over F_p[t],
 and each place is classified from the minimal valuations of (c4, c6, Delta).
+The same pass records the minimal (c4, c6) at every rational place and the
+t-chart (c4, c6) mod p: all that the fiberwise point count in ``counting``
+needs.
 The Euler-number audit sum(v(Delta_min) * deg) = 24 (resp. 12) pins the scan
 against the expected fiber configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import sympy
 from sympy import Poly, Rational, cancel, fraction, together
 
 from .arith import is_prime, legendre_symbol
-from .families import WeierstrassFamily, preset, t
+from .families import (WeierstrassFamily, preset, t,
+                       weierstrass_invariants)
 
 _A_WEIGHTS = (1, 2, 3, 4, 6)
 
@@ -62,20 +66,6 @@ def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralMo
     for ap in a_polys:
         assert all(Rational(x).q == 1 for x in Poly(ap, var).all_coeffs())
     return IntegralModel(var, tuple(a_polys), sympy.expand(u * c), chart)
-
-
-def _model_invariants(model: IntegralModel, p: int):
-    """(c4, c6, Delta) as Poly over GF(p)."""
-    a1, a2, a3, a4, a6 = (Poly(a, model.var, modulus=p) for a in model.a_polys)
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    c4 = b2 * b2 - 24 * b4
-    c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
-    disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    assert (1728 * disc - (c4 ** 3 - c6 ** 2)).is_zero
-    return c4, c6, disc
 
 
 def _valuation(poly: Poly, pi: Poly) -> int:
@@ -140,28 +130,68 @@ def _tau(label: str, split, degree: int) -> int:
     return 1 if n % 2 == 0 else 0
 
 
+def _minimal_value(poly: Poly, pi: Poly, shift: int, root: int, p: int) -> int:
+    """Value at the root of pi of poly / pi^shift (an exact quotient)."""
+    for _ in range(shift):
+        poly, rem = sympy.div(poly, pi, poly.gens[0])
+        assert rem.is_zero
+    return int(poly.eval(root)) % p
+
+
 def _classify_place(pi: Poly, c4: Poly, c6: Poly, disc: Poly, p: int,
-                    place_name: str) -> FiberReport:
+                    place_name: str):
+    """The fiber at the place pi, and at a rational place also the root and
+    the (c4, c6) of the minimal model there (None at other places)."""
     vd = _valuation(disc, pi)
     v4 = _valuation(c4, pi) if not c4.is_zero else 10 ** 9
     v6 = _valuation(c6, pi) if not c6.is_zero else 10 ** 9
     label, vdm, k = _classify(v4, v6, vd)
     degree = pi.degree()
-    split = None
-    if degree == 1 and label.startswith("I") and not label.endswith("*"):
-        # I_n is split iff -c6 is a square at the place; c6 is a unit there
-        # once the model is minimalized
-        c6_min = c6
-        for _ in range(6 * k):
-            c6_min, rem = sympy.div(c6_min, pi, c6.gens[0])
-            assert rem.is_zero
+    split, minimal = None, None
+    if degree == 1:
         lead = int(pi.LC()) % p
         root = (-int(pi.all_coeffs()[-1]) * pow(lead, -1, p)) % p
-        c6_val = int(c6_min.eval(root)) % p
-        assert c6_val != 0
-        split = legendre_symbol(-c6_val % p, p) == 1
-    return FiberReport(place_name, degree, label, vdm, split,
-                       _tau(label, split, degree))
+        c4_val = _minimal_value(c4, pi, 4 * k, root, p)
+        c6_val = _minimal_value(c6, pi, 6 * k, root, p)
+        minimal = root, (c4_val, c6_val)
+        if label.startswith("I") and not label.endswith("*"):
+            # I_n is split iff -c6 is a square at the place; c6 is a unit
+            # there once the model is minimalized
+            assert c6_val != 0
+            split = legendre_symbol(-c6_val % p, p) == 1
+    fiber = FiberReport(place_name, degree, label, vdm, split,
+                        _tau(label, split, degree))
+    return fiber, minimal
+
+
+def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
+    """Factor Delta over F_p on one chart and classify its places: every
+    zero of Delta on the t-chart, s = 0 on the s-chart.
+
+    Returns the bad fibers, the minimal (c4, c6) at each rational place
+    (keyed by the root; "inf" for s = 0) and the model's (c4, c6)
+    coefficients mod p.
+    """
+    model = integral_model(family, chart)
+    a_polys = (Poly(a, model.var, modulus=p) for a in model.a_polys)
+    _, _, _, _, c4, c6, disc = weierstrass_invariants(*a_polys)
+    if chart == "zero":
+        places = sorted((pi for pi, _ in disc.factor_list()[1]),
+                        key=lambda pi: (pi.degree(), pi.all_coeffs()))
+    else:
+        places = [Poly(model.var, model.var, modulus=p)]
+    fibers, minimal = [], {}
+    for pi in places:
+        name = str(pi.as_expr()) if chart == "zero" else "inf"
+        fiber, values = _classify_place(pi, c4, c6, disc, p, name)
+        if fiber.label != "good":
+            fibers.append(fiber)
+        if values is not None:
+            root, c4c6 = values
+            minimal[root if chart == "zero" else "inf"] = c4c6
+    coefficients = tuple(tuple(int(c) % p for c in f.all_coeffs())
+                         for f in (c4, c6))
+    return fibers, minimal, coefficients
 
 
 @dataclass(frozen=True)
@@ -171,6 +201,12 @@ class ScanReport:
     fibers: tuple
     euler_total: int
     euler_expected: int
+    #: (c4, c6) of the t-chart model as coefficient tuples mod p, leading
+    #: coefficient first
+    t_chart_c4_c6: tuple = field(compare=False, repr=False)
+    #: (c4, c6) mod p of the minimal model at every rational zero t0 of the
+    #: discriminant (key t0), good or bad, and at infinity (key "inf")
+    minimal_values: dict = field(compare=False, repr=False)
 
     @property
     def euler_ok(self) -> bool:
@@ -209,31 +245,21 @@ def _check_prime(family: WeierstrassFamily, p: int):
 def scan(family: WeierstrassFamily, p: int) -> ScanReport:
     """Classify every singular fiber of the family over F_p."""
     _check_prime(family, p)
-    fibers = []
-    # finite places from the t-chart
-    model = integral_model(family, "zero")
-    c4, c6, disc = _model_invariants(model, p)
-    _, factors = disc.factor_list()
-    for pi, _ in sorted(factors, key=lambda f: (f[0].degree(),
-                                                f[0].all_coeffs())):
-        rep = _classify_place(pi, c4, c6, disc, p, str(pi.as_expr()))
-        if rep.label != "good":
-            fibers.append(rep)
-    # the place at infinity from the s-chart
-    minf = integral_model(family, "inf")
-    c4i, c6i, disci = _model_invariants(minf, p)
-    s0 = Poly(minf.var, minf.var, modulus=p)
-    rep = _classify_place(s0, c4i, c6i, disci, p, "inf")
-    if rep.label != "good":
-        fibers.append(rep)
+    fibers, minimal, c4_c6 = _classify_chart(family, p, "zero")
+    fibers_inf, minimal_inf, _ = _classify_chart(family, p, "inf")
+    fibers += fibers_inf
     total = sum(f.euler * f.degree for f in fibers)
     return ScanReport(family.name, p, tuple(fibers), total,
-                      expected_euler(family))
+                      expected_euler(family), c4_c6,
+                      {**minimal, **minimal_inf})
 
 
-def config_vs_expected(family: WeierstrassFamily, p: int) -> dict:
-    """Compare the scanned fiber configuration against the stored one."""
-    report = scan(family, p)
+def config_vs_expected(family: WeierstrassFamily, p: int,
+                       report: ScanReport = None) -> dict:
+    """Compare the scanned fiber configuration against the stored one;
+    ``report`` is a scan of (family, p) already made, if any."""
+    if report is None:
+        report = scan(family, p)
     expected = tuple(sorted(family.expected_config, key=_label_sort_key))
     out = {
         "family": family.name,
@@ -251,10 +277,6 @@ def config_vs_expected(family: WeierstrassFamily, p: int) -> dict:
         out["note"] = ("configuration fixed by the Euler-number audit; "
                        "any larger reading would overflow e = 24")
     return out
-
-
-def ns_trace(family: WeierstrassFamily, p: int) -> int:
-    return scan(family, p).ns_trace
 
 
 def eigenspace_counts(config) -> tuple:

@@ -1,8 +1,8 @@
-"""Local Euler factors, the degree-4 tensor factor, and Dirichlet series.
+"""The degree-4 tensor factor and the L-series of the threefold's H^3.
 
-Factors are integer polynomials in T = p^(-s).  The tensor factor is
-checked against an exact root-product oracle: the two quadratics are
-realized by their companion matrices and the quartic is the reversed
+Factors are ``cmforms.LocalFactor`` polynomials in T = p^(-s).  The tensor
+factor is checked against an exact root-product oracle: the two quadratics
+are realized by their companion matrices and the quartic is the reversed
 characteristic polynomial of their Kronecker product, so no floating
 point enters the identity.  Floating point appears only in the optional
 root-modulus audit.
@@ -10,56 +10,14 @@ root-modulus audit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy
 import sympy
 
-from .arith import is_prime, kronecker_character
-from .cmforms import HECKE_SPECS
-from .counting import ap_elliptic, h3_trace, k3_point_count, twist_fit
+from .arith import kronecker_character
+from .cmforms import (HECKE_SPECS, LocalFactor, WeilBoundError,
+                      euler_to_dirichlet)
+from .counting import (ap_elliptic, good_primes, h3_trace, k3_point_count,
+                       twist_fit)
 from .families import WeierstrassCurve, WeierstrassFamily
-
-
-class WeilBoundError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class LocalFactor:
-    p: int
-    weight: int
-    coefficients: tuple  # polynomial in T, constant term first
-    nebentypus: int = 1
-
-    def __post_init__(self):
-        assert self.coefficients[0] == 1
-
-    def __mul__(self, other: "LocalFactor") -> "LocalFactor":
-        assert self.p == other.p
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return LocalFactor(self.p, max(self.weight, other.weight),
-                           tuple(out), self.nebentypus)
-
-    def series_inverse(self, nterms: int) -> list:
-        """First nterms coefficients of 1 / L_p as a power series in T."""
-        c = self.coefficients
-        inv = [1] + [0] * (nterms - 1)
-        for k in range(1, nterms):
-            inv[k] = -sum(c[j] * inv[k - j]
-                          for j in range(1, min(k, len(c) - 1) + 1))
-        return inv
-
-    def root_moduli_error(self) -> float:
-        """Largest relative deviation of the complex root moduli from
-        p^(-(w-1)/2); good factors of pure weight must pass 1e-9."""
-        roots = numpy.roots(list(self.coefficients)[::-1])
-        target = float(self.p) ** (-(self.weight - 1) / 2)
-        return max(abs(abs(r) - target) / target for r in roots)
 
 
 def weight2_factor(A: int, p: int) -> LocalFactor:
@@ -67,17 +25,6 @@ def weight2_factor(A: int, p: int) -> LocalFactor:
     if A * A > 4 * p:
         raise WeilBoundError(f"|A|={abs(A)} exceeds 2 sqrt({p})")
     return LocalFactor(p, 2, (1, -A, p))
-
-
-def weight3_factor(B: int, eps_p: int, p: int) -> LocalFactor:
-    """1 - B T + eps(p) p^2 T^2 for a weight-3 newform."""
-    if B * B > 4 * p * p:
-        raise WeilBoundError(f"|B|={abs(B)} exceeds 2p for p={p}")
-    if eps_p not in (-1, 0, 1):
-        raise ValueError("nebentypus value must be -1, 0 or 1")
-    if eps_p == 0:
-        return LocalFactor(p, 3, (1, -B), 0)
-    return LocalFactor(p, 3, (1, -B, eps_p * p * p), eps_p)
 
 
 def _root_product_expansion(A: int, B: int, eps_p: int, p: int) -> tuple:
@@ -105,39 +52,6 @@ def tensor_factor(A: int, B: int, eps_p: int, p: int) -> LocalFactor:
     assert coeffs == _root_product_expansion(A, B, eps_p, p), \
         "closed form disagrees with the root-product expansion"
     return LocalFactor(p, 4, coeffs, eps_p)
-
-
-def euler_to_dirichlet(factors: dict, N: int) -> list:
-    """[a_1, ..., a_N] of prod_p L_p(p^-s)^-1; primes without a supplied
-    factor contribute the factor 1 (their power coefficients vanish)."""
-    a = [0] * (N + 1)
-    a[1] = 1
-    primes = [p for p in range(2, N + 1) if is_prime(p)]
-    for p in primes:
-        if p not in factors:
-            continue
-        kmax = 0
-        q = p
-        while q <= N:
-            kmax += 1
-            q *= p
-        inv = factors[p].series_inverse(kmax + 1)
-        q = p
-        for k in range(1, kmax + 1):
-            a[q] = inv[k]
-            q *= p
-    for n in range(2, N + 1):
-        for p in primes:
-            if n % p == 0:
-                q = 1
-                m = n
-                while m % p == 0:
-                    m //= p
-                    q *= p
-                if m > 1:
-                    a[n] = a[q] * a[m]
-                break
-    return a[1:]
 
 
 def shifted_elliptic_factor(A: int, p: int, chi_p: int = 1) -> LocalFactor:
@@ -169,8 +83,8 @@ def assemble_h3(family: WeierstrassFamily, e_ainvs, N: int) -> list:
     """
     e_disc = WeierstrassCurve(*[int(x) for x in e_ainvs]).discriminant()
     factors = {}
-    for p in range(5, N + 1):
-        if not is_prime(p) or p in family.bad_primes or e_disc % p == 0:
+    for p in good_primes(family, 5, N):
+        if e_disc % p == 0:
             continue
         factors[p] = h3_local_factor(family, e_ainvs, p)
     coeffs = euler_to_dirichlet(factors, N)

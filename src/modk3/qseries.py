@@ -305,14 +305,6 @@ def expand(q: EtaQuotient, prec: int = DEFAULT_PREC) -> TruncatedSeries:
     return s
 
 
-def rescale(s: TruncatedSeries, m: int) -> TruncatedSeries:
-    return s.rescale(m)
-
-
-def sign_twist(s: TruncatedSeries) -> TruncatedSeries:
-    return s.sign_twist()
-
-
 # The nine weight-3 forms.  h1..h5, h7, h8 have eta-product formulas; h9 is
 # the half-period sign twist of h4 and h6 is h9 in the doubled grid variable
 # (exponents halved), the only reading consistent with the scaling chain

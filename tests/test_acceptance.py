@@ -18,7 +18,7 @@ from modk3.families import (WeierstrassCurve, preset, two_isogeny_quotient)
 from modk3.kodaira import config_vs_expected, eigenspace_counts, scan
 from modk3.lfunctions import (_root_product_expansion, assemble_h3,
                               betti_hodge_report, tensor_factor)
-from modk3.qseries import GRID, _pentagonal_coeffs, form_series, rescale
+from modk3.qseries import GRID, _pentagonal_coeffs, form_series
 
 K3_FAMILIES = ("g4_legendre", "g62", "g82", "g8_412")
 E_TEST = (0, 0, 0, -1, 0)
@@ -61,10 +61,10 @@ def test_criterion_2_form_suite():
                 assert a == 0, (fid, p)
     prec = 300 * GRID
     h8 = form_series("h8", prec)
-    assert h8.agrees_with(rescale(form_series("h5", prec // 2 + GRID), 2))
-    assert h8.agrees_with(rescale(form_series("h1", prec // 4 + GRID), 4))
+    assert h8.agrees_with(form_series("h5", prec // 2 + GRID).rescale(2))
+    assert h8.agrees_with(form_series("h1", prec // 4 + GRID).rescale(4))
     assert form_series("h7", prec).agrees_with(
-        rescale(form_series("h2", prec // 2 + GRID), 2))
+        form_series("h2", prec // 2 + GRID).rescale(2))
     # convention note: the passing normalization takes a_p = tr(pi^2)
     # = (u^2 - d v^2)/2 on the (u + v sqrt(-d))/2 lattice
     report(2, "form suite", t0, 5)

@@ -6,7 +6,7 @@ from modk3.arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
                          SUPPORTED_D, UnsupportedFieldError,
                          is_fundamental_discriminant, is_prime,
                          kronecker_character, legendre_symbol,
-                         norm_equation_solutions, sqrt_mod)
+                         norm_equation_solutions, primes_up_to, sqrt_mod)
 
 
 def naive_is_prime(n):
@@ -18,6 +18,10 @@ def naive_is_prime(n):
 def test_is_prime_small_range():
     for n in range(-5, 2000):
         assert is_prime(n) == naive_is_prime(n), n
+    # the sieve agrees with the test at every bound, including tiny ones
+    for n in list(range(-2, 40)) + [1999, 2000]:
+        assert primes_up_to(n) == [q for q in range(2, n + 1)
+                                   if naive_is_prime(q)], n
 
 
 def test_is_prime_large_values():

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from modk3 import counting
 from modk3.cli import build_parser, run
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def records(capsys):
@@ -55,8 +62,12 @@ def test_surface_count(capsys):
 
 
 def test_surface_count_ceiling(capsys):
-    assert run(["surface", "count", "--family", "g62",
-                "--pmin", "500", "--pmax", "521"]) == 2
+    for action in ("count", "verify"):
+        assert run(["surface", action, "--family", "g62",
+                    "--pmin", "500", "--pmax", "521"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "refusing p > 499 without --force\n"
 
 
 def test_surface_verify(capsys):
@@ -64,6 +75,19 @@ def test_surface_verify(capsys):
     rec = records(capsys)[0]
     assert rec["ok"] and rec["first_failure"] is None
     assert rec["form"] == "h8" and rec["twist_disc"] == 1
+
+
+def test_surface_verify_counts_only_its_primes(capsys, monkeypatch):
+    counted = []
+    k3_point_count = counting.k3_point_count
+
+    def spy(family, p):
+        counted.append(p)
+        return k3_point_count(family, p)
+
+    monkeypatch.setattr(counting, "k3_point_count", spy)
+    assert run(["surface", "verify", "--family", "g62", "--pmax", "30"]) == 0
+    assert sorted(set(counted)) == [5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_l3fold_euler(capsys):
@@ -91,13 +115,24 @@ def test_pretty_and_csv_modes(capsys):
     assert out.splitlines()[0] == "ap,form,p"
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["surface", "scan", "--family", "nope"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["bogus"])
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(capsys):
+    curve = ["--curve", "0,0,0,-1,0"]
+    for argv in (["surface", "scan", "--family", "nope"],
+                 ["bogus"],
+                 ["l3fold", "series", "--family", "g62", *curve, "--n", "-3"],
+                 ["l3fold", "series", "--family", "g62", *curve, "--n", "0"],
+                 ["forms", "check", "--prec", "-1"],
+                 ["forms", "check", "--prec", "0"],
+                 ["forms", "qexp", "--form", "h3", "--prec", "x"],
+                 ["forms", "ap", "--form", "h8", "--p", "0"],
+                 ["surface", "count", "--family", "g62", "--pmin", "-5"],
+                 ["surface", "verify", "--family", "g62", "--pmax", "0"],
+                 ["verify", "all", "--pmax", "-1"],
+                 ["surface", "scan", "--family", "g62", "--force"],
+                 ["surface", "count", "--family", "g62", "--threads", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_internal_errors_exit_1(capsys):
@@ -113,3 +148,12 @@ def test_verify_all_smoke(capsys):
     assert all(r.get("ok", True) for r in recs)
     suites = {r.get("suite") for r in recs}
     assert {"groups", "forms", "scan", "surface", "eigenspace", "betti"} <= suites
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run([sys.executable, "-m", "modk3.cli", "forms", "ap",
+                          "--form", "h8", "--p", "5"], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    assert '"ap": -6' in out.stdout

@@ -1,9 +1,9 @@
 import pytest
 
-from modk3.arith import kronecker_character
+from modk3.arith import is_fundamental_discriminant, kronecker_character
 from modk3.cmforms import (BadPrimeError, HECKE_SPECS, ap,
                            coefficient_sequence, normalized_generator,
-                           newtype, splitting, verify_against_eta)
+                           splitting, verify_against_eta)
 from modk3.qseries import GRID, form_series
 
 
@@ -18,7 +18,7 @@ def test_spec_table():
     assert HECKE_SPECS["h3"].level == 7 and HECKE_SPECS["h3"].disc == -7
     assert HECKE_SPECS["h4"].level == 8 and HECKE_SPECS["h4"].disc == -8
     for spec in HECKE_SPECS.values():
-        assert newtype(spec) == spec.disc
+        assert is_fundamental_discriminant(spec.disc)
 
 
 def test_normalized_generators_known_values():

@@ -96,8 +96,11 @@ def test_twist_fit_negative_control():
 
 
 def test_count_report_marks_ok():
-    r = count_report(preset("g62"), 13)
+    fam = preset("g62")
+    r = count_report(fam, 13, twist_fit(fam))
     assert r.ok and r.matched_form == "h7" and r.twist_disc == 1
+    # the report checks the fit it is given: chi_{-4}(7) = -1, a_7 = 2
+    assert not count_report(fam, 7, ("h7", -4)).ok
 
 
 def test_ns_trace_prediction_matches_geometry():

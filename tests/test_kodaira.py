@@ -3,7 +3,7 @@ import pytest
 from modk3.families import preset
 from modk3.kodaira import (BadReductionError, _classify, config_vs_expected,
                            expected_euler, fiber_euler, integral_model,
-                           eigenspace_counts, ns_report, ns_trace, scan)
+                           eigenspace_counts, ns_report, scan)
 
 EXPECTED = {
     "g4_legendre": ["I4"] * 6,
@@ -96,7 +96,6 @@ def test_split_multiplicative_detection():
     assert rep.ns_trace == 20
     rep7 = scan(preset("g4_legendre"), 7)
     assert rep7.ns_trace == 10
-    assert ns_trace(preset("g4_legendre"), 7) == 10
 
 
 def test_discrepancy_note_for_g82():

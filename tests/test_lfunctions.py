@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from modk3.cmforms import (LocalFactor, WeilBoundError, euler_to_dirichlet,
+                           weight3_factor)
 from modk3.counting import ap_elliptic, good_primes, h3_trace
 from modk3.families import preset
-from modk3.lfunctions import (LocalFactor, WeilBoundError,
-                              _root_product_expansion, assemble_h3,
-                              betti_hodge_report, euler_to_dirichlet,
-                              h3_local_factor, shifted_elliptic_factor,
-                              tensor_factor, weight2_factor, weight3_factor)
+from modk3.lfunctions import (_root_product_expansion, assemble_h3,
+                              betti_hodge_report, h3_local_factor,
+                              shifted_elliptic_factor, tensor_factor,
+                              weight2_factor)
 
 E_TEST = (0, 0, 0, -1, 0)
 

@@ -6,7 +6,7 @@ from modk3.qseries import (DEFAULT_PREC, ETA_FORMS, EtaQuotient, GRID,
                            NonIntegralSeriesError,
                            NonUnitLeadingCoefficientError, TruncatedSeries,
                            _pentagonal_coeffs, eta_power_expansion, expand,
-                           form_series, rescale, sign_twist)
+                           form_series)
 
 
 def naive_euler_product(nterms):
@@ -84,10 +84,10 @@ def test_leading_exponents():
 def test_scaling_chain():
     prec = 300 * GRID
     h8 = form_series("h8", prec)
-    assert h8.agrees_with(rescale(form_series("h5", prec // 2 + GRID), 2))
-    assert h8.agrees_with(rescale(form_series("h1", prec // 4 + GRID), 4))
+    assert h8.agrees_with(form_series("h5", prec // 2 + GRID).rescale(2))
+    assert h8.agrees_with(form_series("h1", prec // 4 + GRID).rescale(4))
     h7 = form_series("h7", prec)
-    assert h7.agrees_with(rescale(form_series("h2", prec // 2 + GRID), 2))
+    assert h7.agrees_with(form_series("h2", prec // 2 + GRID).rescale(2))
 
 
 def test_sign_twist_and_h6_h9():
@@ -101,7 +101,7 @@ def test_sign_twist_and_h6_h9():
     for n in range(1, 40):
         assert h6.coefficient(n) == h9.coefficient(2 * n)
     with pytest.raises(NonIntegralSeriesError):
-        sign_twist(form_series("h1", prec))
+        form_series("h1", prec).sign_twist()
 
 
 def test_known_expansions():
