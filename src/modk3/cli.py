@@ -21,7 +21,8 @@ from .counting import (count_report, good_primes, h3_trace,
                        ns_trace_prediction, twist_fit)
 from .families import FAMILY_NAMES, preset
 from .kodaira import config_vs_expected, ns_report, scan
-from .lfunctions import assemble_h3, betti_hodge_report, h3_local_factor
+from .lfunctions import (assemble_h3, betti_hodge_report, h3_local_factor,
+                         h3_primes)
 from .qseries import FORM_IDS, GRID, form_series
 
 FAMILY_ALIASES = {"g4": "g4_legendre"}
@@ -173,8 +174,10 @@ def cmd_surface_verify(args) -> list:
 
 def cmd_l3fold_euler(args) -> list:
     family = _family(args.family)
+    primes = ([args.p] if args.p is not None
+              else h3_primes(family, args.curve, args.pmin, args.pmax))
     records = []
-    for p in _primes(args, family):
+    for p in primes:
         f = h3_local_factor(family, args.curve, p)
         records.append({"family": family.name, "p": p,
                         "coefficients": list(f.coefficients),

@@ -21,7 +21,7 @@ import numpy
 from .arith import (FIELD_DISC, QuadFieldElement, is_prime,
                     kronecker_character, norm_equation_solutions,
                     primes_up_to)
-from .qseries import GRID, form_series
+from .qseries import GRID, form_series, series_power
 
 
 class WeilBoundError(ValueError):
@@ -155,15 +155,6 @@ class LocalFactor:
         return LocalFactor(self.p, max(self.weight, other.weight),
                            tuple(out), self.nebentypus)
 
-    def series_inverse(self, nterms: int) -> list:
-        """First nterms coefficients of 1 / L_p as a power series in T."""
-        c = self.coefficients
-        inv = [1] + [0] * (nterms - 1)
-        for k in range(1, nterms):
-            inv[k] = -sum(c[j] * inv[k - j]
-                          for j in range(1, min(k, len(c) - 1) + 1))
-        return inv
-
     def root_moduli_error(self) -> float:
         """Largest relative deviation of the complex root moduli from
         p^(-(w-1)/2); good factors of pure weight must pass 1e-9."""
@@ -188,33 +179,15 @@ def euler_to_dirichlet(factors: dict, N: int) -> list:
     factor contribute the factor 1 (their power coefficients vanish)."""
     a = [0] * (N + 1)
     a[1] = 1
-    primes = primes_up_to(N)
-    for p in primes:
-        if p not in factors:
-            continue
-        kmax = 0
-        q = p
-        while q <= N:
-            kmax += 1
-            q *= p
-        inv = factors[p].series_inverse(kmax + 1)
-        q = p
-        for k in range(1, kmax + 1):
-            a[q] = inv[k]
-            q *= p
-    for n in range(2, N + 1):
-        for p in primes:
-            if p * p > n:
-                break  # n is prime
-            if n % p == 0:
-                q = 1
-                m = n
-                while m % p == 0:
-                    m //= p
-                    q *= p
-                if m > 1:
-                    a[n] = a[q] * a[m]
-                break
+    for p, factor in factors.items():
+        # 1/L_p(T) to T^k for every p^k <= N, then a_{m p^k} = a_m a_{p^k}
+        # for every m built from the primes already multiplied in
+        inv = series_power(list(factor.coefficients), -1, N.bit_length())
+        for m in [m for m in range(1, N // p + 1) if a[m]]:
+            n, k = m * p, 1
+            while n <= N:
+                a[n] = a[m] * inv[k]
+                n, k = n * p, k + 1
     return a[1:]
 
 

@@ -5,7 +5,8 @@ model (locally minimalized at the singular places) plus p times the
 Frobenius-fixed extra fiber components; subtracting the algebraic part
 1 + p^2 + p * ns_trace leaves the transcendental trace B(p), which the
 weight-3 coefficient data must reproduce up to an explicit quadratic
-twist fitted once per family.
+twist fitted once per command.  The threefold traces use B(p) itself and
+need no twist.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import is_prime, kronecker_character, primes_up_to
-from .cmforms import HECKE_SPECS, ap as form_ap
+from .cmforms import HECKE_SPECS, HeckeCharSpec, ap as form_ap
 from .families import WeierstrassCurve, WeierstrassFamily
 from .kodaira import BadReductionError, scan
 
@@ -125,14 +126,19 @@ def good_primes(family: WeierstrassFamily, pmin: int = 5, pmax: int = 97):
             if p >= max(pmin, 5) and p not in family.bad_primes]
 
 
+def attached_form(family: WeierstrassFamily) -> HeckeCharSpec:
+    """The Hecke character of the family's attached weight-3 form."""
+    if not family.form_id:
+        raise ModelMismatchError(f"{family.name} has no attached weight-3 form")
+    return HECKE_SPECS[family.form_id]
+
+
 def twist_fit(family: WeierstrassFamily, primes=None) -> tuple:
     """The unique (form id, twist discriminant D) with
     B(p) = chi_D(p) * a_p(form) at every supplied good prime."""
+    spec = attached_form(family)
     if primes is None:
         primes = good_primes(family)
-    if not family.form_id:
-        raise ModelMismatchError(f"{family.name} has no attached weight-3 form")
-    spec = HECKE_SPECS[family.form_id]
     traces = {p: k3_point_count(family, p).B for p in primes}
     if all(b == 0 for b in traces.values()):
         raise ModelMismatchError("all traces vanish; primes cannot fit a twist")
@@ -197,8 +203,9 @@ def kummer_fiber_count(a1: int, a2: int, r2: int, p: int) -> int:
 def h3_trace(family: WeierstrassFamily, e_ainvs, p: int) -> int:
     """Frobenius trace on the middle cohomology of the fibered threefold:
     the tensor part A(p)B(p) plus the anti-invariant cycles paired with
-    the elliptic factor."""
-    twist_fit(family)  # must be resolvable before the trace means anything
+    the elliptic factor; only families with an attached form carry the
+    lattice data it needs."""
+    attached_form(family)
     A = ap_elliptic(e_ainvs, p)
     B = k3_point_count(family, p).B
     minus = family.ns_data.minus_trace_terms(p, kronecker_character)

@@ -113,9 +113,6 @@ class WeierstrassCurve:
         inv = weierstrass_invariants(*(self._f(a) for a in self.ainvs))
         return tuple(x % self.p for x in inv) if self.p else inv
 
-    def b_invariants(self):
-        return self._invariants()[:4]
-
     def invariants(self):
         """(b2, b4, b6, b8, c4, c6, Delta, j); raises on Delta = 0."""
         inv = self._invariants()

@@ -2,8 +2,10 @@
 
 For each family the t-line is covered by two affine charts (t and s = 1/t);
 the coefficients are cleared to integer polynomials by an admissible
-(x, y) -> (u^2 x, u^3 y) change, the discriminant is factored over F_p[t],
-and each place is classified from the minimal valuations of (c4, c6, Delta).
+(x, y) -> (u^2 x, u^3 y) change, and (c4, c6, Delta) are computed once over
+Z[t].  For each prime they are reduced mod p, the discriminant is factored
+over F_p[t], and each place is classified from the minimal valuations of
+(c4, c6, Delta).
 The same pass records the minimal (c4, c6) at every rational place and the
 t-chart (c4, c6) mod p: all that the fiberwise point count in ``counting``
 needs.
@@ -38,6 +40,8 @@ class IntegralModel:
     a_polys: tuple
     scale: object  # the u of the coordinate change, as an expression
     chart: str
+    #: (c4, c6, Delta) over Z[var] as integer coefficient tuples, leading first
+    invariants: tuple
 
 
 @lru_cache(maxsize=None)
@@ -63,9 +67,13 @@ def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralMo
             c = sympy.ilcm(c, Rational(coef).q)
     c = int(c)
     a_polys = [sympy.expand(ap * c ** w) for ap, w in zip(a_polys, _A_WEIGHTS)]
-    for ap in a_polys:
-        assert all(Rational(x).q == 1 for x in Poly(ap, var).all_coeffs())
-    return IntegralModel(var, tuple(a_polys), sympy.expand(u * c), chart)
+    polys = [Poly(ap, var) for ap in a_polys]
+    for ap in polys:
+        assert all(Rational(x).q == 1 for x in ap.all_coeffs())
+    invariants = tuple(tuple(int(x) for x in f.all_coeffs())
+                       for f in weierstrass_invariants(*polys)[4:])
+    return IntegralModel(var, tuple(a_polys), sympy.expand(u * c), chart,
+                         invariants)
 
 
 def _valuation(poly: Poly, pi: Poly) -> int:
@@ -138,11 +146,11 @@ def _minimal_value(poly: Poly, pi: Poly, shift: int, root: int, p: int) -> int:
     return int(poly.eval(root)) % p
 
 
-def _classify_place(pi: Poly, c4: Poly, c6: Poly, disc: Poly, p: int,
+def _classify_place(pi: Poly, c4: Poly, c6: Poly, vd: int, p: int,
                     place_name: str):
-    """The fiber at the place pi, and at a rational place also the root and
-    the (c4, c6) of the minimal model there (None at other places)."""
-    vd = _valuation(disc, pi)
+    """The fiber at the place pi, where Delta has valuation vd, and at a
+    rational place also the root and the (c4, c6) of the minimal model there
+    (None at other places)."""
     v4 = _valuation(c4, pi) if not c4.is_zero else 10 ** 9
     v6 = _valuation(c6, pi) if not c6.is_zero else 10 ** 9
     label, vdm, k = _classify(v4, v6, vd)
@@ -164,6 +172,12 @@ def _classify_place(pi: Poly, c4: Poly, c6: Poly, disc: Poly, p: int,
     return fiber, minimal
 
 
+def _reduced_invariants(model: IntegralModel, p: int) -> tuple:
+    """(c4, c6, Delta) of the model as polynomials over F_p."""
+    return tuple(Poly.from_list(f, model.var, modulus=p)
+                 for f in model.invariants)
+
+
 def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
     """Factor Delta over F_p on one chart and classify its places: every
     zero of Delta on the t-chart, s = 0 on the s-chart.
@@ -173,17 +187,17 @@ def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
     coefficients mod p.
     """
     model = integral_model(family, chart)
-    a_polys = (Poly(a, model.var, modulus=p) for a in model.a_polys)
-    _, _, _, _, c4, c6, disc = weierstrass_invariants(*a_polys)
+    c4, c6, disc = _reduced_invariants(model, p)
     if chart == "zero":
-        places = sorted((pi for pi, _ in disc.factor_list()[1]),
-                        key=lambda pi: (pi.degree(), pi.all_coeffs()))
+        places = sorted(disc.factor_list()[1],
+                        key=lambda f: (f[0].degree(), f[0].all_coeffs()))
     else:
-        places = [Poly(model.var, model.var, modulus=p)]
+        s = Poly(model.var, model.var, modulus=p)
+        places = [(s, _valuation(disc, s))]
     fibers, minimal = [], {}
-    for pi in places:
+    for pi, vd in places:
         name = str(pi.as_expr()) if chart == "zero" else "inf"
-        fiber, values = _classify_place(pi, c4, c6, disc, p, name)
+        fiber, values = _classify_place(pi, c4, c6, vd, p, name)
         if fiber.label != "good":
             fibers.append(fiber)
         if values is not None:

@@ -13,10 +13,9 @@ from __future__ import annotations
 import sympy
 
 from .arith import kronecker_character
-from .cmforms import (HECKE_SPECS, LocalFactor, WeilBoundError,
-                      euler_to_dirichlet)
-from .counting import (ap_elliptic, good_primes, h3_trace, k3_point_count,
-                       twist_fit)
+from .cmforms import LocalFactor, WeilBoundError, euler_to_dirichlet
+from .counting import (ap_elliptic, attached_form, good_primes, h3_trace,
+                       k3_point_count)
 from .families import WeierstrassCurve, WeierstrassFamily
 
 
@@ -64,10 +63,9 @@ def shifted_elliptic_factor(A: int, p: int, chi_p: int = 1) -> LocalFactor:
 def h3_local_factor(family: WeierstrassFamily, e_ainvs, p: int) -> LocalFactor:
     """Full local factor of the middle cohomology of the fibered threefold:
     the tensor quartic times the anti-invariant-cycle elliptic factors."""
-    form_id, _ = twist_fit(family)
+    eps = kronecker_character(attached_form(family).disc, p)
     A = ap_elliptic(e_ainvs, p)
     B = k3_point_count(family, p).B
-    eps = kronecker_character(HECKE_SPECS[form_id].disc, p)
     factor = tensor_factor(A, B, eps, p)
     for d, mult in family.ns_data.minus_part:
         chi_p = 1 if d == 1 else kronecker_character(d, p)
@@ -76,17 +74,20 @@ def h3_local_factor(family: WeierstrassFamily, e_ainvs, p: int) -> LocalFactor:
     return factor
 
 
+def h3_primes(family: WeierstrassFamily, e_ainvs, pmin: int, pmax: int) -> list:
+    """The good primes of the family in [pmin, pmax] at which E has good
+    reduction too; raises on a singular E."""
+    e_disc = WeierstrassCurve(*[int(x) for x in e_ainvs]).invariants()[6]
+    return [p for p in good_primes(family, pmin, pmax) if e_disc % p]
+
+
 def assemble_h3(family: WeierstrassFamily, e_ainvs, N: int) -> list:
     """Dirichlet coefficients a_1..a_N of L(H^3); bad primes contribute 1.
 
     At every good prime p the coefficient equals h3_trace(family, E, p).
     """
-    e_disc = WeierstrassCurve(*[int(x) for x in e_ainvs]).discriminant()
-    factors = {}
-    for p in good_primes(family, 5, N):
-        if e_disc % p == 0:
-            continue
-        factors[p] = h3_local_factor(family, e_ainvs, p)
+    factors = {p: h3_local_factor(family, e_ainvs, p)
+               for p in h3_primes(family, e_ainvs, 5, N)}
     coeffs = euler_to_dirichlet(factors, N)
     for p in factors:
         assert coeffs[p - 1] == h3_trace(family, e_ainvs, p), \

@@ -46,45 +46,31 @@ def _pentagonal_coeffs(nterms: int) -> list:
     return out
 
 
-def _list_mul(a: list, b: list, nterms: int) -> list:
-    out = [0] * nterms
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= nterms:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= nterms:
-                break
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def series_power(a: list, r: int, nterms: int) -> list:
+    """First nterms coefficients of a^r for an integer power series a with
+    a[0] = +-1 and any integer r.
 
-
-def _list_invert(a: list, nterms: int) -> list:
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), read off
+    a * (a^r)' = r * a' * a^r:
+        n a_0 g_n = sum_{k=1..n} ((r + 1) k - n) a_k g_{n-k};
+    the sum runs over the nonzero a_k only.
+    """
     if not a or a[0] not in (1, -1):
         raise NonUnitLeadingCoefficientError("leading coefficient must be a unit")
     lead = a[0]
-    out = [0] * nterms
-    out[0] = lead
-    for k in range(1, nterms):
+    support = [(k, c) for k, c in enumerate(a[1:nterms], 1) if c]
+    g = [lead if r % 2 else 1] + [0] * (nterms - 1)
+    for n in range(1, nterms):
         s = 0
-        for j in range(1, min(k, len(a) - 1) + 1):
-            s += a[j] * out[k - j]
-        out[k] = -lead * s
-    return out
-
-
-def _list_pow(a: list, r: int, nterms: int) -> list:
-    if r < 0:
-        return _list_pow(_list_invert(a, nterms), -r, nterms)
-    result = [0] * nterms
-    result[0] = 1
-    base = list(a[:nterms]) + [0] * max(0, nterms - len(a))
-    while r:
-        if r & 1:
-            result = _list_mul(result, base, nterms)
-        base = _list_mul(base, base, nterms)
-        r >>= 1
-    return result
+        for k, c in support:
+            if k > n:
+                break
+            s += ((r + 1) * k - n) * c * g[n - k]
+        q, rem = divmod(s, n)
+        if rem:
+            raise ArithmeticError(f"Miller recurrence left a remainder at n={n}")
+        g[n] = lead * q
+    return g[:nterms]
 
 
 @dataclass(frozen=True)
@@ -186,46 +172,12 @@ class TruncatedSeries:
     def __mul__(self, other):
         return self.mul(other)
 
-    def pow(self, r: int) -> "TruncatedSeries":
-        if r == 0:
-            return TruncatedSeries.one(self.prec)
-        if r < 0:
-            return self.invert().pow(-r)
-        result = self
-        for _ in range(r - 1):
-            result = result.mul(self)
-        return result
-
     def invert(self) -> "TruncatedSeries":
         """Inverse power series; leading coefficient must be +-1."""
-        if self.is_zero:
-            raise NonUnitLeadingCoefficientError("cannot invert the zero series")
         nterms = len(self.coeffs)
-        inv = _list_invert(list(self.coeffs), nterms)
+        inv = series_power(list(self.coeffs), -1, nterms)
         prec = -self.offset + self.stride * nterms
         return TruncatedSeries.make(-self.offset, self.stride, inv, prec)
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        prec = min(self.prec, other.prec)
-        d = self.as_dict()
-        for e, c in other.as_dict().items():
-            d[e] = d.get(e, 0) + c
-        d = {e: c for e, c in d.items() if c and e < prec}
-        if not d:
-            return TruncatedSeries(0, GRID, (), prec)
-        offset = min(d)
-        stride = 0
-        for e in d:
-            stride = math.gcd(stride, e - offset)
-        stride = stride or GRID
-        n = (max(d) - offset) // stride + 1
-        out = [0] * n
-        for e, c in d.items():
-            out[(e - offset) // stride] = c
-        return TruncatedSeries.make(offset, stride, out, prec)
-
-    def __add__(self, other):
-        return self.add(other)
 
     def rescale(self, m: int) -> "TruncatedSeries":
         """Substitute q^(1/24) -> q^(m/24)."""
@@ -292,8 +244,7 @@ def eta_power_expansion(m: int, r: int, prec: int = DEFAULT_PREC) -> TruncatedSe
     nterms = max(0, -(-(prec - offset) // stride))
     if nterms == 0:
         return TruncatedSeries(0, GRID, (), prec)
-    pent = _pentagonal_coeffs(nterms)
-    coeffs = _list_pow(pent, r, nterms)
+    coeffs = series_power(_pentagonal_coeffs(nterms), r, nterms)
     return TruncatedSeries.make(offset, stride, coeffs, prec)
 
 

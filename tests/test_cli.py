@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modk3 import counting
+from modk3 import counting, lfunctions
 from modk3.cli import build_parser, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,6 +96,40 @@ def test_l3fold_euler(capsys):
     rec = records(capsys)[0]
     assert rec["trace"] == 336
     assert rec["coefficients"][1] == -336
+
+
+def test_l3fold_euler_counts_only_its_prime(capsys, monkeypatch):
+    counted = []
+    k3_point_count = counting.k3_point_count
+
+    def spy(family, p):
+        counted.append(p)
+        return k3_point_count(family, p)
+
+    monkeypatch.setattr(counting, "k3_point_count", spy)
+    monkeypatch.setattr(lfunctions, "k3_point_count", spy)
+    assert run(["l3fold", "euler", "--family", "g62",
+                "--curve", "0,0,0,-1,0", "--p", "13"]) == 0
+    assert set(counted) == {13}
+
+
+def test_l3fold_euler_needs_an_attached_form(capsys):
+    assert run(["l3fold", "euler", "--family", "e1_4",
+                "--curve", "0,0,0,-1,0", "--p", "13"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('{"ok": false, "error": '
+                            '"e1_4 has no attached weight-3 form"}\n')
+
+
+def test_l3fold_euler_range_skips_bad_primes_of_the_curve(capsys):
+    # Delta(E) = -704 = -2^6 * 11: p = 11 is skipped, as l3fold series does
+    curve = ["--curve", "0,1,0,-1,1"]
+    assert run(["l3fold", "euler", "--family", "g62", *curve,
+                "--pmin", "5", "--pmax", "20"]) == 0
+    assert [r["p"] for r in records(capsys)] == [5, 7, 13, 17, 19]
+    # an explicit bad prime is still an error
+    assert run(["l3fold", "euler", "--family", "g62", *curve, "--p", "11"]) == 1
 
 
 def test_l3fold_series(capsys):

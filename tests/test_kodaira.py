@@ -1,9 +1,12 @@
 import pytest
+from sympy import Poly
 
-from modk3.families import preset
-from modk3.kodaira import (BadReductionError, _classify, config_vs_expected,
-                           expected_euler, fiber_euler, integral_model,
-                           eigenspace_counts, ns_report, scan)
+from modk3.counting import good_primes
+from modk3.families import FAMILY_NAMES, preset, weierstrass_invariants
+from modk3.kodaira import (BadReductionError, _classify, _reduced_invariants,
+                           _valuation, config_vs_expected, expected_euler,
+                           fiber_euler, integral_model, eigenspace_counts,
+                           ns_report, scan)
 
 EXPECTED = {
     "g4_legendre": ["I4"] * 6,
@@ -59,6 +62,27 @@ def test_integral_models_have_integer_coefficients():
         for a in m.a_polys:
             assert all(Rational(c).q == 1
                        for c in Poly(a, m.var).all_coeffs())
+
+
+def test_reduced_invariants_match_per_prime_computation():
+    # the invariants over Z[t], reduced mod p, against b/c/Delta computed
+    # from the a-polynomials reduced mod p; and the multiplicities that
+    # factor_list returns against repeated division
+    for name in FAMILY_NAMES:
+        fam = preset(name)
+        primes = good_primes(fam, 5, 499)
+        for p in (primes[0], primes[len(primes) // 2], primes[-1]):
+            for chart in ("zero", "inf"):
+                model = integral_model(fam, chart)
+                reduced = _reduced_invariants(model, p)
+                a_polys = [Poly(a, model.var, modulus=p)
+                           for a in model.a_polys]
+                assert reduced == weierstrass_invariants(*a_polys)[4:], \
+                    (name, p, chart)
+                if chart == "zero":
+                    disc = reduced[2]
+                    for pi, e in disc.factor_list()[1]:
+                        assert e == _valuation(disc, pi), (name, p, pi)
 
 
 def test_all_configurations_match_and_are_prime_independent():

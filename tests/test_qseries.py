@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from modk3.qseries import (DEFAULT_PREC, ETA_FORMS, EtaQuotient, GRID,
                            NonIntegralSeriesError,
                            NonUnitLeadingCoefficientError, TruncatedSeries,
                            _pentagonal_coeffs, eta_power_expansion, expand,
-                           form_series)
+                           form_series, series_power)
 
 
 def naive_euler_product(nterms):
@@ -19,6 +20,60 @@ def naive_euler_product(nterms):
             nxt[i + n] -= coeffs[i]
         coeffs = nxt
     return coeffs
+
+
+def naive_mul(a, b, nterms):
+    out = [0] * nterms
+    for i in range(nterms):
+        for j in range(nterms - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def naive_inverse(a, nterms):
+    """b with a * b = 1, solved term by term (a[0] = +-1)."""
+    b = [0] * nterms
+    for k in range(nterms):
+        s = (k == 0) - sum(a[j] * b[k - j] for j in range(1, k + 1))
+        b[k] = a[0] * s
+    return b
+
+
+def naive_power(a, r, nterms):
+    """a * ... * a (r factors), or the inverse raised to -r for r < 0."""
+    a = list(a[:nterms]) + [0] * (nterms - len(a))
+    base = a if r >= 0 else naive_inverse(a, nterms)
+    out = [1] + [0] * (nterms - 1)
+    for _ in range(abs(r)):
+        out = naive_mul(out, base, nterms)
+    return out
+
+
+def test_series_power_vs_naive_random():
+    rng = random.Random(7)
+    for _ in range(150):
+        nterms = rng.randint(1, 60)
+        a = [rng.choice((1, -1))] + [rng.choice((0, 0, rng.randint(-5, 5)))
+                                     for _ in range(rng.randint(0, 70))]
+        r = rng.randint(-4, 6)
+        assert series_power(a, r, nterms) == naive_power(a, r, nterms), (a, r)
+
+
+def test_eta_powers_vs_naive():
+    nterms = 300
+    pent = _pentagonal_coeffs(nterms)
+    for r in range(-3, 7):
+        prec = GRID * nterms + r
+        expected = TruncatedSeries.make(r, GRID, naive_power(pent, r, nterms),
+                                        prec)
+        s = eta_power_expansion(1, r, prec)
+        assert s.prec == expected.prec and s.agrees_with(expected), r
+
+
+def test_series_power_needs_unit_leading_coefficient():
+    for a in ([], [2, 1], [0, 1]):
+        with pytest.raises(NonUnitLeadingCoefficientError):
+            series_power(a, 3, 5)
 
 
 def test_pentagonal_vs_naive_product():
