@@ -28,6 +28,16 @@ class UnsupportedFieldError(ValueError):
     pass
 
 
+class VerificationError(ValueError):
+    """A verified identity failed: its inputs, expected and observed value."""
+
+    def __init__(self, identity: str, inputs: dict, expected, observed):
+        super().__init__(f"{identity} fails for {inputs}: "
+                         f"expected {expected}, observed {observed}")
+        self.identity, self.inputs = identity, inputs
+        self.expected, self.observed = expected, observed
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond the desk-scale range."""
     if n < 2:

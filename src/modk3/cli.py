@@ -26,7 +26,7 @@ from .lfunctions import (assemble_h3, betti_hodge_report, h3_local_factor,
 from .qseries import FORM_IDS, GRID, form_series
 
 FAMILY_ALIASES = {"g4": "g4_legendre"}
-COUNT_PMAX_CEILING = 499
+COUNT_PMAX_CEILING = 2200
 
 
 class UsageError(Exception):
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--family", choices=fam_choices, required=True)
         if action != "scan":
             s.add_argument("--force", action="store_true",
-                           help=f"allow counting at p > {COUNT_PMAX_CEILING}")
+                           help=f"allow the O(p^2) count at p > {COUNT_PMAX_CEILING}")
         _add_primes(s)
         _add_common(s)
         s.set_defaults(func=fn)

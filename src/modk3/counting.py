@@ -7,27 +7,34 @@ Frobenius-fixed extra fiber components; subtracting the algebraic part
 weight-3 coefficient data must reproduce up to an explicit quadratic
 twist fitted once per command.  The threefold traces use B(p) itself and
 need no twist.
+
+Every point count, of one curve or of all p + 1 fibres, is one numpy kernel
+over y^2 = x^3 + A x + B: blocks of BLOCK_CELLS // p fibres, each one int64
+array of A x + x^3 + B mod p over x in F_p, looked up in an int8 Legendre
+table.  Intermediates stay below p^2 + 2p: exact for p < 2^31, refused above.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
-from .arith import is_prime, kronecker_character, primes_up_to
-from .cmforms import HECKE_SPECS, HeckeCharSpec, ap as form_ap
+import numpy as np
+
+from .arith import (InvalidPrimeError, VerificationError, is_prime,
+                    kronecker_character, primes_up_to)
+from .cmforms import HECKE_SPECS, HeckeCharSpec, WeilBoundError, ap as form_ap
 from .families import WeierstrassCurve, WeierstrassFamily
 from .kodaira import BadReductionError, scan
 
 #: fundamental discriminants D with |D| dividing 48
 TWIST_DISCS = (1, -3, -4, 8, -8, 12, -24, 24)
 
+#: int64 cells per block of the fibre sum (512 KB)
+BLOCK_CELLS = 1 << 16
+
 
 class ModelMismatchError(ValueError):
-    pass
-
-
-class UnresolvedTwistError(ValueError):
     pass
 
 
@@ -43,16 +50,35 @@ class CountReport:
     ok: bool = False
 
     def __post_init__(self):
-        assert self.total == 1 + self.p ** 2 + self.p * self.ns_trace_used + self.B
+        expected = 1 + self.p ** 2 + self.p * self.ns_trace_used + self.B
+        if self.total != expected:
+            raise VerificationError("total = 1 + p^2 + p * ns_trace_used + B",
+                                    asdict(self), expected, self.total)
 
 
-def _chi_table(p: int) -> list:
-    """chi[v] = legendre symbol (v/p) as a lookup table."""
-    chi = [-1] * p
+def _short_model_points(c4, c6, p: int) -> int:
+    """Projective F_p points of y^2 = x^3 - 27 c4 x - 54 c6, summed over
+    the fibres whose invariants mod p fill the arrays c4 and c6."""
+    if p >= 1 << 31:
+        raise InvalidPrimeError(
+            f"p={p} >= 2^31 would overflow the int64 fibre sum")
+    x = np.arange(p, dtype=np.int64)
+    cube = x * x % p * x % p
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[x * x % p] = 1
     chi[0] = 0
-    for x in range(1, (p + 1) // 2 + 1):
-        chi[x * x % p] = 1
-    return chi
+    a = (-27 * np.asarray(c4, dtype=np.int64) % p)[:, None]
+    b = (-54 * np.asarray(c6, dtype=np.int64) % p)[:, None]
+    step = max(1, BLOCK_CELLS // p)
+    total = len(a) * (p + 1)
+    for i in range(0, len(a), step):
+        # in place, so that a block holds one int64 temporary
+        values = a[i:i + step] * x
+        values += cube
+        values += b[i:i + step]
+        values %= p
+        total += int(chi[values].sum(dtype=np.int64))
+    return total
 
 
 def curve_count(curve: WeierstrassCurve) -> int:
@@ -63,57 +89,38 @@ def curve_count(curve: WeierstrassCurve) -> int:
     # (x, y) -> (36x + 3b2, 108(2y + a1 x + a3)) is an affine bijection of
     # F_p^2 onto the short model, singular or not
     c4, c6 = curve._invariants()[4:6]
-    return _short_count(c4, c6, p, _chi_table(p))
+    return _short_model_points([c4], [c6], p)
 
 
-def ap_elliptic(ainvs, p: int) -> int:
-    """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime of good reduction."""
+@lru_cache(maxsize=None)
+def ap_elliptic(ainvs: tuple, p: int) -> int:
+    """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime of good reduction;
+    memoized on the tuple (a1, a2, a3, a4, a6) and p."""
     if not is_prime(p) or p < 5:
         raise BadReductionError(f"need a prime p >= 5, got {p}")
     curve = WeierstrassCurve(*[int(a) % p for a in ainvs], p=p)
     if curve._is_zero(curve.discriminant()):
         raise BadReductionError(f"bad reduction at p={p}")
     a = p + 1 - curve_count(curve)
-    assert a * a <= 4 * p
+    if a * a > 4 * p:
+        raise WeilBoundError(f"|A|={abs(a)} exceeds 2 sqrt({p})")
     return a
-
-
-def _short_count(c4v: int, c6v: int, p: int, chi) -> int:
-    """Points of y^2 = x^3 - 27 c4 x - 54 c6 over F_p, plus infinity."""
-    a = -27 * c4v % p
-    b = -54 * c6v % p
-    total = 1
-    for x in range(p):
-        total += 1 + chi[((x * x + a) * x + b) % p]
-    return total
-
-
-def _evaluate(coefficients: tuple, x: int, p: int) -> int:
-    """Value mod p of a polynomial given by its coefficients, leading first."""
-    value = 0
-    for c in coefficients:
-        value = (value * x + c) % p
-    return value
 
 
 @lru_cache(maxsize=None)
 def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
     """Fiberwise surface total over P^1(F_p) and the trace B(p) it leaves."""
     report = scan(family, p)
-    chi = _chi_table(p)
-    c4, c6 = report.t_chart_c4_c6
-    minimal = report.minimal_values
-    total = 0
-    # finite fibers from the t-chart, minimalized at the zeros of Delta
-    for t0 in range(p):
-        if t0 in minimal:
-            c4v, c6v = minimal[t0]
-        else:
-            c4v, c6v = _evaluate(c4, t0, p), _evaluate(c6, t0, p)
-        total += _short_count(c4v, c6v, p, chi)
-    # the fiber at infinity from the s-chart
-    c4v, c6v = minimal["inf"]
-    total += _short_count(c4v, c6v, p, chi)
+    # (c4, c6) of every fibre, column t0 < p from the t-chart by Horner,
+    # then the minimal values at the zeros of Delta and at infinity (column p)
+    t = np.arange(p + 1, dtype=np.int64)
+    c4c6 = np.zeros((2, p + 1), dtype=np.int64)
+    for row, coefficients in enumerate(report.t_chart_c4_c6):
+        for c in coefficients:
+            c4c6[row] = (c4c6[row] * t + c) % p
+    for place, values in report.minimal_values.items():
+        c4c6[:, p if place == "inf" else place] = values
+    total = _short_model_points(c4c6[0], c4c6[1], p)
     # extra components of the resolved singular fibers
     total += p * sum(f.tau for f in report.fibers)
     ns = report.ns_trace
@@ -196,7 +203,9 @@ def kummer_fiber_count(a1: int, a2: int, r2: int, p: int) -> int:
     averaged = ((p + 1 - a1) * (p + 1 - a2)
                 + (p + 1 + a1) * (p + 1 + a2)) // 2 + p * r2
     closed = (p + 1) ** 2 + a1 * a2 + p * r2
-    assert averaged == closed
+    if averaged != closed:
+        raise VerificationError("quotient average = (p+1)^2 + a1 a2 + p r2",
+                                dict(a1=a1, a2=a2, r2=r2, p=p), closed, averaged)
     return closed
 
 

@@ -64,10 +64,10 @@ def test_surface_count(capsys):
 def test_surface_count_ceiling(capsys):
     for action in ("count", "verify"):
         assert run(["surface", action, "--family", "g62",
-                    "--pmin", "500", "--pmax", "521"]) == 2
+                    "--pmin", "2201", "--pmax", "2221"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "refusing p > 499 without --force\n"
+        assert captured.err == "refusing p > 2200 without --force\n"
 
 
 def test_surface_verify(capsys):

@@ -1,9 +1,13 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from modk3.arith import kronecker_character
+from modk3.arith import VerificationError, kronecker_character
 from modk3.cmforms import HECKE_SPECS, ap as form_ap
 from modk3.counting import (CountReport, ModelMismatchError, ap_elliptic,
                             count_report, curve_count, good_primes, h2_trace,
@@ -13,6 +17,7 @@ from modk3.families import WeierstrassCurve, preset
 from modk3.kodaira import BadReductionError
 
 E_TEST = (0, 0, 0, -1, 0)  # y^2 = x^3 - x, conductor 32
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def exhaustive_count(E):
@@ -59,8 +64,21 @@ def test_k3_count_report_invariant():
     r = k3_point_count(fam, 5)
     assert r.total == 1 + 25 + 5 * r.ns_trace_used + r.B
     assert r.B == -6
-    with pytest.raises(AssertionError):
+    with pytest.raises(VerificationError):
         CountReport("x", 5, 0, 0, 1)
+
+
+def test_count_report_identity_survives_python_O():
+    # a forged report raises even where assert statements are stripped
+    code = ("import sys\n"
+            "from modk3.counting import CountReport\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "CountReport('x', 5, 0, 0, 1)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 1
+    assert "VerificationError: total = 1 + p^2" in out.stderr
 
 
 def test_k3_traces_match_forms_small_primes():
