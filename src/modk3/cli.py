@@ -72,18 +72,26 @@ def _emit(records: list, args) -> int:
     return 0 if all(r.get("ok", True) for r in records) else 1
 
 
+def _window(family, pmin: int, pmax: int) -> list:
+    """The good primes of the family in [pmin, pmax]; none is a usage error."""
+    primes = good_primes(family, pmin, pmax)
+    if not primes:
+        raise UsageError(f"no good prime of {family.name} in [{pmin}, {pmax}]")
+    return primes
+
+
 def _primes(args, family=None) -> list:
     if args.p is not None:
         return [args.p]
     if family is not None:
-        return good_primes(family, args.pmin, args.pmax)
+        return _window(family, args.pmin, args.pmax)
     return [p for p in primes_up_to(args.pmax) if p >= args.pmin]
 
 
 def _count_primes(args, family) -> list:
     """The primes of a point count, which is O(p^2) work per prime."""
     primes = _primes(args, family)
-    if max(primes, default=0) > COUNT_PMAX_CEILING and not args.force:
+    if max(primes) > COUNT_PMAX_CEILING and not args.force:
         raise UsageError(f"refusing p > {COUNT_PMAX_CEILING} without --force")
     return primes
 
@@ -199,11 +207,11 @@ def cmd_verify_all(args) -> list:
         ns = parser.parse_args([str(a) for a in argv])
         return ns.func(ns)
 
+    # every window is checked before any work; x0_12 is report-only
+    scan_primes = {name: _window(_family(name), 5, args.pmax)[0]
+                   for name in FAMILY_NAMES if name != "x0_12"}
     records = sub("groups", "verify") + sub("forms", "check")
-    for name in FAMILY_NAMES:
-        if name == "x0_12":
-            continue  # report-only family
-        p = min(good_primes(_family(name), 5, args.pmax))  # one scan each
+    for name, p in scan_primes.items():
         records += sub("surface", "scan", "--family", name, "--p", p)
     for name in ("g4_legendre", "g62", "g82", "g8_412"):
         records += sub("surface", "verify", "--family", name,

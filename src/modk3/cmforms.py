@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy
 
-from .arith import (FIELD_DISC, QuadFieldElement, is_prime,
-                    kronecker_character, norm_equation_solutions,
+from .arith import (FIELD_DISC, QuadFieldElement, VerificationError,
+                    is_prime, kronecker_character, norm_equation_solutions,
                     primes_up_to)
 from .qseries import GRID, form_series, series_power
 
@@ -102,7 +102,10 @@ def normalized_generator(spec: HeckeCharSpec, p: int,
             f"no unit multiple of a generator above p={p} is +-1 mod {c}")
     # normalized candidates all share tr(pi^2); pick a deterministic one
     traces = {g.trace_of_square() for g in good}
-    assert len(traces) == 1, f"ambiguous normalization at p={p}: {traces}"
+    if len(traces) != 1:
+        raise VerificationError("the normalized tr(pi^2) is unique",
+                                dict(form=spec.form_id, p=p), "one value",
+                                sorted(traces))
     return max(good, key=lambda g: (g.u, g.v))
 
 

@@ -15,6 +15,8 @@ from functools import lru_cache
 import sympy
 from sympy import Rational, cancel, fraction, together
 
+from .arith import VerificationError
+
 t = sympy.symbols("t")
 
 FAMILY_NAMES = ("g4_legendre", "e1_4", "e1_6", "e1_7", "e1_8",
@@ -87,7 +89,10 @@ def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 ** 3 + 36 * b2 * b4 - 216 * b6
     disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    assert 1728 * disc == c4 ** 3 - c6 ** 2
+    if 1728 * disc != c4 ** 3 - c6 ** 2:
+        raise VerificationError("1728 Delta = c4^3 - c6^2",
+                                {"a": (a1, a2, a3, a4, a6)},
+                                c4 ** 3 - c6 ** 2, 1728 * disc)
     return b2, b4, b6, b8, c4, c6, disc
 
 

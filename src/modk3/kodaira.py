@@ -3,9 +3,11 @@
 For each family the t-line is covered by two affine charts (t and s = 1/t);
 the coefficients are cleared to integer polynomials by an admissible
 (x, y) -> (u^2 x, u^3 y) change, and (c4, c6, Delta) are computed once over
-Z[t].  For each prime they are reduced mod p, the discriminant is factored
-over F_p[t], and each place is classified from the minimal valuations of
-(c4, c6, Delta).
+Z[t] with sympy.  Per prime everything is a plain integer coefficient list
+mod p (sympy's ``galoistools`` list API, no ``Poly``): Delta is factored over
+F_p[t], and at each place one division loop, ``_divide_out``, gives both
+the valuations of c4 and c6 (and of Delta at s = 0) that classify the fiber
+and the quotients whose values at a rational root are the minimal (c4, c6).
 The same pass records the minimal (c4, c6) at every rational place and the
 t-chart (c4, c6) mod p: all that the fiberwise point count in ``counting``
 needs.
@@ -20,8 +22,11 @@ from functools import lru_cache
 
 import sympy
 from sympy import Poly, Rational, cancel, fraction, together
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import (gf_div, gf_eval, gf_factor,
+                                     gf_from_int_poly, gf_to_int_poly)
 
-from .arith import is_prime, legendre_symbol
+from .arith import VerificationError, is_prime, legendre_symbol
 from .families import (WeierstrassFamily, preset, t,
                        weierstrass_invariants)
 
@@ -38,7 +43,6 @@ class IntegralModel:
 
     var: sympy.Symbol
     a_polys: tuple
-    scale: object  # the u of the coordinate change, as an expression
     chart: str
     #: (c4, c6, Delta) over Z[var] as integer coefficient tuples, leading first
     invariants: tuple
@@ -61,30 +65,18 @@ def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralMo
     a_polys = [sympy.expand(cancel(e * u ** w))
                for e, w in zip(exprs, _A_WEIGHTS)]
     # clear the remaining constant denominators with a second, constant u
-    c = 1
-    for ap in a_polys:
-        for coef in Poly(ap, var).all_coeffs():
-            c = sympy.ilcm(c, Rational(coef).q)
-    c = int(c)
+    c = int(sympy.ilcm(1, *(Rational(x).q for ap in a_polys
+                            for x in Poly(ap, var).all_coeffs())))
     a_polys = [sympy.expand(ap * c ** w) for ap, w in zip(a_polys, _A_WEIGHTS)]
     polys = [Poly(ap, var) for ap in a_polys]
-    for ap in polys:
-        assert all(Rational(x).q == 1 for x in ap.all_coeffs())
+    denominators = {Rational(x).q for ap in polys for x in ap.all_coeffs()}
+    if denominators != {1}:
+        raise VerificationError("the integral model has integer coefficients",
+                                dict(family=family.name, chart=chart),
+                                {1}, denominators)
     invariants = tuple(tuple(int(x) for x in f.all_coeffs())
                        for f in weierstrass_invariants(*polys)[4:])
-    return IntegralModel(var, tuple(a_polys), sympy.expand(u * c), chart,
-                         invariants)
-
-
-def _valuation(poly: Poly, pi: Poly) -> int:
-    if poly.is_zero:
-        raise BadReductionError("identically vanishing invariant")
-    v = 0
-    while True:
-        q, r = sympy.div(poly, pi, poly.gens[0])
-        if not r.is_zero:
-            return v
-        poly, v = q, v + 1
+    return IntegralModel(var, tuple(a_polys), chart, invariants)
 
 
 def _classify(v4: int, v6: int, vd: int):
@@ -138,44 +130,30 @@ def _tau(label: str, split, degree: int) -> int:
     return 1 if n % 2 == 0 else 0
 
 
-def _minimal_value(poly: Poly, pi: Poly, shift: int, root: int, p: int) -> int:
-    """Value at the root of pi of poly / pi^shift (an exact quotient)."""
-    for _ in range(shift):
-        poly, rem = sympy.div(poly, pi, poly.gens[0])
-        assert rem.is_zero
-    return int(poly.eval(root)) % p
+def _divide_out(f: list, pi: list, p: int) -> tuple:
+    """(v, f / pi^v) over F_p for the largest v with pi^v | f, on coefficient
+    lists (leading first); v = 10^9, above every shift, for f = 0."""
+    if not f:
+        return 10 ** 9, f
+    v = 0
+    while True:
+        q, r = gf_div(f, pi, p, ZZ)
+        if r:
+            return v, f
+        f, v = q, v + 1
 
 
-def _classify_place(pi: Poly, c4: Poly, c6: Poly, vd: int, p: int,
-                    place_name: str):
-    """The fiber at the place pi, where Delta has valuation vd, and at a
-    rational place also the root and the (c4, c6) of the minimal model there
-    (None at other places)."""
-    v4 = _valuation(c4, pi) if not c4.is_zero else 10 ** 9
-    v6 = _valuation(c6, pi) if not c6.is_zero else 10 ** 9
-    label, vdm, k = _classify(v4, v6, vd)
-    degree = pi.degree()
-    split, minimal = None, None
-    if degree == 1:
-        lead = int(pi.LC()) % p
-        root = (-int(pi.all_coeffs()[-1]) * pow(lead, -1, p)) % p
-        c4_val = _minimal_value(c4, pi, 4 * k, root, p)
-        c6_val = _minimal_value(c6, pi, 6 * k, root, p)
-        minimal = root, (c4_val, c6_val)
-        if label.startswith("I") and not label.endswith("*"):
-            # I_n is split iff -c6 is a square at the place; c6 is a unit
-            # there once the model is minimalized
-            assert c6_val != 0
-            split = legendre_symbol(-c6_val % p, p) == 1
-    fiber = FiberReport(place_name, degree, label, vdm, split,
-                        _tau(label, split, degree))
-    return fiber, minimal
-
-
-def _reduced_invariants(model: IntegralModel, p: int) -> tuple:
-    """(c4, c6, Delta) of the model as polynomials over F_p."""
-    return tuple(Poly.from_list(f, model.var, modulus=p)
-                 for f in model.invariants)
+def _place_name(coeffs: list, var) -> str:
+    """The monic polynomial with these symmetric coefficients as sympy
+    prints it, e.g. "t**2 - 3*t + 1"."""
+    out, n = "", len(coeffs) - 1
+    for i, c in enumerate(coeffs):
+        if c:
+            d, a = n - i, abs(c)
+            mono = str(var) if d == 1 else f"{var}**{d}"
+            term = str(a) if d == 0 else mono if a == 1 else f"{a}*{mono}"
+            out += (" - " if c < 0 else " + ") + term
+    return out[3:]
 
 
 def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
@@ -187,25 +165,40 @@ def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
     coefficients mod p.
     """
     model = integral_model(family, chart)
-    c4, c6, disc = _reduced_invariants(model, p)
+    c4, c6, disc = (gf_from_int_poly(list(f), p) for f in model.invariants)
+    if not disc:
+        raise BadReductionError("identically vanishing invariant")
     if chart == "zero":
-        places = sorted(disc.factor_list()[1],
-                        key=lambda f: (f[0].degree(), f[0].all_coeffs()))
+        # ordered and named by the symmetric coefficients of the monic factor
+        factors = sorted(gf_factor(disc, p, ZZ)[1],
+                         key=lambda f: (len(f[0]), gf_to_int_poly(f[0], p)))
+        places = [(_place_name(gf_to_int_poly(pi, p), model.var), pi, vd)
+                  for pi, vd in factors]
     else:
-        s = Poly(model.var, model.var, modulus=p)
-        places = [(s, _valuation(disc, s))]
+        places = [("inf", [1, 0], _divide_out(disc, [1, 0], p)[0])]
     fibers, minimal = [], {}
-    for pi, vd in places:
-        name = str(pi.as_expr()) if chart == "zero" else "inf"
-        fiber, values = _classify_place(pi, c4, c6, vd, p, name)
-        if fiber.label != "good":
-            fibers.append(fiber)
-        if values is not None:
-            root, c4c6 = values
-            minimal[root if chart == "zero" else "inf"] = c4c6
-    coefficients = tuple(tuple(int(c) % p for c in f.all_coeffs())
-                         for f in (c4, c6))
-    return fibers, minimal, coefficients
+    for name, pi, vd in places:
+        (v4, q4), (v6, q6) = _divide_out(c4, pi, p), _divide_out(c6, pi, p)
+        label, vdm, k = _classify(v4, v6, vd)
+        degree, split = len(pi) - 1, None
+        if degree == 1:
+            # f / pi^(4k) at the root is 0 unless pi divides f exactly 4k times
+            root = -pi[1] % p
+            c4_val = gf_eval(q4, root, p, ZZ) if v4 == 4 * k else 0
+            c6_val = gf_eval(q6, root, p, ZZ) if v6 == 6 * k else 0
+            minimal[root if chart == "zero" else "inf"] = c4_val, c6_val
+            if label.startswith("I") and not label.endswith("*"):
+                # I_n is split iff -c6 is a square at the place; c6 is a
+                # unit there once the model is minimalized
+                if c6_val == 0:
+                    raise VerificationError(
+                        "minimal c6 is a unit at a multiplicative place",
+                        dict(family=family.name, p=p, place=name), "c6 != 0", 0)
+                split = legendre_symbol(-c6_val % p, p) == 1
+        if label != "good":
+            fibers.append(FiberReport(name, degree, label, vdm, split,
+                                      _tau(label, split, degree)))
+    return fibers, minimal, (tuple(c4), tuple(c6))
 
 
 @dataclass(frozen=True)
@@ -229,10 +222,8 @@ class ScanReport:
     @property
     def config(self) -> tuple:
         """Multiset of singular-fiber labels (with multiplicity by degree)."""
-        out = []
-        for f in self.fibers:
-            out.extend([f.label] * f.degree)
-        return tuple(sorted(out, key=_label_sort_key))
+        return tuple(sorted((f.label for f in self.fibers
+                             for _ in range(f.degree)), key=_label_sort_key))
 
     @property
     def ns_trace(self) -> int:
@@ -249,16 +240,12 @@ def expected_euler(family: WeierstrassFamily) -> int:
     return sum(fiber_euler(lab) for lab in family.expected_config)
 
 
-def _check_prime(family: WeierstrassFamily, p: int):
+def scan(family: WeierstrassFamily, p: int) -> ScanReport:
+    """Classify every singular fiber of the family over F_p."""
     if not is_prime(p) or p < 5:
         raise BadReductionError(f"need a prime p >= 5, got {p}")
     if p in family.bad_primes:
         raise BadReductionError(f"p={p} is a bad prime for {family.name}")
-
-
-def scan(family: WeierstrassFamily, p: int) -> ScanReport:
-    """Classify every singular fiber of the family over F_p."""
-    _check_prime(family, p)
     fibers, minimal, c4_c6 = _classify_chart(family, p, "zero")
     fibers_inf, minimal_inf, _ = _classify_chart(family, p, "inf")
     fibers += fibers_inf
@@ -306,12 +293,7 @@ def eigenspace_counts(config) -> tuple:
         if not (label.startswith("I") and not label.endswith("*")):
             raise ValueError(f"semistable configuration expected, got {label}")
         n = int(label[1:])
-        if n % 2 == 0:
-            n_plus += n // 2
-            n_minus += n // 2 - 1
-        else:
-            n_plus += (n - 1) // 2
-            n_minus += (n - 1) // 2
+        n_plus, n_minus = n_plus + n // 2, n_minus + (n - 1) // 2
     return n_plus, n_minus
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sympy
 
-from .arith import kronecker_character
+from .arith import VerificationError, kronecker_character
 from .cmforms import LocalFactor, WeilBoundError, euler_to_dirichlet
 from .counting import (ap_elliptic, attached_form, good_primes, h3_trace,
                        k3_point_count)
@@ -48,8 +48,11 @@ def tensor_factor(A: int, B: int, eps_p: int, p: int) -> LocalFactor:
         raise WeilBoundError(f"|B|={abs(B)} exceeds 2p for p={p}")
     coeffs = (1, -A * B, (B * B + eps_p * p * A * A - 2 * p * p * eps_p) * p,
               -A * B * eps_p * p ** 3, p ** 6)
-    assert coeffs == _root_product_expansion(A, B, eps_p, p), \
-        "closed form disagrees with the root-product expansion"
+    expansion = _root_product_expansion(A, B, eps_p, p)
+    if coeffs != expansion:
+        raise VerificationError("tensor quartic = Kronecker root product",
+                                dict(A=A, B=B, eps_p=eps_p, p=p),
+                                expansion, coeffs)
     return LocalFactor(p, 4, coeffs, eps_p)
 
 
@@ -90,8 +93,11 @@ def assemble_h3(family: WeierstrassFamily, e_ainvs, N: int) -> list:
                for p in h3_primes(family, e_ainvs, 5, N)}
     coeffs = euler_to_dirichlet(factors, N)
     for p in factors:
-        assert coeffs[p - 1] == h3_trace(family, e_ainvs, p), \
-            f"assembled coefficient at p={p} disagrees with the trace"
+        trace = h3_trace(family, e_ainvs, p)
+        if coeffs[p - 1] != trace:
+            raise VerificationError("assembled a_p = h3_trace",
+                                    dict(family=family.name, curve=e_ainvs,
+                                         p=p), trace, coeffs[p - 1])
     return coeffs
 
 

@@ -167,6 +167,12 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
+    # an empty prime window is refused before any work, naming the window
+    for argv, window in ((["surface", "verify", "--family", "g62",
+                           "--pmin", "98", "--pmax", "100"], "[98, 100]"),
+                         (["verify", "all", "--pmax", "4"], "[5, 4]")):
+        assert run(argv) == 2, argv
+        assert window in capsys.readouterr().err, argv
 
 
 def test_internal_errors_exit_1(capsys):

@@ -69,16 +69,32 @@ def test_k3_count_report_invariant():
 
 
 def test_count_report_identity_survives_python_O():
-    # a forged report raises even where assert statements are stripped
+    # a forged report, and a tensor quartic checked against a forged
+    # root-product expansion, raise even where assert statements are
+    # stripped; one interpreter, since sympy imports slowly under -O
     code = ("import sys\n"
+            "from modk3 import lfunctions\n"
+            "from modk3.arith import VerificationError\n"
             "from modk3.counting import CountReport\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
-            "CountReport('x', 5, 0, 0, 1)\n")
+            "def forged_report(): CountReport('x', 5, 0, 0, 1)\n"
+            "def forged_quartic():\n"
+            "    lfunctions._root_product_expansion = lambda *a: (1, 0, 0, 0, 0)\n"
+            "    lfunctions.tensor_factor(1, 2, 1, 5)\n"
+            "for forgery in (forged_report, forged_quartic):\n"
+            "    try:\n"
+            "        forgery()\n"
+            "    except VerificationError as exc:\n"
+            "        print(exc.identity)\n"
+            "    else:\n"
+            "        sys.exit(4)\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.returncode == 1
-    assert "VerificationError: total = 1 + p^2" in out.stderr
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "total = 1 + p^2 + p * ns_trace_used + B",
+        "tensor quartic = Kronecker root product"]
 
 
 def test_k3_traces_match_forms_small_primes():

@@ -1,12 +1,18 @@
-import pytest
-from sympy import Poly
+import random
 
+import pytest
+import sympy
+from sympy import Poly
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly
+
+from modk3.arith import legendre_symbol
 from modk3.counting import good_primes
 from modk3.families import FAMILY_NAMES, preset, weierstrass_invariants
-from modk3.kodaira import (BadReductionError, _classify, _reduced_invariants,
-                           _valuation, config_vs_expected, expected_euler,
-                           fiber_euler, integral_model, eigenspace_counts,
-                           ns_report, scan)
+from modk3.kodaira import (BadReductionError, FiberReport, _classify,
+                           _divide_out, _tau, config_vs_expected,
+                           expected_euler, fiber_euler, integral_model,
+                           eigenspace_counts, ns_report, scan)
 
 EXPECTED = {
     "g4_legendre": ["I4"] * 6,
@@ -67,22 +73,126 @@ def test_integral_models_have_integer_coefficients():
 def test_reduced_invariants_match_per_prime_computation():
     # the invariants over Z[t], reduced mod p, against b/c/Delta computed
     # from the a-polynomials reduced mod p; and the multiplicities that
-    # factor_list returns against repeated division
+    # gf_factor returns against repeated division
     for name in FAMILY_NAMES:
         fam = preset(name)
         primes = good_primes(fam, 5, 499)
         for p in (primes[0], primes[len(primes) // 2], primes[-1]):
             for chart in ("zero", "inf"):
                 model = integral_model(fam, chart)
-                reduced = _reduced_invariants(model, p)
+                reduced = [gf_from_int_poly(list(f), p)
+                           for f in model.invariants]
                 a_polys = [Poly(a, model.var, modulus=p)
                            for a in model.a_polys]
-                assert reduced == weierstrass_invariants(*a_polys)[4:], \
-                    (name, p, chart)
+                per_prime = [gf_from_int_poly([int(c) for c in f.all_coeffs()], p)
+                             for f in weierstrass_invariants(*a_polys)[4:]]
+                assert reduced == per_prime, (name, p, chart)
                 if chart == "zero":
                     disc = reduced[2]
-                    for pi, e in disc.factor_list()[1]:
-                        assert e == _valuation(disc, pi), (name, p, pi)
+                    for pi, e in gf_factor(disc, p, ZZ)[1]:
+                        assert e == _divide_out(disc, pi, p)[0], (name, p, pi)
+
+
+def test_divide_out():
+    # (t - 1)^2 (t + 2) over F_7, and the zero polynomial
+    f = gf_from_int_poly([1, 0, -3, 2], 7)
+    assert _divide_out(f, [1, 6], 7) == (2, [1, 2])
+    assert _divide_out(f, [1, 2], 7) == (1, [1, 5, 1])
+    assert _divide_out(f, [1, 0], 7) == (0, f)
+    assert _divide_out([], [1, 0], 7)[0] > 10 ** 6
+
+
+# ---- the sympy Poly(modulus=p) classification, kept as the oracle ----------
+
+def _oracle_valuation(poly, pi):
+    if poly.is_zero:
+        raise BadReductionError("identically vanishing invariant")
+    v = 0
+    while True:
+        q, r = sympy.div(poly, pi, poly.gens[0])
+        if not r.is_zero:
+            return v
+        poly, v = q, v + 1
+
+
+def _oracle_minimal_value(poly, pi, shift, root, p):
+    for _ in range(shift):
+        poly, rem = sympy.div(poly, pi, poly.gens[0])
+        assert rem.is_zero
+    return int(poly.eval(root)) % p
+
+
+def _oracle_classify_place(pi, c4, c6, vd, p, place_name):
+    v4 = _oracle_valuation(c4, pi) if not c4.is_zero else 10 ** 9
+    v6 = _oracle_valuation(c6, pi) if not c6.is_zero else 10 ** 9
+    label, vdm, k = _classify(v4, v6, vd)
+    degree = pi.degree()
+    split, minimal = None, None
+    if degree == 1:
+        lead = int(pi.LC()) % p
+        root = (-int(pi.all_coeffs()[-1]) * pow(lead, -1, p)) % p
+        c4_val = _oracle_minimal_value(c4, pi, 4 * k, root, p)
+        c6_val = _oracle_minimal_value(c6, pi, 6 * k, root, p)
+        minimal = root, (c4_val, c6_val)
+        if label.startswith("I") and not label.endswith("*"):
+            assert c6_val != 0
+            split = legendre_symbol(-c6_val % p, p) == 1
+    fiber = FiberReport(place_name, degree, label, vdm, split,
+                        _tau(label, split, degree))
+    return fiber, minimal
+
+
+def _oracle_classify_chart(family, p, chart):
+    model = integral_model(family, chart)
+    c4, c6, disc = (Poly.from_list(f, model.var, modulus=p)
+                    for f in model.invariants)
+    if chart == "zero":
+        places = sorted(disc.factor_list()[1],
+                        key=lambda f: (f[0].degree(), f[0].all_coeffs()))
+    else:
+        s = Poly(model.var, model.var, modulus=p)
+        places = [(s, _oracle_valuation(disc, s))]
+    fibers, minimal = [], {}
+    for pi, vd in places:
+        name = str(pi.as_expr()) if chart == "zero" else "inf"
+        fiber, values = _oracle_classify_place(pi, c4, c6, vd, p, name)
+        if fiber.label != "good":
+            fibers.append(fiber)
+        if values is not None:
+            root, c4c6 = values
+            minimal[root if chart == "zero" else "inf"] = c4c6
+    coefficients = tuple(tuple(int(c) % p for c in f.all_coeffs())
+                         for f in (c4, c6))
+    return fibers, minimal, coefficients
+
+
+def _assert_scan_matches_oracle(fam, p):
+    fibers, minimal, c4_c6 = _oracle_classify_chart(fam, p, "zero")
+    fibers_inf, minimal_inf, _ = _oracle_classify_chart(fam, p, "inf")
+    rep = scan(fam, p)
+    assert rep.fibers == tuple(fibers + fibers_inf), (fam.name, p)
+    assert rep.minimal_values == {**minimal, **minimal_inf}, (fam.name, p)
+    # as polynomials mod p: the oracle writes the zero polynomial as (0,)
+    assert ([gf_from_int_poly(list(f), p) for f in rep.t_chart_c4_c6]
+            == [gf_from_int_poly(list(f), p) for f in c4_c6]), (fam.name, p)
+
+
+def test_scan_matches_sympy_oracle():
+    # every family at every good p <= 97 and three random good p in 101-2200
+    rng = random.Random(20260)
+    for name in FAMILY_NAMES:
+        fam = preset(name)
+        large = rng.sample(good_primes(fam, 101, 2200), 3)
+        for p in good_primes(fam, 5, 97) + large:
+            _assert_scan_matches_oracle(fam, p)
+
+
+@pytest.mark.slow
+def test_scan_matches_sympy_oracle_to_2200():
+    for name in FAMILY_NAMES:
+        fam = preset(name)
+        for p in good_primes(fam, 5, 2200):
+            _assert_scan_matches_oracle(fam, p)
 
 
 def test_all_configurations_match_and_are_prime_independent():
