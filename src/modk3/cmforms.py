@@ -53,7 +53,11 @@ class HeckeCharSpec:
 
     def __post_init__(self):
         # cond(h) = Nm(c) * |Disc(K)| must reproduce the level
-        assert self.conductor_gen ** 2 * abs(self.disc) == self.level
+        cond = self.conductor_gen ** 2 * abs(self.disc)
+        if cond != self.level:
+            raise VerificationError("Nm(c) |Disc K| = level",
+                                    dict(form=self.form_id, d=self.d,
+                                         c=self.conductor_gen), self.level, cond)
 
 
 HECKE_SPECS = {
@@ -125,7 +129,9 @@ def ap(spec: HeckeCharSpec, p: int, normalize: bool = True) -> int:
             raise BadPrimeError(f"no rational-square generator above p={p}")
         g = cands[0]
         n = g.u * g.u - spec.d * g.v * g.v
-        assert n % 4 == 0
+        if n % 4:
+            raise VerificationError("the ramified pi^2 is a rational integer",
+                                    dict(form=spec.form_id, p=p), "4 | n", n)
         return n // 4
     if p % 2 == 0 or (spec.level % p == 0):
         # split primes never divide the level for these four specs
@@ -146,10 +152,14 @@ class LocalFactor:
     nebentypus: int = 1
 
     def __post_init__(self):
-        assert self.coefficients[0] == 1
+        if self.coefficients[0] != 1:
+            raise VerificationError("a local factor has constant term 1",
+                                    dict(p=self.p), 1, self.coefficients[0])
 
     def __mul__(self, other: "LocalFactor") -> "LocalFactor":
-        assert self.p == other.p
+        if self.p != other.p:
+            raise VerificationError("local factors at one prime multiply",
+                                    dict(p=self.p), self.p, other.p)
         a, b = self.coefficients, other.coefficients
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):

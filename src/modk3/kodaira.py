@@ -5,9 +5,10 @@ the coefficients are cleared to integer polynomials by an admissible
 (x, y) -> (u^2 x, u^3 y) change, and (c4, c6, Delta) are computed once over
 Z[t] with sympy.  Per prime everything is a plain integer coefficient list
 mod p (sympy's ``galoistools`` list API, no ``Poly``): Delta is factored over
-F_p[t], and at each place one division loop, ``_divide_out``, gives both
-the valuations of c4 and c6 (and of Delta at s = 0) that classify the fiber
-and the quotients whose values at a rational root are the minimal (c4, c6).
+F_p[t], and at each place, a monic polynomial, one synthetic-division loop,
+``_divide_out``, gives both the valuations of c4 and c6 (and of Delta at
+s = 0) that classify the fiber and the quotients whose values at a
+rational root are the minimal (c4, c6).
 The same pass records the minimal (c4, c6) at every rational place and the
 t-chart (c4, c6) mod p: all that the fiberwise point count in ``counting``
 needs.
@@ -23,8 +24,8 @@ from functools import lru_cache
 import sympy
 from sympy import Poly, Rational, cancel, fraction, together
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import (gf_div, gf_eval, gf_factor,
-                                     gf_from_int_poly, gf_to_int_poly)
+from sympy.polys.galoistools import (gf_eval, gf_factor, gf_from_int_poly,
+                                     gf_to_int_poly)
 
 from .arith import VerificationError, is_prime, legendre_symbol
 from .families import (WeierstrassFamily, preset, t,
@@ -132,15 +133,23 @@ def _tau(label: str, split, degree: int) -> int:
 
 def _divide_out(f: list, pi: list, p: int) -> tuple:
     """(v, f / pi^v) over F_p for the largest v with pi^v | f, on coefficient
-    lists (leading first); v = 10^9, above every shift, for f = 0."""
+    lists (leading first) and a monic pi, by synthetic division; v = 10^9,
+    above every shift, for f = 0."""
+    if len(pi) < 2 or pi[0] != 1:
+        raise VerificationError("every place is monic of positive degree",
+                                dict(p=p, place=pi), "[1, ...]", pi)
     if not f:
         return 10 ** 9, f
-    v = 0
-    while True:
-        q, r = gf_div(f, pi, p, ZZ)
-        if r:
-            return v, f
-        f, v = q, v + 1
+    d, v = len(pi) - 1, 0
+    while len(f) > d:
+        q = list(f)
+        for i in range(len(f) - d):
+            for j in range(1, d + 1):
+                q[i + j] = (q[i + j] - q[i] * pi[j]) % p
+        if any(q[len(f) - d:]):
+            break
+        f, v = q[:len(f) - d], v + 1
+    return v, f
 
 
 def _place_name(coeffs: list, var) -> str:

@@ -4,7 +4,9 @@ All series live on the universal q^(1/24) exponent grid: a coefficient at
 grid position e means the coefficient of q^(e/24).  Internally a series is
 stored as an arithmetic progression offset + stride*k, which every eta
 quotient and every product of them respects; arithmetic stays in plain
-integers throughout.
+integers throughout.  Every product of two series, and so every eta power
+eta^r with r >= 1, is one exact big-int multiply (Kronecker substitution,
+``_product``); ``series_power`` (Miller's recurrence) does the inverses.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .arith import VerificationError
 
 GRID = 24
 #: default precision: 500 integral coefficients
@@ -28,21 +32,12 @@ class NonUnitLeadingCoefficientError(ValueError):
 
 
 def _pentagonal_coeffs(nterms: int) -> list:
-    """Coefficients of prod_{n>=1} (1 - x^n) up to x^(nterms-1)."""
-    out = [0] * nterms
-    if nterms > 0:
-        out[0] = 1
-    k = 1
-    while True:
-        hit = False
-        for e, s in ((k * (3 * k - 1) // 2, (-1) ** k),
-                     (k * (3 * k + 1) // 2, (-1) ** k)):
-            if e < nterms:
-                out[e] = s
-                hit = True
-        if not hit:
-            break
-        k += 1
+    """Coefficients of prod_{n>=1} (1 - x^n) up to x^(nterms-1): Euler's
+    pentagonal theorem, (-1)^k at x^(k(3k-1)/2) for every integer k."""
+    out, m = [0] * nterms, math.isqrt(nterms) + 1
+    for k in range(-m, m + 1):
+        if k * (3 * k - 1) // 2 < nterms:
+            out[k * (3 * k - 1) // 2] = (-1) ** (k % 2)
     return out
 
 
@@ -73,6 +68,39 @@ def series_power(a: list, r: int, nterms: int) -> list:
     return g[:nterms]
 
 
+def _product(a, sa: int, b, sb: int, n: int) -> list:
+    """First n >= 0 coefficients of a(x^sa) * b(x^sb) for integer lists a, b.
+
+    Kronecker substitution (Harvey, J. Symb. Comp. 2009): x -> 2^w packs
+    each factor into one int, so one big-int multiply does the convolution.
+    Each product coefficient is a sum with at most one term per index of
+    either factor, so its size is at most min(|a|_1 |b|_inf, |b|_1 |a|_inf);
+    w is that bound's bit length plus a sign bit, in whole bytes.  Unless a
+    factor is zero the bound is at least every input coefficient, so each
+    input fits its slot too.
+    """
+    a, b = a[:-(-n // sa)], b[:-(-n // sb)]
+    bound = min(sum(map(abs, a)) * max(map(abs, b), default=0),
+                sum(map(abs, b)) * max(map(abs, a), default=0))
+    if not bound:
+        return [0] * n
+    nb = (bound.bit_length() + 8) // 8
+
+    def pack(c, s):
+        zero, gap = bytes(nb), bytes(nb * (s - 1))
+        pos = gap.join(x.to_bytes(nb, "little") if x > 0 else zero for x in c)
+        neg = gap.join((-x).to_bytes(nb, "little") if x < 0 else zero
+                       for x in c)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    # the bias 2^(w-1) in every slot makes each slot a nonnegative w-bit digit
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+    packed = (pack(a, sa) * pack(b, sb) + bias) & ((1 << (8 * nb * n)) - 1)
+    raw, half = packed.to_bytes(nb * n, "little"), 1 << (8 * nb - 1)
+    return [int.from_bytes(raw[k:k + nb], "little") - half
+            for k in range(0, nb * n, nb)]
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Integer series sum_k coeffs[k] * q^((offset + stride*k)/24), exact
@@ -85,27 +113,17 @@ class TruncatedSeries:
 
     @staticmethod
     def make(offset: int, stride: int, coeffs, prec: int) -> "TruncatedSeries":
-        coeffs = list(coeffs)
         # drop terms at or beyond the precision window
-        while coeffs and offset + stride * (len(coeffs) - 1) >= prec:
-            coeffs.pop()
-        # strip leading zeros into the offset
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            offset += stride
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            return TruncatedSeries(0, GRID, (), prec)
-        # canonicalize the stride to the gcd of the support gaps
+        coeffs = list(coeffs)[:max(0, -(-(prec - offset) // stride))]
         support = [k for k, c in enumerate(coeffs) if c]
-        g = 0
-        for k in support:
-            g = math.gcd(g, k)
-        if g > 1:
-            coeffs = coeffs[::g]
-            stride *= g
-        return TruncatedSeries(offset, stride, tuple(coeffs), prec)
+        if not support:
+            return TruncatedSeries(0, GRID, (), prec)
+        # strip zeros at both ends into the offset, and canonicalize the
+        # stride to the gcd of the support gaps
+        first = support[0]
+        g = math.gcd(*(k - first for k in support)) or 1
+        return TruncatedSeries(offset + stride * first, stride * g,
+                               tuple(coeffs[first:support[-1] + 1:g]), prec)
 
     @staticmethod
     def one(prec: int = DEFAULT_PREC) -> "TruncatedSeries":
@@ -155,18 +173,8 @@ class TruncatedSeries:
         stride = math.gcd(self.stride, other.stride)
         offset = self.offset + other.offset
         n_out = max(0, -(-(prec - offset) // stride))
-        out = [0] * n_out
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            ei = self.stride * i
-            for j, cj in enumerate(other.coeffs):
-                if cj == 0:
-                    continue
-                k = (ei + other.stride * j) // stride
-                if k >= n_out:
-                    break
-                out[k] += ci * cj
+        out = _product(self.coeffs, self.stride // stride,
+                       other.coeffs, other.stride // stride, n_out)
         return TruncatedSeries.make(offset, stride, out, prec)
 
     def __mul__(self, other):
@@ -244,7 +252,12 @@ def eta_power_expansion(m: int, r: int, prec: int = DEFAULT_PREC) -> TruncatedSe
     nterms = max(0, -(-(prec - offset) // stride))
     if nterms == 0:
         return TruncatedSeries(0, GRID, (), prec)
-    coeffs = series_power(_pentagonal_coeffs(nterms), r, nterms)
+    # P^r is r - 1 exact products for r >= 1; series_power does r < 1
+    coeffs = pent = _pentagonal_coeffs(nterms)
+    for _ in range(r - 1):
+        coeffs = _product(coeffs, 1, pent, 1, nterms)
+    if r < 1:
+        coeffs = series_power(pent, r, nterms)
     return TruncatedSeries.make(offset, stride, coeffs, prec)
 
 
@@ -282,7 +295,10 @@ def form_series(form_id: str, prec: int = DEFAULT_PREC) -> TruncatedSeries:
     if form_id == "h6":
         h9 = form_series("h9", 2 * prec)
         # halve all exponents: q^n -> q^(n/2), i.e. grid 24n -> 12n
-        assert h9.offset % 2 == 0 and h9.stride % 2 == 0
+        if h9.offset % 2 or h9.stride % 2:
+            raise VerificationError("h9 sits on even grid exponents",
+                                    dict(prec=prec), "even offset and stride",
+                                    (h9.offset, h9.stride))
         return TruncatedSeries.make(h9.offset // 2, h9.stride // 2,
                                     h9.coeffs, prec)
     raise KeyError(f"unknown form id {form_id!r}")

@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import pytest
 
-from modk3.arith import is_fundamental_discriminant, kronecker_character
-from modk3.cmforms import (BadPrimeError, HECKE_SPECS, ap,
-                           coefficient_sequence, normalized_generator,
-                           splitting, verify_against_eta)
+from modk3 import cmforms
+from modk3.arith import (VerificationError, is_fundamental_discriminant,
+                         kronecker_character)
+from modk3.cmforms import (BadPrimeError, HECKE_SPECS, HeckeCharSpec,
+                           LocalFactor, ap, coefficient_sequence,
+                           normalized_generator, splitting,
+                           verify_against_eta, weight3_factor)
 from modk3.qseries import GRID, form_series
 
 
@@ -46,6 +51,20 @@ def test_ramified_primes():
     assert ap(HECKE_SPECS["h3"], 7) == -7
     with pytest.raises(BadPrimeError):
         ap(HECKE_SPECS["h8"], 2)
+
+
+def test_forged_table_and_factors_raise(monkeypatch):
+    with pytest.raises(VerificationError, match="level"):
+        HeckeCharSpec("h8", d=1, conductor_gen=2, level=17)
+    with pytest.raises(VerificationError, match="constant term 1"):
+        LocalFactor(5, 3, (2, 1))
+    with pytest.raises(VerificationError, match="one prime"):
+        weight3_factor(2, 1, 5) * weight3_factor(2, 1, 13)
+    # a ramified generator whose square is not a rational integer
+    monkeypatch.setattr(cmforms, "_generator_candidates",
+                        lambda spec, p: [SimpleNamespace(u=1, v=0)])
+    with pytest.raises(VerificationError, match="rational integer"):
+        ap(HECKE_SPECS["h7"], 3)
 
 
 def test_weil_bound():
@@ -98,3 +117,10 @@ def test_sequence_against_eta_prefix():
     spec = HECKE_SPECS["h3"]
     eta = form_series("h3", 51 * GRID).coefficients(50)
     assert coefficient_sequence(spec, 50) == eta
+
+
+@pytest.mark.slow
+def test_eta_agreement_to_20000():
+    # the Hecke-character coefficients against the eta products to q^20000
+    for fid in ("h3", "h4", "h7", "h8"):
+        assert verify_against_eta(HECKE_SPECS[fid], 20000) == [], fid

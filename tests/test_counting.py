@@ -69,19 +69,22 @@ def test_k3_count_report_invariant():
 
 
 def test_count_report_identity_survives_python_O():
-    # a forged report, and a tensor quartic checked against a forged
-    # root-product expansion, raise even where assert statements are
-    # stripped; one interpreter, since sympy imports slowly under -O
+    # a forged report, a tensor quartic checked against a forged
+    # root-product expansion, and a local factor with constant term 2 raise
+    # even where assert statements are stripped; one interpreter, since
+    # sympy imports slowly under -O
     code = ("import sys\n"
             "from modk3 import lfunctions\n"
             "from modk3.arith import VerificationError\n"
+            "from modk3.cmforms import LocalFactor\n"
             "from modk3.counting import CountReport\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
             "def forged_report(): CountReport('x', 5, 0, 0, 1)\n"
             "def forged_quartic():\n"
             "    lfunctions._root_product_expansion = lambda *a: (1, 0, 0, 0, 0)\n"
             "    lfunctions.tensor_factor(1, 2, 1, 5)\n"
-            "for forgery in (forged_report, forged_quartic):\n"
+            "def forged_factor(): LocalFactor(5, 3, (2, 1))\n"
+            "for forgery in (forged_report, forged_quartic, forged_factor):\n"
             "    try:\n"
             "        forgery()\n"
             "    except VerificationError as exc:\n"
@@ -94,7 +97,8 @@ def test_count_report_identity_survives_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "total = 1 + p^2 + p * ns_trace_used + B",
-        "tensor quartic = Kronecker root product"]
+        "tensor quartic = Kronecker root product",
+        "a local factor has constant term 1"]
 
 
 def test_k3_traces_match_forms_small_primes():

@@ -6,7 +6,7 @@ from sympy import Poly
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 
-from modk3.arith import legendre_symbol
+from modk3.arith import VerificationError, legendre_symbol
 from modk3.counting import good_primes
 from modk3.families import FAMILY_NAMES, preset, weierstrass_invariants
 from modk3.kodaira import (BadReductionError, FiberReport, _classify,
@@ -100,6 +100,15 @@ def test_divide_out():
     assert _divide_out(f, [1, 2], 7) == (1, [1, 5, 1])
     assert _divide_out(f, [1, 0], 7) == (0, f)
     assert _divide_out([], [1, 0], 7)[0] > 10 ** 6
+    # (t^2 + 1)^2 (t + 1) over F_13, where t^2 + 1 = (t + 5)(t + 8)
+    g = gf_from_int_poly([1, 1, 2, 2, 1, 1], 13)
+    assert _divide_out(g, [1, 0, 1], 13) == (2, [1, 1])
+    assert _divide_out(g, [1, 5], 13) == (2, [1, 4, 2, 12])
+    assert _divide_out(g, [1, 1, 1], 13) == (0, g)
+    # a place that is not monic is refused, never divided by
+    for pi in ([2, 1], [3, 0, 1], [1]):
+        with pytest.raises(VerificationError):
+            _divide_out(f, pi, 7)
 
 
 # ---- the sympy Poly(modulus=p) classification, kept as the oracle ----------

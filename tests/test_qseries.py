@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 from modk3.qseries import (DEFAULT_PREC, ETA_FORMS, EtaQuotient, GRID,
                            NonIntegralSeriesError,
                            NonUnitLeadingCoefficientError, TruncatedSeries,
-                           _pentagonal_coeffs, eta_power_expansion, expand,
-                           form_series, series_power)
+                           _pentagonal_coeffs, _product, eta_power_expansion,
+                           expand, form_series, series_power)
 
 
 def naive_euler_product(nterms):
@@ -47,6 +48,93 @@ def naive_power(a, r, nterms):
     for _ in range(abs(r)):
         out = naive_mul(out, base, nterms)
     return out
+
+
+def schoolbook_mul(s, t):
+    """The term-by-term product of two series, kept as the oracle of the
+    Kronecker-substitution kernel behind TruncatedSeries.mul."""
+    prec = min(s.prec + t.offset, t.prec + s.offset)
+    if s.is_zero or t.is_zero:
+        return TruncatedSeries(0, GRID, (), prec)
+    stride = math.gcd(s.stride, t.stride)
+    offset = s.offset + t.offset
+    n_out = max(0, -(-(prec - offset) // stride))
+    out = [0] * n_out
+    for i, ci in enumerate(s.coeffs):
+        if ci == 0:
+            continue
+        ei = s.stride * i
+        for j, cj in enumerate(t.coeffs):
+            if cj == 0:
+                continue
+            k = (ei + t.stride * j) // stride
+            if k >= n_out:
+                break
+            out[k] += ci * cj
+    return TruncatedSeries.make(offset, stride, out, prec)
+
+
+def random_series(rng, bound):
+    """A series on one of the strides 24*{1, 2, 3, 4, 8}, possibly with a
+    negative offset and a precision that cuts it mid-way; zero and
+    single-term series included."""
+    stride = GRID * rng.choice((1, 2, 3, 4, 8))
+    offset = rng.randint(-3 * GRID, 3 * GRID)
+    length = rng.choice((0, 1, 1, 2, rng.randint(3, 40)))
+    coeffs = [rng.choice((0, rng.randint(-bound, bound))) for _ in range(length)]
+    if length:
+        coeffs[0] = rng.choice((-1, 1)) * rng.randint(1, bound)
+    prec = offset + stride * rng.randint(0, length + 3) + rng.randint(0, stride)
+    return TruncatedSeries.make(offset, stride, coeffs, max(prec, 1))
+
+
+def test_product_matches_schoolbook_random():
+    rng = random.Random(11)
+    for trial in range(400):
+        bound = rng.choice((1, 5, 2 ** 63, 10 ** 40))
+        s, t = random_series(rng, bound), random_series(rng, bound)
+        assert s.mul(t) == schoolbook_mul(s, t), (trial, s, t)
+
+
+def test_product_strides_and_cuts():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(0, 60)
+        sa, sb = rng.choice((1, 2, 3, 4, 8)), rng.choice((1, 2, 3, 4, 8))
+        a = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(rng.randint(0, 30))]
+        b = [rng.choice((0, 1, -1)) for _ in range(rng.randint(0, 30))]
+        expected = [0] * n
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                if sa * i + sb * j < n:
+                    expected[sa * i + sb * j] += x * y
+        assert _product(a, sa, b, sb, n) == expected, (a, sa, b, sb, n)
+
+
+def test_product_width_at_the_bound():
+    # every coefficient -2^63 against every coefficient 2^63 - 1: the middle
+    # product coefficient is -L * 2^63 * (2^63 - 1), the width bound exactly
+    for length in range(1, 9):
+        a, b = [-2 ** 63] * length, [2 ** 63 - 1] * length
+        bound = length * 2 ** 63 * (2 ** 63 - 1)
+        n = 2 * length - 1
+        out = _product(a, 1, b, 1, n)
+        assert out == [-min(k + 1, n - k) * 2 ** 63 * (2 ** 63 - 1)
+                       for k in range(n)]
+        assert min(out) == -bound
+        s = TruncatedSeries(0, GRID, tuple(a), n * GRID)
+        t = TruncatedSeries(0, GRID, tuple(b), n * GRID)
+        assert s.mul(t) == schoolbook_mul(s, t)
+
+
+def test_eta_powers_match_miller_recurrence():
+    nterms = 2000
+    for r in range(1, 7):
+        coeffs = series_power(_pentagonal_coeffs(nterms), r, nterms)
+        for m in (1, 3, 8):
+            prec = m * r + GRID * m * nterms
+            expected = TruncatedSeries.make(m * r, GRID * m, coeffs, prec)
+            assert eta_power_expansion(m, r, prec) == expected, (m, r)
 
 
 def test_series_power_vs_naive_random():
