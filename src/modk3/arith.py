@@ -195,11 +195,16 @@ class QuadFieldElement:
             if self.u % 2 != 0 or self.v % 2 != 0:
                 raise ValueError(f"u, v must both be even for d={self.d}")
 
+    def _halve(self, n: int, m: int, identity: str) -> int:
+        if n % m:  # the encoding's parity conditions make it exact
+            raise VerificationError(identity, dict(d=self.d, u=self.u,
+                                                   v=self.v), 0, n % m)
+        return n // m
+
     @property
     def norm(self) -> int:
-        n4 = self.u * self.u + self.d * self.v * self.v
-        assert n4 % 4 == 0
-        return n4 // 4
+        return self._halve(self.u * self.u + self.d * self.v * self.v, 4,
+                           "4 | u^2 + d v^2")
 
     @property
     def trace(self) -> int:
@@ -216,16 +221,15 @@ class QuadFieldElement:
             raise ValueError("field mismatch")
         uu = self.u * other.u - self.d * self.v * other.v
         vv = self.u * other.v + self.v * other.u
-        assert uu % 2 == 0 and vv % 2 == 0
-        return QuadFieldElement(self.d, uu // 2, vv // 2)
+        return QuadFieldElement(self.d, self._halve(uu, 2, "2 | u u' - d v v'"),
+                                self._halve(vv, 2, "2 | u v' + v u'"))
 
     def square(self) -> "QuadFieldElement":
         return self * self
 
     def trace_of_square(self) -> int:
-        n = self.u * self.u - self.d * self.v * self.v
-        assert n % 2 == 0
-        return n // 2
+        return self._halve(self.u * self.u - self.d * self.v * self.v, 2,
+                           "2 | u^2 - d v^2")
 
     def divisible_by(self, c: int) -> bool:
         """Whether self lies in c * O_K."""
@@ -261,6 +265,11 @@ def norm_equation_solutions(d: int, p: int) -> list:
         raise UnsupportedFieldError(f"unsupported field parameter d={d}")
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
+    return _norm_solutions(d, p)
+
+
+def _norm_solutions(d: int, p: int) -> list:
+    # norm_equation_solutions for a d and a prime p already checked
     target = 4 * p
     out = []
     vmax = math.isqrt(target // d)

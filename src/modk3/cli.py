@@ -308,7 +308,7 @@ def run(argv=None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (ValueError, KeyError, AssertionError) as exc:
+    except (ValueError, KeyError) as exc:
         print(json.dumps({"ok": False, "error": str(exc)}), file=sys.stderr)
         return 1
     return _emit(records, args)

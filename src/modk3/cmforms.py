@@ -18,9 +18,9 @@ from functools import lru_cache
 
 import numpy
 
-from .arith import (FIELD_DISC, QuadFieldElement, VerificationError,
-                    is_prime, kronecker_character, norm_equation_solutions,
-                    primes_up_to)
+from .arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
+                    VerificationError, _norm_solutions, is_prime,
+                    kronecker_character, primes_up_to)
 from .qseries import GRID, form_series, series_power
 
 
@@ -74,7 +74,8 @@ def splitting(spec: HeckeCharSpec, p: int) -> int:
 
 
 def _generator_candidates(spec: HeckeCharSpec, p: int) -> list:
-    sols = norm_equation_solutions(spec.d, p)
+    # p is a prime checked by the caller; spec.d has a FIELD_DISC entry
+    sols = _norm_solutions(spec.d, p)
     if not sols:
         raise NoGeneratorError(f"p={p} is inert in Q(sqrt(-{spec.d}))")
     seen, out = set(), []
@@ -94,6 +95,13 @@ def normalized_generator(spec: HeckeCharSpec, p: int,
     With ``normalize=False`` the congruence condition is skipped and the
     first candidate in enumeration order is returned (negative control).
     """
+    if not is_prime(p):
+        raise InvalidPrimeError(f"{p} is not prime")
+    return _normalized_generator(spec, p, normalize)
+
+
+def _normalized_generator(spec: HeckeCharSpec, p: int,
+                          normalize: bool) -> QuadFieldElement:
     cands = _generator_candidates(spec, p)
     c = spec.conductor_gen
     if not normalize or c == 1:
@@ -136,7 +144,7 @@ def ap(spec: HeckeCharSpec, p: int, normalize: bool = True) -> int:
     if p % 2 == 0 or (spec.level % p == 0):
         # split primes never divide the level for these four specs
         raise BadPrimeError(f"p={p} is bad for level {spec.level}")
-    return normalized_generator(spec, p, normalize=normalize).trace_of_square()
+    return _normalized_generator(spec, p, normalize).trace_of_square()
 
 
 @lru_cache(maxsize=None)

@@ -1,16 +1,22 @@
 """Finite computations in SL(2, Z/N) for the nine index-24 groups.
 
 Every check is an exhaustive enumeration inside SL(2, Z/N) (at most 3072
-elements, N = 16).  A group is given by a membership predicate on matrices
-(a, b, c, d) mod N; the projective version is obtained by closing under
--Id.  Coset enumeration under the standard generators S and T yields the
-index, the cusps with widths, and the elliptic-point counts.
+elements, N = 16).  A group H is given by a membership predicate on
+matrices (a, b, c, d) mod N; the projective version is closed under -Id.
+One pass over SL(2, Z/N) in lexicographic order labels the right cosets:
+an element without a label opens the coset Hg, represented by its least
+element g, and labels all of it.  S, T and ST act on the labels as
+permutations: the index is the S, T orbit of the identity coset, the cusps
+are the cycles of T (widths their lengths), and e2, e3 count the fixed
+points of S and of ST.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+
+from .arith import VerificationError
 
 Mat = tuple  # (a, b, c, d) mod N
 
@@ -37,28 +43,25 @@ def _neg(x: Mat, N: int) -> Mat:
 
 @lru_cache(maxsize=None)
 def sl2_elements(N: int) -> tuple:
-    """All of SL(2, Z/N)."""
-    out = []
-    for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                # solve a*d - b*c = 1 mod N for d
-                for d in range(N):
-                    if (a * d - b * c) % N == 1:
-                        out.append((a, b, c, d))
-    return tuple(out)
+    """All of SL(2, Z/N), in lexicographic order."""
+    # ds[a][r]: the d in [0, N) with a d = r mod N, in increasing order
+    ds = [[[d for d in range(N) if a * d % N == r] for r in range(N)]
+          for a in range(N)]
+    return tuple((a, b, c, d) for a in range(N) for b in range(N)
+                 for c in range(N) for d in ds[a][(1 + b * c) % N])
 
 
 @lru_cache(maxsize=None)
 def trace_minus_two_classes(N: int) -> frozenset:
-    """Union of the SL(2,Z/N)-conjugacy classes of -U^k, all k mod N."""
-    G = sl2_elements(N)
-    out = set()
-    for k in range(N):
-        uk = (N - 1, (-k) % N, 0, N - 1)  # -U^k
-        for g in G:
-            out.add(_mul(_mul(g, uk, N), _inv(g, N), N))
-    return frozenset(out)
+    """Union of the SL(2,Z/N)-conjugacy classes of -U^k, all k mod N.
+
+    For g with first column (a, c), -g U^k g^-1 = (kac-1, -ka^2; kc^2, -1-kac),
+    so only the first columns of SL(2, Z/N) matter.
+    """
+    columns = {(g[0], g[2]) for g in sl2_elements(N)}
+    return frozenset(((k * a * c - 1) % N, -k * a * a % N, k * c * c % N,
+                      (-1 - k * a * c) % N)
+                     for a, c in columns for k in range(N))
 
 
 @dataclass(frozen=True)
@@ -85,9 +88,8 @@ class CongruenceGroupSpec:
 
     def members_pm(self) -> frozenset:
         """Members together with their negatives (the +-Id closure)."""
-        N = self.modulus
         H = self.members()
-        return frozenset(H | {_neg(g, N) for g in H})
+        return frozenset(H | {_neg(g, self.modulus) for g in H})
 
     @property
     def contains_minus_id(self) -> bool:
@@ -100,103 +102,81 @@ def _members(spec: CongruenceGroupSpec) -> frozenset:
     N = spec.modulus
     H = frozenset(g for g in sl2_elements(N) if spec.predicate(g))
     # exhaustive closure check: H must be a subgroup
-    Hs = set(H)
-    for x in H:
-        if _inv(x, N) not in Hs:
-            raise ClosureViolationError(f"{spec.name}: not inverse-closed")
-    sample = list(H)
-    for x in sample:
-        for y in sample:
-            if _mul(x, y, N) not in Hs:
-                raise ClosureViolationError(f"{spec.name}: not product-closed")
+    if any(_inv(x, N) not in H for x in H):
+        raise ClosureViolationError(f"{spec.name}: not inverse-closed")
+    if any(_mul(x, y, N) not in H for x in H for y in H):
+        raise ClosureViolationError(f"{spec.name}: not product-closed")
     return H
 
 
-def _coset_key(g: Mat, H: frozenset, N: int) -> Mat:
-    return min(_mul(h, g, N) for h in H)
-
-
-def _cosets(spec: CongruenceGroupSpec) -> list:
-    """Right cosets H\\G by BFS under right multiplication by S and T."""
+@lru_cache(maxsize=None)
+def _coset_action(spec: CongruenceGroupSpec) -> tuple:
+    """(reps, S, T, ST): the least element of each right coset of H in
+    increasing order, and the generators as permutations of the labels:
+    S[i] is the label of the coset reps[i] * S."""
     N = spec.modulus
+    G = sl2_elements(N)
     H = spec.members_pm() if spec.projective else spec.members()
+    label, reps = {}, []
+    for g in G:
+        if g not in label:
+            for h in H:
+                label[_mul(h, g, N)] = len(reps)
+            reps.append(g)
     S = (0, -1 % N, 1 % N, 0)
     T = (1 % N, 1 % N, 0, 1 % N)
-    start = _coset_key((1 % N, 0, 0, 1 % N), H, N)
-    seen = {start}
-    queue = [start]
-    while queue:
-        g = queue.pop()
-        for gen in (S, T, _inv(T, N)):
-            nxt = _coset_key(_mul(g, gen, N), H, N)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return sorted(seen)
+    S_, T_, ST_ = (tuple(label[_mul(g, w, N)] for g in reps)
+                   for w in (S, T, _mul(S, T, N)))
+    orbit, size = {label[(1, 0, 0, 1)]}, 0
+    while size < len(orbit):
+        size = len(orbit)
+        orbit |= {w[i] for w in (S_, T_) for i in orbit}
+    inputs = dict(group=spec.name, N=N)
+    if len(G) != len(H) * len(orbit):
+        raise VerificationError("|SL2(Z/N)| = |H| [SL2 : H]", inputs,
+                                len(G), len(H) * len(orbit))
+    if len(orbit) != len(reps):
+        raise VerificationError("the S, T orbit holds every coset", inputs,
+                                len(reps), len(orbit))
+    return tuple(reps), S_, T_, ST_
 
 
 def index_in_modular_group(spec: CongruenceGroupSpec) -> int:
     """Index of the group (mod +-Id) in PSL(2, Z)."""
     if spec.modulus == 1:
         return 1
-    N = spec.modulus
-    H = spec.members_pm()
-    cosets = _cosets(CongruenceGroupSpec(spec.name, N, spec.predicate,
-                                         projective=True))
-    # sanity: |G| = |H +-| * index
-    assert len(sl2_elements(N)) == len(H) * len(cosets)
-    return len(cosets)
+    return len(_coset_action(replace(spec, projective=True))[0])
 
 
 def cusps_and_widths(spec: CongruenceGroupSpec) -> list:
-    """Cusps as orbits of right U-multiplication on the cosets."""
+    """Cusps as the cycles of T on the cosets, widths as their lengths."""
     if spec.modulus == 1:
         return [CuspData((1, 0), 1)]
-    N = spec.modulus
-    H = spec.members_pm() if spec.projective else spec.members()
-    T = (1 % N, 1 % N, 0, 1 % N)
-    cosets = _cosets(spec)
-    remaining = set(cosets)
-    out = []
-    for g in cosets:
-        if g not in remaining:
-            continue
-        orbit = []
-        cur = g
-        while True:
-            orbit.append(cur)
-            remaining.discard(cur)
-            cur = _coset_key(_mul(cur, T, N), H, N)
-            if cur == orbit[0]:
-                break
-        out.append(CuspData((g[0], g[2]), len(orbit)))
+    reps, _, T, _ = _coset_action(spec)
+    seen, out = set(), []
+    for i, g in enumerate(reps):
+        width, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            width, j = width + 1, T[j]
+        if width:
+            out.append(CuspData((g[0], g[2]), width))
     out.sort(key=lambda cd: -cd.width)
     return out
 
 
-def _fixed_coset_count(spec: CongruenceGroupSpec, w: Mat) -> int:
-    N = spec.modulus
-    H = spec.members_pm() if spec.projective else spec.members()
-    count = 0
-    for g in _cosets(spec):
-        if _coset_key(_mul(g, w, N), H, N) == g:
-            count += 1
-    return count
-
-
 def elliptic_counts(spec: CongruenceGroupSpec):
-    """(e2, e3): numbers of elliptic points of order 2 and 3."""
+    """(e2, e3): numbers of elliptic points of order 2 and 3, the cosets
+    fixed by S and by ST."""
     if spec.modulus == 1:
         return 1, 1
-    N = spec.modulus
-    S = (0, -1 % N, 1 % N, 0)
-    ST = _mul(S, (1, 1, 0, 1), N)
-    return _fixed_coset_count(spec, S), _fixed_coset_count(spec, ST)
+    _, S, _, ST = _coset_action(spec)
+    return (sum(i == j for i, j in enumerate(S)),
+            sum(i == j for i, j in enumerate(ST)))
 
 
 def is_torsion_free(spec: CongruenceGroupSpec) -> bool:
-    e2, e3 = elliptic_counts(spec)
-    return e2 == 0 and e3 == 0
+    return elliptic_counts(spec) == (0, 0)
 
 
 def genus(spec: CongruenceGroupSpec) -> int:
@@ -215,9 +195,8 @@ def has_trace_minus_two(spec: CongruenceGroupSpec) -> bool:
     ``spec`` must describe a lift (a subgroup of SL(2, Z/N), -Id not
     quotiented).  Exact by surjectivity of SL(2,Z) -> SL(2, Z/N).
     """
-    N = spec.modulus
-    classes = trace_minus_two_classes(N)
-    return any(g in classes for g in spec.members())
+    return not trace_minus_two_classes(spec.modulus).isdisjoint(
+        spec.members())
 
 
 # ---------------------------------------------------------------------------

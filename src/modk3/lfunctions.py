@@ -1,16 +1,12 @@
 """The degree-4 tensor factor and the L-series of the threefold's H^3.
 
 Factors are ``cmforms.LocalFactor`` polynomials in T = p^(-s).  The tensor
-factor is checked against an exact root-product oracle: the two quadratics
-are realized by their companion matrices and the quartic is the reversed
-characteristic polynomial of their Kronecker product, so no floating
-point enters the identity.  Floating point appears only in the optional
-root-modulus audit.
+factor is checked against an exact root-product expansion in integers
+(power sums and Newton's identities), so no floating point enters the
+identity.  Floating point appears only in the optional root-modulus audit.
 """
 
 from __future__ import annotations
-
-import sympy
 
 from .arith import VerificationError, kronecker_character
 from .cmforms import LocalFactor, WeilBoundError, euler_to_dirichlet
@@ -27,16 +23,24 @@ def weight2_factor(A: int, p: int) -> LocalFactor:
 
 
 def _root_product_expansion(A: int, B: int, eps_p: int, p: int) -> tuple:
-    """prod_{i,j} (1 - alpha_i beta_j T) expanded exactly: the reversed
-    characteristic polynomial of the Kronecker product of the companion
-    matrices of x^2 - A x + p and y^2 - B y + eps p^2."""
-    MA = sympy.Matrix([[0, -p], [1, A]])
-    MB = sympy.Matrix([[0, -eps_p * p * p], [1, B]])
-    kron = sympy.Matrix(4, 4, lambda i, j: MA[i // 2, j // 2] * MB[i % 2, j % 2])
-    cp = kron.charpoly().all_coeffs()
-    # prod (1 - lam_i T) = T^4 charpoly(1/T), whose T-coefficients are
-    # exactly the monic characteristic coefficients in order
-    return tuple(int(c) for c in cp)
+    """prod_{i,j} (1 - alpha_i beta_j T) = (1, -e1, e2, -e3, e4) for the
+    roots alpha of x^2 - A x + p and beta of y^2 - B y + eps p^2, by
+    Newton's identities k e_k = sum_i (-1)^(i-1) e_{k-i} s_i t_i on the
+    power sums s_k = sum alpha_i^k and t_k = sum beta_j^k."""
+    s, t = [2, A], [2, B]
+    for _ in range(3):
+        s.append(A * s[-1] - p * s[-2])
+        t.append(B * t[-1] - eps_p * p * p * t[-2])
+    e = [1]
+    for k in range(1, 5):
+        ke = sum((-1) ** (i - 1) * e[k - i] * s[i] * t[i]
+                 for i in range(1, k + 1))
+        if ke % k:
+            raise VerificationError("Newton's identities divide exactly",
+                                    dict(A=A, B=B, eps_p=eps_p, p=p, k=k),
+                                    0, ke % k)
+        e.append(ke // k)
+    return tuple((-1) ** k * ek for k, ek in enumerate(e))
 
 
 def tensor_factor(A: int, B: int, eps_p: int, p: int) -> LocalFactor:

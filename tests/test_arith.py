@@ -4,6 +4,7 @@ import pytest
 
 from modk3.arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
                          SUPPORTED_D, UnsupportedFieldError,
+                         VerificationError,
                          is_fundamental_discriminant, is_prime,
                          kronecker_character, legendre_symbol,
                          norm_equation_solutions, primes_up_to, sqrt_mod)
@@ -90,6 +91,13 @@ def test_quadfield_integrality_constraints():
         QuadFieldElement(7, 2, 1)
     with pytest.raises(UnsupportedFieldError):
         QuadFieldElement(5, 2, 0)
+    # an element forged past the parity check fails every halving
+    odd = QuadFieldElement(1, 2, 0)
+    object.__setattr__(odd, "u", 1)
+    for halving in (lambda: odd.norm, lambda: odd * odd,
+                    odd.trace_of_square):
+        with pytest.raises(VerificationError):
+            halving()
 
 
 def test_quadfield_algebra():

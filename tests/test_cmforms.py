@@ -1,10 +1,12 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from modk3 import cmforms
-from modk3.arith import (VerificationError, is_fundamental_discriminant,
-                         kronecker_character)
+from modk3 import arith, cmforms
+from modk3.arith import (InvalidPrimeError, VerificationError,
+                         is_fundamental_discriminant, is_prime,
+                         kronecker_character, primes_up_to)
 from modk3.cmforms import (BadPrimeError, HECKE_SPECS, HeckeCharSpec,
                            LocalFactor, ap, coefficient_sequence,
                            normalized_generator, splitting,
@@ -111,6 +113,24 @@ def test_multiplicativity():
 def test_composite_input_rejected():
     with pytest.raises(ValueError):
         ap(HECKE_SPECS["h8"], 15)
+    with pytest.raises(InvalidPrimeError):
+        normalized_generator(HECKE_SPECS["h8"], 25)
+
+
+def test_each_prime_is_tested_once(monkeypatch):
+    calls = Counter()
+
+    def counted(n):
+        calls[n] += 1
+        return is_prime(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(cmforms, "is_prime", counted)
+    for spec in HECKE_SPECS.values():
+        calls.clear()
+        coefficient_sequence(spec, 400)
+        assert set(calls) == set(primes_up_to(400)), spec.form_id
+        assert max(calls.values()) == 1, spec.form_id
 
 
 def test_sequence_against_eta_prefix():

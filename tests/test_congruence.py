@@ -1,11 +1,14 @@
 import pytest
 
+from modk3 import congruence
+from modk3.arith import VerificationError
 from modk3.congruence import (ClosureViolationError, CongruenceGroupSpec,
-                              PRESET_CUSP_WIDTHS, cusps_and_widths,
-                              elliptic_counts, genus, group_report,
-                              has_trace_minus_two, index_in_modular_group,
-                              is_torsion_free, preset_group, preset_lift,
-                              psl2z, sl2_elements)
+                              PRESET_CUSP_WIDTHS, _inv, _mul,
+                              cusps_and_widths, elliptic_counts, genus,
+                              group_report, has_trace_minus_two,
+                              index_in_modular_group, is_torsion_free,
+                              preset_group, preset_lift, psl2z, sl2_elements,
+                              trace_minus_two_classes)
 
 
 def sl2_order(N):
@@ -25,6 +28,10 @@ def sl2_order(N):
 def test_sl2_enumeration_sizes():
     for N in (2, 3, 4, 5, 6, 7, 8, 12, 16):
         assert len(sl2_elements(N)) == sl2_order(N)
+        # the lexicographic order fixes the coset representatives
+        assert sl2_elements(N) == tuple(
+            (a, b, c, d) for a in range(N) for b in range(N)
+            for c in range(N) for d in range(N) if (a * d - b * c) % N == 1)
 
 
 def test_full_group_baseline():
@@ -91,3 +98,95 @@ def test_preset_bounds():
         preset_group(10)
     with pytest.raises(KeyError):
         preset_lift(0)
+
+
+# ---------------------------------------------------------------------------
+# differential checks of the coset action against coset enumeration by BFS
+# ---------------------------------------------------------------------------
+
+def _oracle_coset(g, H, N):
+    return min(_mul(h, g, N) for h in H)
+
+
+def _oracle_action(spec):
+    """(cosets, key): right cosets H\\G found by BFS under S, T and T^-1,
+    each named by its least element."""
+    N = spec.modulus
+    H = spec.members_pm() if spec.projective else spec.members()
+    S, T = (0, -1 % N, 1 % N, 0), (1 % N, 1 % N, 0, 1 % N)
+    seen = {_oracle_coset((1, 0, 0, 1), H, N)}
+    queue = list(seen)
+    while queue:
+        g = queue.pop()
+        for gen in (S, T, _inv(T, N)):
+            nxt = _oracle_coset(_mul(g, gen, N), H, N)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return sorted(seen), lambda g, w: _oracle_coset(_mul(g, w, N), H, N)
+
+
+def _oracle_invariants(spec):
+    """index, cusps as (representative, width) and (e2, e3) by BFS."""
+    N = spec.modulus
+    cosets, key = _oracle_action(spec)
+    S, T = (0, N - 1, 1, 0), (1, 1, 0, 1)
+    cusps, remaining = [], set(cosets)
+    for g in cosets:
+        if g in remaining:
+            orbit = [g]
+            while (nxt := key(orbit[-1], T)) != g:
+                orbit.append(nxt)
+            remaining -= set(orbit)
+            cusps.append(((g[0], g[2]), len(orbit)))
+    cusps.sort(key=lambda cd: -cd[1])
+    elliptic = tuple(sum(key(g, w) == g for g in cosets)
+                     for w in (S, _mul(S, T, N)))
+    return len(cosets), cusps, elliptic
+
+
+def _classical_groups():
+    """Gamma_0(N), Gamma_1(N) and Gamma(N) for N <= 12, in PSL and in SL."""
+    # entries are reduced mod N >= 2, so 1 mod N is 1; the names differ
+    # from the presets', since specs are compared (and cached) by name
+    predicates = {"Gamma_0": lambda m: m[2] == 0,
+                  "Gamma_1": lambda m: m[2] == 0 and m[0] == 1,
+                  "Gamma": lambda m: m[1] == m[2] == 0 and m[0] == 1}
+    for N in range(2, 13):
+        for name, predicate in predicates.items():
+            for projective in (True, False):
+                yield CongruenceGroupSpec(f"classical {name}({N})", N,
+                                          predicate, projective)
+
+
+def test_coset_action_matches_bfs_oracle():
+    specs = [f(k) for k in range(1, 10) for f in (preset_group, preset_lift)]
+    specs += list(_classical_groups())
+    for spec in specs:
+        index, cusps, elliptic = _oracle_invariants(spec)
+        if spec.projective:
+            assert index_in_modular_group(spec) == index, spec.name
+        assert [(c.representative, c.width)
+                for c in cusps_and_widths(spec)] == cusps, spec.name
+        assert elliptic_counts(spec) == elliptic, spec.name
+
+
+def test_trace_minus_two_closed_form_matches_conjugation():
+    for N in range(2, 17):
+        G = sl2_elements(N)
+        conjugates = {_mul(_mul(g, (N - 1, -k % N, 0, N - 1), N),
+                           _inv(g, N), N) for g in G for k in range(N)}
+        assert trace_minus_two_classes(N) == conjugates, N
+
+
+def test_orbit_missing_a_coset_raises(monkeypatch):
+    # an ambient "SL(2, Z/3)" forged to hold the determinant -1 matrices
+    # too: S and T never leave determinant 1, so half the cosets are missed
+    forged = tuple((a, b, c, d) for a in range(3) for b in range(3)
+                   for c in range(3) for d in range(3)
+                   if (a * d - b * c) % 3 in (1, 2))
+    monkeypatch.setattr(congruence, "sl2_elements", lambda N: forged)
+    spec = CongruenceGroupSpec("forged Gamma(3)", 3,
+                               lambda m: m == (1, 0, 0, 1))
+    with pytest.raises(VerificationError, match=r"\[SL2 : H\]"):
+        index_in_modular_group(spec)

@@ -70,11 +70,12 @@ def test_k3_count_report_invariant():
 
 def test_count_report_identity_survives_python_O():
     # a forged report, a tensor quartic checked against a forged
-    # root-product expansion, and a local factor with constant term 2 raise
-    # even where assert statements are stripped; one interpreter, since
-    # sympy imports slowly under -O
-    code = ("import sys\n"
-            "from modk3 import lfunctions\n"
+    # root-product expansion, a local factor with constant term 2 and a
+    # coset count in a forged ambient group raise even where assert
+    # statements are stripped; one interpreter, since sympy imports slowly
+    # under -O
+    code = ("import itertools, sys\n"
+            "from modk3 import congruence, lfunctions\n"
             "from modk3.arith import VerificationError\n"
             "from modk3.cmforms import LocalFactor\n"
             "from modk3.counting import CountReport\n"
@@ -84,7 +85,15 @@ def test_count_report_identity_survives_python_O():
             "    lfunctions._root_product_expansion = lambda *a: (1, 0, 0, 0, 0)\n"
             "    lfunctions.tensor_factor(1, 2, 1, 5)\n"
             "def forged_factor(): LocalFactor(5, 3, (2, 1))\n"
-            "for forgery in (forged_report, forged_quartic, forged_factor):\n"
+            "def forged_cosets():\n"
+            "    # with det -1 in 'SL(2, Z/3)', S and T miss half the cosets\n"
+            "    congruence.sl2_elements = lambda N: [\n"
+            "        m for m in itertools.product(range(3), repeat=4)\n"
+            "        if (m[0] * m[3] - m[1] * m[2]) % 3]\n"
+            "    congruence.index_in_modular_group(congruence.CongruenceGroupSpec(\n"
+            "        'forged', 3, lambda m: m == (1, 0, 0, 1)))\n"
+            "for forgery in (forged_report, forged_quartic, forged_factor,\n"
+            "                forged_cosets):\n"
             "    try:\n"
             "        forgery()\n"
             "    except VerificationError as exc:\n"
@@ -98,7 +107,8 @@ def test_count_report_identity_survives_python_O():
     assert out.stdout.splitlines() == [
         "total = 1 + p^2 + p * ns_trace_used + B",
         "tensor quartic = Kronecker root product",
-        "a local factor has constant term 1"]
+        "a local factor has constant term 1",
+        "|SL2(Z/N)| = |H| [SL2 : H]"]
 
 
 def test_k3_traces_match_forms_small_primes():

@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+import sympy
 
+from modk3.arith import primes_up_to
 from modk3.cmforms import (LocalFactor, WeilBoundError, euler_to_dirichlet,
                            weight3_factor)
 from modk3.counting import ap_elliptic, good_primes, h3_trace
@@ -45,6 +47,27 @@ def test_tensor_factor_random_against_root_product():
         f = tensor_factor(A, B, eps, p)
         assert f.coefficients == _root_product_expansion(A, B, eps, p)
         assert f.coefficients[0] == 1 and f.coefficients[4] == p ** 6
+
+
+def _charpoly_expansion(A, B, eps, p):
+    """The quartic as the reversed characteristic polynomial of the
+    Kronecker product of the two companion matrices, by sympy."""
+    MA = sympy.Matrix([[0, -p], [1, A]])
+    MB = sympy.Matrix([[0, -eps * p * p], [1, B]])
+    kron = sympy.Matrix(4, 4, lambda i, j: MA[i // 2, j // 2] * MB[i % 2, j % 2])
+    return tuple(int(c) for c in kron.charpoly().all_coeffs())
+
+
+def test_root_product_expansion_against_charpoly():
+    rng = random.Random(7)
+    primes = primes_up_to(10 ** 4)
+    for _ in range(300):
+        p = rng.choice(primes)
+        bound = math.isqrt(4 * p)
+        A, B = rng.randint(-bound, bound), rng.randint(-2 * p, 2 * p)
+        eps = rng.choice([-1, 1])
+        assert (_root_product_expansion(A, B, eps, p)
+                == _charpoly_expansion(A, B, eps, p)), (A, B, eps, p)
 
 
 def test_root_moduli_audit():
