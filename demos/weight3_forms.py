@@ -5,8 +5,10 @@ formula and once from the normalized Hecke character of its CM field;
 the two must agree coefficient by coefficient.
 """
 
-from modk3.cmforms import (HECKE_SPECS, ap, coefficient_sequence,
-                           normalized_generator, verify_against_eta)
+from modk3.arith import primes_up_to
+from modk3.cmforms import (HECKE_SPECS, _eta_coefficients,
+                           _generator_candidates, ap, coefficient_sequence,
+                           normalized_generator, splitting, verify_against_eta)
 
 N = 100
 
@@ -26,5 +28,8 @@ print(f"  pi = ({g.u} + {g.v} i)/2 normalized mod 2, "
       f"tr(pi^2) = {g.trace_of_square()} = a_5 = {ap(HECKE_SPECS['h8'], 5)}")
 print()
 print("Negative control: dropping the normalization breaks the match:")
-bad = verify_against_eta(HECKE_SPECS["h7"], 60, normalize=False)
-print(f"  h7 unnormalized first mismatches: {bad[:5]}")
+h7 = HECKE_SPECS["h7"]
+eta = _eta_coefficients("h7", 60)
+bad = [p for p in primes_up_to(60) if splitting(h7, p) == 1
+       and _generator_candidates(h7, p)[0].trace_of_square() != eta[p - 1]]
+print(f"  h7 unnormalized tr(pi^2) differs from a_p at p = {bad[:5]}")

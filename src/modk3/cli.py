@@ -72,26 +72,26 @@ def _emit(records: list, args) -> int:
     return 0 if all(r.get("ok", True) for r in records) else 1
 
 
-def _window(family, pmin: int, pmax: int) -> list:
-    """The good primes of the family in [pmin, pmax]; none is a usage error."""
-    primes = good_primes(family, pmin, pmax)
-    if not primes:
-        raise UsageError(f"no good prime of {family.name} in [{pmin}, {pmax}]")
-    return primes
-
-
 def _primes(args, family=None) -> list:
+    """--p exactly as given (the library call reports a bad one), else the
+    target's good primes in [--pmin, --pmax]: p prime to the level of
+    --form, lfunctions.h3_primes of the family and --curve, or
+    counting.good_primes of the family.  An empty window, or a point count
+    (a command with --force) past the ceiling without it, is refused."""
+    lo, hi = args.pmin, args.pmax
     if args.p is not None:
-        return [args.p]
-    if family is not None:
-        return _window(family, args.pmin, args.pmax)
-    return [p for p in primes_up_to(args.pmax) if p >= args.pmin]
-
-
-def _count_primes(args, family) -> list:
-    """The primes of a point count, which is O(p^2) work per prime."""
-    primes = _primes(args, family)
-    if max(primes) > COUNT_PMAX_CEILING and not args.force:
+        primes = [args.p]
+    elif family is None:
+        target, level = args.form, HECKE_SPECS[args.form].level
+        primes = [p for p in primes_up_to(hi) if p >= lo and level % p]
+    elif "curve" in args:
+        target = f"{family.name} and curve {','.join(map(str, args.curve))}"
+        primes = h3_primes(family, args.curve, lo, hi)
+    else:
+        target, primes = family.name, good_primes(family, lo, hi)
+    if not primes:
+        raise UsageError(f"no good prime of {target} in [{lo}, {hi}]")
+    if "force" in args and not args.force and max(primes) > COUNT_PMAX_CEILING:
         raise UsageError(f"refusing p > {COUNT_PMAX_CEILING} without --force")
     return primes
 
@@ -104,12 +104,14 @@ def cmd_groups_verify(args) -> list:
         r = group_report(k)
         ok = (r["index"] == 24 and r["genus"] == 0 and r["torsion_free"]
               and len(r["cusp_widths"]) == 6 and r["widths_match_preset"]
-              and not r["lift_has_minus_id"] and r["trace_minus2_free"])
+              and not r["lift_has_minus_id"] and r["trace_minus2_free"]
+              and r["lift_widths_unchanged"])
         records.append({"suite": "groups", "target": r["name"], "group": k,
                         "index": r["index"], "genus": r["genus"],
                         "cusp_widths": r["cusp_widths"],
                         "torsion_free": r["torsion_free"],
                         "lift_has_minus_id": r["lift_has_minus_id"],
+                        "lift_widths_unchanged": r["lift_widths_unchanged"],
                         "trace_minus2_free": r["trace_minus2_free"],
                         "ok": ok})
     return records
@@ -124,7 +126,7 @@ def cmd_forms_qexp(args) -> list:
 def cmd_forms_ap(args) -> list:
     spec = HECKE_SPECS[args.form]
     return [{"form": args.form, "p": p, "ap": form_ap(spec, p)}
-            for p in _primes(args) if spec.level % p != 0]
+            for p in _primes(args)]
 
 
 def cmd_forms_check(args) -> list:
@@ -156,7 +158,7 @@ def cmd_surface_scan(args) -> list:
 
 def cmd_surface_count(args) -> list:
     family = _family(args.family)
-    primes = _count_primes(args, family)
+    primes = _primes(args, family)
     fit = twist_fit(family)
     return [dict(asdict(count_report(family, p, fit)), suite="count")
             for p in primes]
@@ -164,7 +166,7 @@ def cmd_surface_count(args) -> list:
 
 def cmd_surface_verify(args) -> list:
     family = _family(args.family)
-    primes = _count_primes(args, family)
+    primes = _primes(args, family)
     form_id, disc = fit = twist_fit(family, primes)
     failing = []
     for p in primes:
@@ -182,15 +184,10 @@ def cmd_surface_verify(args) -> list:
 
 def cmd_l3fold_euler(args) -> list:
     family = _family(args.family)
-    primes = ([args.p] if args.p is not None
-              else h3_primes(family, args.curve, args.pmin, args.pmax))
-    records = []
-    for p in primes:
-        f = h3_local_factor(family, args.curve, p)
-        records.append({"family": family.name, "p": p,
-                        "coefficients": list(f.coefficients),
-                        "trace": h3_trace(family, args.curve, p)})
-    return records
+    return [{"family": family.name, "p": p, "coefficients":
+             list(h3_local_factor(family, args.curve, p).coefficients),
+             "trace": h3_trace(family, args.curve, p)}
+            for p in _primes(args, family)]
 
 
 def cmd_l3fold_series(args) -> list:
@@ -208,7 +205,7 @@ def cmd_verify_all(args) -> list:
         return ns.func(ns)
 
     # every window is checked before any work; x0_12 is report-only
-    scan_primes = {name: _window(_family(name), 5, args.pmax)[0]
+    scan_primes = {name: _primes(args, _family(name))[0]
                    for name in FAMILY_NAMES if name != "x0_12"}
     records = sub("groups", "verify") + sub("forms", "check")
     for name, p in scan_primes.items():
@@ -296,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = va.add_parser("all")
     v.add_argument("--pmax", type=_positive_int, default=97)
     _add_common(v)
-    v.set_defaults(func=cmd_verify_all)
+    v.set_defaults(func=cmd_verify_all, p=None, pmin=5)
     return top
 
 

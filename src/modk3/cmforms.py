@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy
-
 from .arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
                     VerificationError, _norm_solutions, is_prime,
                     kronecker_character, primes_up_to)
@@ -88,23 +86,17 @@ def _generator_candidates(spec: HeckeCharSpec, p: int) -> list:
     return out
 
 
-def normalized_generator(spec: HeckeCharSpec, p: int,
-                         normalize: bool = True) -> QuadFieldElement:
-    """A generator pi of a prime above p with pi = +-1 mod c*O_K.
-
-    With ``normalize=False`` the congruence condition is skipped and the
-    first candidate in enumeration order is returned (negative control).
-    """
+def normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
+    """A generator pi of a prime above p with pi = +-1 mod c*O_K."""
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
-    return _normalized_generator(spec, p, normalize)
+    return _normalized_generator(spec, p)
 
 
-def _normalized_generator(spec: HeckeCharSpec, p: int,
-                          normalize: bool) -> QuadFieldElement:
+def _normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
     cands = _generator_candidates(spec, p)
     c = spec.conductor_gen
-    if not normalize or c == 1:
+    if c == 1:
         return cands[0]
     good = [g for g in cands
             if QuadFieldElement(spec.d, g.u - 2, g.v).divisible_by(c)
@@ -121,7 +113,7 @@ def _normalized_generator(spec: HeckeCharSpec, p: int,
     return max(good, key=lambda g: (g.u, g.v))
 
 
-def ap(spec: HeckeCharSpec, p: int, normalize: bool = True) -> int:
+def ap(spec: HeckeCharSpec, p: int) -> int:
     """p-th coefficient of the newform at a good (or tamely ramified) prime."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -144,7 +136,7 @@ def ap(spec: HeckeCharSpec, p: int, normalize: bool = True) -> int:
     if p % 2 == 0 or (spec.level % p == 0):
         # split primes never divide the level for these four specs
         raise BadPrimeError(f"p={p} is bad for level {spec.level}")
-    return _normalized_generator(spec, p, normalize).trace_of_square()
+    return _normalized_generator(spec, p).trace_of_square()
 
 
 @lru_cache(maxsize=None)
@@ -176,13 +168,6 @@ class LocalFactor:
         return LocalFactor(self.p, max(self.weight, other.weight),
                            tuple(out), self.nebentypus)
 
-    def root_moduli_error(self) -> float:
-        """Largest relative deviation of the complex root moduli from
-        p^(-(w-1)/2); good factors of pure weight must pass 1e-9."""
-        roots = numpy.roots(list(self.coefficients)[::-1])
-        target = float(self.p) ** (-(self.weight - 1) / 2)
-        return max(abs(abs(r) - target) / target for r in roots)
-
 
 def weight3_factor(B: int, eps_p: int, p: int) -> LocalFactor:
     """1 - B T + eps(p) p^2 T^2 for a weight-3 newform."""
@@ -212,8 +197,7 @@ def euler_to_dirichlet(factors: dict, N: int) -> list:
     return a[1:]
 
 
-def coefficient_sequence(spec: HeckeCharSpec, N: int,
-                         normalize: bool = True) -> list:
+def coefficient_sequence(spec: HeckeCharSpec, N: int) -> list:
     """[a_1, ..., a_N] of the product of the weight-3 Euler factors.
 
     Prime coefficients come from the Hecke character; primes where that is
@@ -224,7 +208,7 @@ def coefficient_sequence(spec: HeckeCharSpec, N: int,
     factors = {}
     for p in primes_up_to(N):
         try:
-            app = ap(spec, p, normalize=normalize)
+            app = ap(spec, p)
         except BadPrimeError:
             app = _eta_coefficients(spec.form_id, p)[p - 1]
         eps = 0 if spec.level % p == 0 else kronecker_character(spec.disc, p)
@@ -232,10 +216,9 @@ def coefficient_sequence(spec: HeckeCharSpec, N: int,
     return euler_to_dirichlet(factors, N)
 
 
-def verify_against_eta(spec: HeckeCharSpec, N: int,
-                       normalize: bool = True) -> list:
+def verify_against_eta(spec: HeckeCharSpec, N: int) -> list:
     """Indices n <= N where the Hecke-character coefficients disagree with
     the eta expansion; empty on success."""
-    hecke = coefficient_sequence(spec, N, normalize=normalize)
+    hecke = coefficient_sequence(spec, N)
     eta = _eta_coefficients(spec.form_id, N)
     return [n for n in range(1, N + 1) if hecke[n - 1] != eta[n - 1]]

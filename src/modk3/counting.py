@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -157,22 +158,16 @@ def twist_fit(family: WeierstrassFamily, primes=None) -> tuple:
     if not candidates:
         raise ModelMismatchError(
             f"{family.name}: no quadratic twist of {family.form_id} fits")
-    if len(candidates) > 1:
-        # twisting by the character of the CM field itself is invisible on
-        # the coefficients (a_p = 0 off its kernel), so such twins can never
-        # be separated by more data; any other survivor signals too few
-        # primes, which a cheap coefficient-only comparison detects
-        probe = [q for q in primes_up_to(499)
-                 if q >= 5 and spec.level % q != 0]
-        base = candidates[0]
-        for D in candidates[1:]:
-            if any(kronecker_character(base, q) * form_ap(spec, q)
-                   != kronecker_character(D, q) * form_ap(spec, q)
-                   for q in probe):
-                raise ModelMismatchError(
-                    f"{family.name}: twist not separated by the supplied "
-                    f"primes: {candidates}")
-        candidates.sort(key=lambda D: (abs(D), D < 0))
+    # chi_D a_p = chi_D' a_p at every good p iff chi_D chi_D' is the CM
+    # character (a_p = 0 off its kernel), i.e. iff D D' disc(K) is a
+    # positive square; any other survivor means too few primes
+    base = candidates[0]
+    for D in candidates[1:]:
+        n = base * D * spec.disc
+        if n <= 0 or isqrt(n) ** 2 != n:
+            raise ModelMismatchError(f"{family.name}: twist not separated "
+                                     f"by the supplied primes: {candidates}")
+    candidates.sort(key=lambda D: (abs(D), D < 0))
     return family.form_id, candidates[0]
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import sympy
-from sympy import Rational, cancel, fraction, together
+from sympy import Rational, cancel
 
 from .arith import VerificationError
 

@@ -2,8 +2,8 @@
 
 Factors are ``cmforms.LocalFactor`` polynomials in T = p^(-s).  The tensor
 factor is checked against an exact root-product expansion in integers
-(power sums and Newton's identities), so no floating point enters the
-identity.  Floating point appears only in the optional root-modulus audit.
+(power sums and Newton's identities), and every constructor checks its
+Weil bound exactly, so no floating point enters any factor.
 """
 
 from __future__ import annotations

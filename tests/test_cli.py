@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modk3 import counting, lfunctions
+from modk3 import cli, counting, lfunctions
 from modk3.cli import build_parser, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +23,18 @@ def test_groups_verify(capsys):
     assert len(recs) == 9
     assert all(r["ok"] for r in recs)
     assert {r["group"] for r in recs} == set(range(1, 10))
+    assert all(r["lift_widths_unchanged"] for r in recs)
+
+
+def test_groups_verify_needs_lift_widths(capsys, monkeypatch):
+    # a lift whose cusp widths do not double fails the group
+    report = cli.group_report
+    monkeypatch.setattr(cli, "group_report", lambda k: dict(
+        report(k), lift_widths_unchanged=False))
+    assert run(["groups", "verify"]) == 1
+    recs = records(capsys)
+    assert len(recs) == 9
+    assert not any(r["ok"] or r["lift_widths_unchanged"] for r in recs)
 
 
 def test_forms_check_single(capsys):
@@ -167,17 +179,33 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
+    capsys.readouterr()
     # an empty prime window is refused before any work, naming the window
     for argv, window in ((["surface", "verify", "--family", "g62",
                            "--pmin", "98", "--pmax", "100"], "[98, 100]"),
-                         (["verify", "all", "--pmax", "4"], "[5, 4]")):
+                         (["verify", "all", "--pmax", "4"], "[5, 4]"),
+                         (["forms", "ap", "--form", "h8",
+                           "--pmin", "98", "--pmax", "100"], "[98, 100]"),
+                         (["l3fold", "euler", "--family", "g4", *curve,
+                           "--pmin", "98", "--pmax", "100"], "[98, 100]")):
         assert run(argv) == 2, argv
-        assert window in capsys.readouterr().err, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("no good prime of "), argv
+        assert window in captured.err, argv
 
 
 def test_internal_errors_exit_1(capsys):
     # scanning at a bad prime is a domain error, not a usage error
     assert run(["surface", "scan", "--family", "g62", "--p", "3"]) == 1
+    # an explicit --p is never filtered out: the library call reports it
+    for p, error in (("4", "4 is not prime"),
+                     ("2", "p=2 divides the conductor of chi")):
+        capsys.readouterr()
+        assert run(["forms", "ap", "--form", "h8", "--p", p]) == 1, p
+        captured = capsys.readouterr()
+        assert captured.out == "", p
+        assert json.loads(captured.err) == {"ok": False, "error": error}, p
 
 
 def test_verify_all_smoke(capsys):

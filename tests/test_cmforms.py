@@ -83,12 +83,19 @@ def test_eta_agreement_everywhere():
 
 
 def test_negative_control_unnormalized_generators_fail():
-    # skipping the congruence normalization must break the eta match for
-    # the two conductor-2 characters
-    assert verify_against_eta(HECKE_SPECS["h7"], 60, normalize=False) != []
-    assert verify_against_eta(HECKE_SPECS["h8"], 60, normalize=False) != []
-    # but cannot matter when the conductor is trivial
-    assert verify_against_eta(HECKE_SPECS["h3"], 60, normalize=False) == []
+    # tr(pi^2) of the first generator candidate, skipping the congruence
+    # normalization, must break the eta match at some split prime for the
+    # two conductor-2 characters, but cannot when the conductor is trivial
+    def unnormalized_mismatches(fid):
+        spec = HECKE_SPECS[fid]
+        eta = cmforms._eta_coefficients(fid, 60)
+        return [p for p in primes_up_to(60) if splitting(spec, p) == 1
+                and cmforms._generator_candidates(spec, p)[0]
+                .trace_of_square() != eta[p - 1]]
+
+    assert unnormalized_mismatches("h7") != []
+    assert unnormalized_mismatches("h8") != []
+    assert unnormalized_mismatches("h3") == []
 
 
 def test_hecke_recursion_at_prime_squares():

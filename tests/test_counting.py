@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,18 @@ def test_twist_fit_negative_control():
         twist_fit(wrong, good_primes(wrong, 5, 60))
     with pytest.raises(ModelMismatchError):
         twist_fit(preset("e1_7"))  # no attached form
+
+
+def test_twist_fit_needs_separating_primes():
+    # at p = 5 alone four twists fit g4; D = -4 is the CM twin of D = 1
+    # (D D' disc K = 16), but -24 and 24 are not, so the fit must refuse
+    g4 = preset("g4_legendre")
+    with pytest.raises(ModelMismatchError,
+                       match=re.escape("[1, -4, -24, 24]")):
+        twist_fit(g4, [5])
+    # the CM twins alone are reported as the smaller discriminant
+    assert twist_fit(g4, [5, 13]) == ("h8", 1)
+    assert twist_fit(g4) == twist_fit(preset("g82")) == ("h8", 1)
 
 
 def test_count_report_marks_ok():

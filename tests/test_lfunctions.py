@@ -70,13 +70,39 @@ def test_root_product_expansion_against_charpoly():
                 == _charpoly_expansion(A, B, eps, p)), (A, B, eps, p)
 
 
+def _pure(quadratic, p, w):
+    """1 - aT + bT^2 has both roots of modulus p^(-(w-1)/2) exactly when
+    b = p^(w-1) and the roots are complex conjugates, a^2 <= 4b."""
+    one, minus_a, b = quadratic
+    return one == 1 and b == p ** (w - 1) and minus_a ** 2 <= 4 * b
+
+
 def test_root_moduli_audit():
-    assert weight2_factor(4, 11).root_moduli_error() < 1e-9
-    assert weight3_factor(-6, 1, 5).root_moduli_error() < 1e-9
-    assert tensor_factor(3, 10, 1, 11).root_moduli_error() < 1e-9
-    assert shifted_elliptic_factor(2, 7).root_moduli_error() < 1e-9
+    for f in (weight2_factor(4, 11), weight3_factor(-6, 1, 5),
+              shifted_elliptic_factor(2, 7)):
+        assert _pure(f.coefficients, f.p, f.weight), f
+    # the quartic is the root product of two pure quadratics
+    A, B, eps, p = 3, 10, 1, 11
+    assert _pure((1, -A, p), p, 2) and _pure((1, -B, eps * p * p), p, 3)
+    assert (tensor_factor(A, B, eps, p).coefficients
+            == _root_product_expansion(A, B, eps, p))
     # a non-pure factor fails the audit
-    assert LocalFactor(5, 2, (1, -6, 5)).root_moduli_error() > 1e-3
+    assert not _pure(LocalFactor(5, 2, (1, -6, 5)).coefficients, 5, 2)
+    # every constructor accepts its bound and refuses one step past it
+    for p in (5, 7, 11):
+        a, b = math.isqrt(4 * p), 2 * p
+        for sign in (1, -1):
+            weight2_factor(sign * a, p)
+            weight3_factor(sign * b, 1, p)
+            tensor_factor(sign * a, sign * b, 1, p)
+            shifted_elliptic_factor(sign * a, p)
+            for make in (lambda: weight2_factor(sign * (a + 1), p),
+                         lambda: weight3_factor(sign * (b + 1), 1, p),
+                         lambda: tensor_factor(sign * (a + 1), 0, 1, p),
+                         lambda: tensor_factor(0, sign * (b + 1), 1, p),
+                         lambda: shifted_elliptic_factor(sign * (a + 1), p)):
+                with pytest.raises(WeilBoundError):
+                    make()
 
 
 def test_factor_multiplication():
