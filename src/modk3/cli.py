@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = va.add_parser("all")
     v.add_argument("--pmax", type=_positive_int, default=97)
     _add_common(v)
-    v.set_defaults(func=cmd_verify_all, p=None, pmin=5)
+    v.set_defaults(func=cmd_verify_all, p=None, pmin=5, force=False)
     return top
 
 

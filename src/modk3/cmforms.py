@@ -133,8 +133,7 @@ def ap(spec: HeckeCharSpec, p: int) -> int:
             raise VerificationError("the ramified pi^2 is a rational integer",
                                     dict(form=spec.form_id, p=p), "4 | n", n)
         return n // 4
-    if p % 2 == 0 or (spec.level % p == 0):
-        # split primes never divide the level for these four specs
+    if spec.level % p == 0:
         raise BadPrimeError(f"p={p} is bad for level {spec.level}")
     return _normalized_generator(spec, p).trace_of_square()
 

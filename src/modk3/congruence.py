@@ -32,11 +32,6 @@ def _mul(x: Mat, y: Mat, N: int) -> Mat:
             (c * e + d * g) % N, (c * f + d * h) % N)
 
 
-def _inv(x: Mat, N: int) -> Mat:
-    a, b, c, d = x  # det = 1
-    return (d % N, -b % N, -c % N, a % N)
-
-
 def _neg(x: Mat, N: int) -> Mat:
     return tuple(-t % N for t in x)
 
@@ -101,11 +96,22 @@ class CongruenceGroupSpec:
 def _members(spec: CongruenceGroupSpec) -> frozenset:
     N = spec.modulus
     H = frozenset(g for g in sl2_elements(N) if spec.predicate(g))
-    # exhaustive closure check: H must be a subgroup
-    if any(_inv(x, N) not in H for x in H):
-        raise ClosureViolationError(f"{spec.name}: not inverse-closed")
-    if any(_mul(x, y, N) not in H for x in H for y in H):
-        raise ClosureViolationError(f"{spec.name}: not product-closed")
+    # H is a subgroup iff H = <S>, S taken greedily from H, grown from Id
+    group, gens, todo = {(1 % N, 0, 0, 1 % N)}, [], []
+    for h in H:
+        if h not in group:
+            gens.append(h)
+            todo += [(x, [h]) for x in group]
+        while todo:
+            x, by = todo.pop()
+            for y in (_mul(x, g, N) for g in by):
+                if y not in H:
+                    raise ClosureViolationError(f"{spec.name}: not closed")
+                if y not in group:
+                    group.add(y)
+                    todo.append((y, gens))
+    if group != H:
+        raise ClosureViolationError(f"{spec.name}: not a subgroup")
     return H
 
 

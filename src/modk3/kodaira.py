@@ -1,37 +1,38 @@
 """Singular-fiber analysis of the elliptic families over F_p (p >= 5).
 
-For each family the t-line is covered by two affine charts (t and s = 1/t);
-the coefficients are cleared to integer polynomials by an admissible
-(x, y) -> (u^2 x, u^3 y) change, and (c4, c6, Delta) are computed once over
-Z[t] with sympy.  Per prime everything is a plain integer coefficient list
-mod p (sympy's ``galoistools`` list API, no ``Poly``): Delta is factored over
-F_p[t], and at each place, a monic polynomial, one synthetic-division loop,
-``_divide_out``, gives both the valuations of c4 and c6 (and of Delta at
-s = 0) that classify the fiber and the quotients whose values at a
-rational root are the minimal (c4, c6).
-The same pass records the minimal (c4, c6) at every rational place and the
-t-chart (c4, c6) mod p: all that the fiberwise point count in ``counting``
-needs.
-The Euler-number audit sum(v(Delta_min) * deg) = 24 (resp. 12) pins the scan
-against the expected fiber configuration.
+``integral_model`` clears each chart, t or s = 1/t (a_i(1/s) reverses the
+numerator and denominator of a_i(t)), to Z[var] by an admissible
+(x, y) -> (u^2 x, u^3 y), u the lcm of the denominators, and classifies its
+places over Q once per family (Tate in residue characteristic >= 5): each
+Q-irreducible factor g of Delta on the t-chart, s on the s-chart, with its
+Kodaira type, k shifts by (4, 6, 12) and c4 / g^(4k), c6 / g^(6k) over Z.
+A prime >= 5 dividing lc(g), disc(g) or the resultant of g with the part of
+c4, c6 or Delta prime to g must be bad; at every other p the factors stay
+squarefree, coprime and of the same valuations mod p.  Per prime, ``scan``
+only finds their roots, the minimal (c4, c6) there by Horner and split or
+non-split from the Legendre symbol of -c6.  The Euler audit
+sum(v(Delta_min) * deg) = 24 (resp. 12) pins the expected configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import sympy
-from sympy import Poly, Rational, cancel, fraction, together
+from sympy.polys.densearith import dup_div, dup_exquo, dup_pow
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import (gf_eval, gf_factor, gf_from_int_poly,
-                                     gf_to_int_poly)
+from sympy.polys.euclidtools import dup_discriminant, dup_resultant
+from sympy.polys.factortools import dup_factor_list
+from sympy.polys.fields import field as fraction_field
+from sympy.polys.galoistools import (gf_diff, gf_eval, gf_factor_sqf,
+                                     gf_from_int_poly, gf_to_int_poly)
 
 from .arith import VerificationError, is_prime, legendre_symbol
 from .families import (WeierstrassFamily, preset, t,
                        weierstrass_invariants)
 
-_A_WEIGHTS = (1, 2, 3, 4, 6)
+_FIELDS = {"zero": fraction_field(t, ZZ)[0], "inf": fraction_field("s", ZZ)[0]}
 
 
 class BadReductionError(ValueError):
@@ -47,37 +48,58 @@ class IntegralModel:
     chart: str
     #: (c4, c6, Delta) over Z[var] as integer coefficient tuples, leading first
     invariants: tuple
+    #: (factor, label, euler, k, c4 / factor^(4k), c6 / factor^(6k)) over Z
+    #: at each Q-irreducible factor of Delta (t-chart) or at s (s-chart)
+    places: tuple
+
+
+def _valuation(f: list, g: list) -> tuple:
+    """(v, f / g^v), g^v the largest power dividing f over Z; 10^9 if f = 0."""
+    v = 0
+    while f:
+        q, r = dup_div(f, g, ZZ)
+        if r:
+            return v, f
+        f, v = q, v + 1
+    return 10 ** 9, f
 
 
 @lru_cache(maxsize=None)
 def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralModel:
-    if chart == "zero":
-        var, exprs = t, family.a_invariants
-    elif chart == "inf":
-        var = sympy.symbols("s")
-        exprs = tuple(cancel(a.subs(t, 1 / var)) for a in family.a_invariants)
-    else:
+    if chart not in _FIELDS:
         raise ValueError(f"unknown chart {chart!r}")
-    dens = [fraction(together(cancel(e)))[1] for e in exprs]
-    u = Poly(1, var)
-    for d in dens:
-        u = u.lcm(Poly(d, var))
-    u = u.as_expr()
-    a_polys = [sympy.expand(cancel(e * u ** w))
-               for e, w in zip(exprs, _A_WEIGHTS)]
-    # clear the remaining constant denominators with a second, constant u
-    c = int(sympy.ilcm(1, *(Rational(x).q for ap in a_polys
-                            for x in Poly(ap, var).all_coeffs())))
-    a_polys = [sympy.expand(ap * c ** w) for ap, w in zip(a_polys, _A_WEIGHTS)]
-    polys = [Poly(ap, var) for ap in a_polys]
-    denominators = {Rational(x).q for ap in polys for x in ap.all_coeffs()}
-    if denominators != {1}:
-        raise VerificationError("the integral model has integer coefficients",
-                                dict(family=family.name, chart=chart),
-                                {1}, denominators)
-    invariants = tuple(tuple(int(x) for x in f.all_coeffs())
-                       for f in weierstrass_invariants(*polys)[4:])
-    return IntegralModel(var, tuple(a_polys), chart, invariants)
+    K = _FIELDS[chart]
+    fractions = [_FIELDS["zero"].from_expr(a) for a in family.a_invariants]
+    if chart == "inf":
+        s, rev = K.ring.gens[0], lambda f: K.ring.from_list(f.to_dense()[::-1])
+        fractions = [K.new(rev(a.numer) * s ** max(a.denom.degree(), 0),
+                           rev(a.denom) * s ** max(a.numer.degree(), 0))
+                     for a in fractions]
+    u = reduce(lambda x, y: x.lcm(y), (a.denom for a in fractions))
+    polys = [a.numer * (u ** w).exquo(a.denom)
+             for a, w in zip(fractions, (1, 2, 3, 4, 6))]
+    c4, c6, disc = (f.to_dense() for f in weierstrass_invariants(*polys)[4:])
+    factors = ([g for g, _ in dup_factor_list(disc, ZZ)[1]]
+               if chart == "zero" else [[1, 0]])
+    places, exceptional = [], set()
+    for g in factors:
+        (v4, h4), (v6, h6), (vd, hd) = (_valuation(f, g)
+                                        for f in (c4, c6, disc))
+        label, euler, k = _classify(v4, v6, vd)
+        places.append((tuple(g), label, euler, k, *(
+            tuple(dup_exquo(f, dup_pow(g, w * k, ZZ), ZZ))
+            for f, w in ((c4, 4), (c6, 6)))))
+        for n in [g[0], dup_discriminant(g, ZZ)] + [
+                dup_resultant(g, h, ZZ) for h in (h4, h6, hd) if h]:
+            exceptional.update(sympy.primefactors(n))
+    if exceptional - family.bad_primes:
+        raise VerificationError(
+            "the places of Delta over Q reduce at every good prime",
+            dict(family=family.name, chart=chart), sorted(family.bad_primes),
+            sorted(exceptional - family.bad_primes))
+    return IntegralModel(K.symbols[0], tuple(f.as_expr() for f in polys),
+                         chart, tuple(tuple(f) for f in (c4, c6, disc)),
+                         tuple(places))
 
 
 def _classify(v4: int, v6: int, vd: int):
@@ -131,83 +153,54 @@ def _tau(label: str, split, degree: int) -> int:
     return 1 if n % 2 == 0 else 0
 
 
-def _divide_out(f: list, pi: list, p: int) -> tuple:
-    """(v, f / pi^v) over F_p for the largest v with pi^v | f, on coefficient
-    lists (leading first) and a monic pi, by synthetic division; v = 10^9,
-    above every shift, for f = 0."""
-    if len(pi) < 2 or pi[0] != 1:
-        raise VerificationError("every place is monic of positive degree",
-                                dict(p=p, place=pi), "[1, ...]", pi)
-    if not f:
-        return 10 ** 9, f
-    d, v = len(pi) - 1, 0
-    while len(f) > d:
-        q = list(f)
-        for i in range(len(f) - d):
-            for j in range(1, d + 1):
-                q[i + j] = (q[i + j] - q[i] * pi[j]) % p
-        if any(q[len(f) - d:]):
-            break
-        f, v = q[:len(f) - d], v + 1
-    return v, f
-
-
-def _place_name(coeffs: list, var) -> str:
+def _place_name(coeffs: list, var: str) -> str:
     """The monic polynomial with these symmetric coefficients as sympy
     prints it, e.g. "t**2 - 3*t + 1"."""
     out, n = "", len(coeffs) - 1
     for i, c in enumerate(coeffs):
         if c:
             d, a = n - i, abs(c)
-            mono = str(var) if d == 1 else f"{var}**{d}"
+            mono = var if d == 1 else f"{var}**{d}"
             term = str(a) if d == 0 else mono if a == 1 else f"{a}*{mono}"
             out += (" - " if c < 0 else " + ") + term
     return out[3:]
 
 
 def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
-    """Factor Delta over F_p on one chart and classify its places: every
-    zero of Delta on the t-chart, s = 0 on the s-chart.
-
-    Returns the bad fibers, the minimal (c4, c6) at each rational place
-    (keyed by the root; "inf" for s = 0) and the model's (c4, c6)
-    coefficients mod p.
-    """
+    """The bad fibers of one chart over F_p, ordered by the symmetric
+    coefficients of their monic factors, and the minimal (c4, c6) at each
+    rational zero of Delta (keyed by the root; "inf" for s = 0)."""
     model = integral_model(family, chart)
-    c4, c6, disc = (gf_from_int_poly(list(f), p) for f in model.invariants)
-    if not disc:
-        raise BadReductionError("identically vanishing invariant")
-    if chart == "zero":
-        # ordered and named by the symmetric coefficients of the monic factor
-        factors = sorted(gf_factor(disc, p, ZZ)[1],
-                         key=lambda f: (len(f[0]), gf_to_int_poly(f[0], p)))
-        places = [(_place_name(gf_to_int_poly(pi, p), model.var), pi, vd)
-                  for pi, vd in factors]
-    else:
-        places = [("inf", [1, 0], _divide_out(disc, [1, 0], p)[0])]
-    fibers, minimal = [], {}
-    for name, pi, vd in places:
-        (v4, q4), (v6, q6) = _divide_out(c4, pi, p), _divide_out(c6, pi, p)
-        label, vdm, k = _classify(v4, v6, vd)
-        degree, split = len(pi) - 1, None
-        if degree == 1:
-            # f / pi^(4k) at the root is 0 unless pi divides f exactly 4k times
-            root = -pi[1] % p
-            c4_val = gf_eval(q4, root, p, ZZ) if v4 == 4 * k else 0
-            c6_val = gf_eval(q6, root, p, ZZ) if v6 == 6 * k else 0
-            minimal[root if chart == "zero" else "inf"] = c4_val, c6_val
-            if label.startswith("I") and not label.endswith("*"):
-                # I_n is split iff -c6 is a square at the place; c6 is a
-                # unit there once the model is minimalized
-                if c6_val == 0:
-                    raise VerificationError(
-                        "minimal c6 is a unit at a multiplicative place",
-                        dict(family=family.name, p=p, place=name), "c6 != 0", 0)
-                split = legendre_symbol(-c6_val % p, p) == 1
-        if label != "good":
-            fibers.append(FiberReport(name, degree, label, vdm, split,
-                                      _tau(label, split, degree)))
-    return fibers, minimal, (tuple(c4), tuple(c6))
+    var, fibers, minimal = str(model.var), [], {}
+    for factor, label, euler, k, q4, q6 in model.places:
+        g = gf_from_int_poly(list(factor), p)
+        # g is squarefree mod p: its discriminant is a unit
+        monic = ([[1, g[1] * pow(g[0], -1, p) % p]] if len(g) == 2
+                 else gf_factor_sqf(g, p, ZZ)[1])
+        for pi in monic:
+            coeffs, degree, split = gf_to_int_poly(pi, p), len(pi) - 1, None
+            name = _place_name(coeffs, var) if chart == "zero" else "inf"
+            if degree == 1:
+                # the minimal model divides by pi^k: (g / pi)(root) = g'(root)
+                root = -pi[1] % p
+                w = pow(gf_eval(gf_diff(g, p, ZZ), root, p, ZZ), k, p)
+                c4, c6 = (gf_eval(q, root, p, ZZ) * w ** e % p
+                          for q, e in ((q4, 4), (q6, 6)))
+                minimal[root if chart == "zero" else "inf"] = c4, c6
+                if label.startswith("I") and not label.endswith("*"):
+                    # I_n is split iff -c6 is a square at the place; c6 is
+                    # a unit there once the model is minimalized
+                    if c6 == 0:
+                        raise VerificationError(
+                            "minimal c6 is a unit at a multiplicative place",
+                            dict(family=family.name, p=p, place=name),
+                            "c6 != 0", 0)
+                    split = legendre_symbol(-c6 % p, p) == 1
+            if label != "good":
+                fibers.append(((degree, coeffs), FiberReport(
+                    name, degree, label, euler, split,
+                    _tau(label, split, degree))))
+    return [f for _, f in sorted(fibers, key=lambda x: x[0])], minimal
 
 
 @dataclass(frozen=True)
@@ -255,10 +248,12 @@ def scan(family: WeierstrassFamily, p: int) -> ScanReport:
         raise BadReductionError(f"need a prime p >= 5, got {p}")
     if p in family.bad_primes:
         raise BadReductionError(f"p={p} is a bad prime for {family.name}")
-    fibers, minimal, c4_c6 = _classify_chart(family, p, "zero")
-    fibers_inf, minimal_inf, _ = _classify_chart(family, p, "inf")
+    fibers, minimal = _classify_chart(family, p, "zero")
+    fibers_inf, minimal_inf = _classify_chart(family, p, "inf")
     fibers += fibers_inf
     total = sum(f.euler * f.degree for f in fibers)
+    c4_c6 = tuple(tuple(gf_from_int_poly(list(f), p))
+                  for f in integral_model(family, "zero").invariants[:2])
     return ScanReport(family.name, p, tuple(fibers), total,
                       expected_euler(family), c4_c6,
                       {**minimal, **minimal_inf})

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from modk3 import cli, counting, lfunctions
+from modk3 import cli, congruence, counting, lfunctions
 from modk3.cli import build_parser, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +53,14 @@ def test_forms_qexp(capsys):
 def test_forms_ap(capsys):
     assert run(["forms", "ap", "--form", "h7", "--p", "7"]) == 0
     assert records(capsys) == [{"form": "h7", "p": 7, "ap": 2}]
+
+
+def test_forms_ap_even_split_prime(capsys):
+    assert run(["forms", "ap", "--form", "h3", "--pmin", "1",
+                "--pmax", "30"]) == 0
+    recs = records(capsys)
+    assert recs[0] == {"form": "h3", "p": 2, "ap": -3}
+    assert [r["p"] for r in recs] == [2, 3, 5, 11, 13, 17, 19, 23, 29]
 
 
 def test_surface_scan_alias(capsys):
@@ -193,6 +201,18 @@ def test_usage_errors_exit_2(capsys):
         assert captured.out == "", argv
         assert captured.err.startswith("no good prime of "), argv
         assert window in captured.err, argv
+
+
+def test_verify_all_refuses_past_the_ceiling_before_any_work(capsys,
+                                                            monkeypatch):
+    def no_work(k):
+        raise AssertionError("group_report ran before the refusal")
+    monkeypatch.setattr(congruence, "group_report", no_work)
+    monkeypatch.setattr(cli, "group_report", no_work)
+    assert run(["verify", "all", "--pmax", "2300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refusing p > 2200 without --force\n"
 
 
 def test_internal_errors_exit_1(capsys):

@@ -8,7 +8,8 @@ from modk3.arith import (InvalidPrimeError, VerificationError,
                          is_fundamental_discriminant, is_prime,
                          kronecker_character, primes_up_to)
 from modk3.cmforms import (BadPrimeError, HECKE_SPECS, HeckeCharSpec,
-                           LocalFactor, ap, coefficient_sequence,
+                           LocalFactor, _eta_coefficients, ap,
+                           coefficient_sequence,
                            normalized_generator, splitting,
                            verify_against_eta, weight3_factor)
 from modk3.qseries import GRID, form_series
@@ -51,6 +52,16 @@ def test_ramified_primes():
     # the odd ramified primes carry the coefficient of a rational square
     assert ap(HECKE_SPECS["h7"], 3) == -3
     assert ap(HECKE_SPECS["h3"], 7) == -7
+    with pytest.raises(BadPrimeError):
+        ap(HECKE_SPECS["h8"], 2)
+
+
+def test_even_split_prime():
+    # 2 splits in Q(sqrt(-7)) and does not divide the level 7 of h3; the
+    # ramified (h4, h8) and inert (h7) branches at 2 are unchanged
+    assert ap(HECKE_SPECS["h3"], 2) == _eta_coefficients("h3", 2)[1] == -3
+    assert ap(HECKE_SPECS["h4"], 2) == -2
+    assert ap(HECKE_SPECS["h7"], 2) == 0
     with pytest.raises(BadPrimeError):
         ap(HECKE_SPECS["h8"], 2)
 

@@ -3,12 +3,17 @@ import pytest
 from modk3 import congruence
 from modk3.arith import VerificationError
 from modk3.congruence import (ClosureViolationError, CongruenceGroupSpec,
-                              PRESET_CUSP_WIDTHS, _inv, _mul,
+                              PRESET_CUSP_WIDTHS, _mul,
                               cusps_and_widths, elliptic_counts, genus,
                               group_report, has_trace_minus_two,
                               index_in_modular_group, is_torsion_free,
                               preset_group, preset_lift, psl2z, sl2_elements,
                               trace_minus_two_classes)
+
+
+def _inv(x, N):
+    a, b, c, d = x  # det = 1
+    return (d % N, -b % N, -c % N, a % N)
 
 
 def sl2_order(N):
@@ -44,10 +49,14 @@ def test_full_group_baseline():
 
 
 def test_closure_violation_detected():
-    bad = CongruenceGroupSpec("broken", 8,
-                              lambda m: m[1] % 8 in (0, 1, 3))
-    with pytest.raises(ClosureViolationError):
-        bad.members()
+    # not inverse-closed; inverse-closed but not product-closed
+    # ((1, 1; 0, 1)^2 has b = 2); without the identity
+    for predicate in (lambda m: m[1] % 8 in (0, 1, 3),
+                      lambda m: m[1] % 8 in (0, 1, 7),
+                      lambda m: m[0] == 3):
+        bad = CongruenceGroupSpec("broken", 8, predicate)
+        with pytest.raises(ClosureViolationError):
+            bad.members()
 
 
 def test_all_presets_match_reference_rows():

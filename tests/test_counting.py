@@ -71,12 +71,14 @@ def test_k3_count_report_invariant():
 
 def test_count_report_identity_survives_python_O():
     # a forged report, a tensor quartic checked against a forged
-    # root-product expansion, a local factor with constant term 2 and a
-    # coset count in a forged ambient group raise even where assert
+    # root-product expansion, a local factor with constant term 2, a
+    # coset count in a forged ambient group and a family whose places
+    # collide at a prime it does not declare bad raise even where assert
     # statements are stripped; one interpreter, since sympy imports slowly
     # under -O
     code = ("import itertools, sys\n"
-            "from modk3 import congruence, lfunctions\n"
+            "from modk3 import congruence, kodaira, lfunctions\n"
+            "from modk3.families import WeierstrassFamily, t\n"
             "from modk3.arith import VerificationError\n"
             "from modk3.cmforms import LocalFactor\n"
             "from modk3.counting import CountReport\n"
@@ -93,8 +95,13 @@ def test_count_report_identity_survives_python_O():
             "        if (m[0] * m[3] - m[1] * m[2]) % 3]\n"
             "    congruence.index_in_modular_group(congruence.CongruenceGroupSpec(\n"
             "        'forged', 3, lambda m: m == (1, 0, 0, 1)))\n"
+            "def forged_places():\n"
+            "    # y^2 = x(x - 1)(x - t(t - 5)): roots 0 and 5 meet mod 5\n"
+            "    lam = t * (t - 5)\n"
+            "    kodaira.integral_model(WeierstrassFamily(\n"
+            "        'forged', (0, -(1 + lam), 0, lam, 0), ()), 'zero')\n"
             "for forgery in (forged_report, forged_quartic, forged_factor,\n"
-            "                forged_cosets):\n"
+            "                forged_cosets, forged_places):\n"
             "    try:\n"
             "        forgery()\n"
             "    except VerificationError as exc:\n"
@@ -109,7 +116,8 @@ def test_count_report_identity_survives_python_O():
         "total = 1 + p^2 + p * ns_trace_used + B",
         "tensor quartic = Kronecker root product",
         "a local factor has constant term 1",
-        "|SL2(Z/N)| = |H| [SL2 : H]"]
+        "|SL2(Z/N)| = |H| [SL2 : H]",
+        "the places of Delta over Q reduce at every good prime"]
 
 
 def test_k3_traces_match_forms_small_primes():

@@ -2,15 +2,15 @@ import random
 
 import pytest
 import sympy
-from sympy import Poly
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_from_int_poly
+from sympy import Poly, Rational, cancel, fraction, together
+from sympy.polys.galoistools import gf_from_int_poly
 
 from modk3.arith import VerificationError, legendre_symbol
 from modk3.counting import good_primes
-from modk3.families import FAMILY_NAMES, preset, weierstrass_invariants
+from modk3.families import (FAMILY_NAMES, WeierstrassFamily, preset, t,
+                            weierstrass_invariants)
 from modk3.kodaira import (BadReductionError, FiberReport, _classify,
-                           _divide_out, _tau, config_vs_expected,
+                           _tau, config_vs_expected,
                            expected_euler, fiber_euler, integral_model,
                            eigenspace_counts, ns_report, scan)
 
@@ -72,8 +72,7 @@ def test_integral_models_have_integer_coefficients():
 
 def test_reduced_invariants_match_per_prime_computation():
     # the invariants over Z[t], reduced mod p, against b/c/Delta computed
-    # from the a-polynomials reduced mod p; and the multiplicities that
-    # gf_factor returns against repeated division
+    # from the a-polynomials reduced mod p
     for name in FAMILY_NAMES:
         fam = preset(name)
         primes = good_primes(fam, 5, 499)
@@ -87,28 +86,61 @@ def test_reduced_invariants_match_per_prime_computation():
                 per_prime = [gf_from_int_poly([int(c) for c in f.all_coeffs()], p)
                              for f in weierstrass_invariants(*a_polys)[4:]]
                 assert reduced == per_prime, (name, p, chart)
-                if chart == "zero":
-                    disc = reduced[2]
-                    for pi, e in gf_factor(disc, p, ZZ)[1]:
-                        assert e == _divide_out(disc, pi, p)[0], (name, p, pi)
 
 
-def test_divide_out():
-    # (t - 1)^2 (t + 2) over F_7, and the zero polynomial
-    f = gf_from_int_poly([1, 0, -3, 2], 7)
-    assert _divide_out(f, [1, 6], 7) == (2, [1, 2])
-    assert _divide_out(f, [1, 2], 7) == (1, [1, 5, 1])
-    assert _divide_out(f, [1, 0], 7) == (0, f)
-    assert _divide_out([], [1, 0], 7)[0] > 10 ** 6
-    # (t^2 + 1)^2 (t + 1) over F_13, where t^2 + 1 = (t + 5)(t + 8)
-    g = gf_from_int_poly([1, 1, 2, 2, 1, 1], 13)
-    assert _divide_out(g, [1, 0, 1], 13) == (2, [1, 1])
-    assert _divide_out(g, [1, 5], 13) == (2, [1, 4, 2, 12])
-    assert _divide_out(g, [1, 1, 1], 13) == (0, g)
-    # a place that is not monic is refused, never divided by
-    for pi in ([2, 1], [3, 0, 1], [1]):
-        with pytest.raises(VerificationError):
-            _divide_out(f, pi, 7)
+def _oracle_integral_model(family, chart):
+    """The Expr ``cancel``/``expand`` construction of the integral model:
+    (var, a_polys, invariants)."""
+    if chart == "zero":
+        var, exprs = t, family.a_invariants
+    else:
+        var = sympy.symbols("s")
+        exprs = tuple(cancel(a.subs(t, 1 / var)) for a in family.a_invariants)
+    dens = [fraction(together(cancel(e)))[1] for e in exprs]
+    u = Poly(1, var)
+    for d in dens:
+        u = u.lcm(Poly(d, var))
+    u = u.as_expr()
+    a_polys = [sympy.expand(cancel(e * u ** w))
+               for e, w in zip(exprs, (1, 2, 3, 4, 6))]
+    c = int(sympy.ilcm(1, *(Rational(x).q for ap in a_polys
+                            for x in Poly(ap, var).all_coeffs())))
+    a_polys = [sympy.expand(ap * c ** w)
+               for ap, w in zip(a_polys, (1, 2, 3, 4, 6))]
+    invariants = tuple(tuple(int(x) for x in f.all_coeffs())
+                       for f in weierstrass_invariants(
+                           *(Poly(ap, var) for ap in a_polys))[4:])
+    return var, tuple(a_polys), invariants
+
+
+def test_integral_model_matches_expr_construction():
+    for name in FAMILY_NAMES:
+        fam = preset(name)
+        for chart in ("zero", "inf"):
+            model = integral_model(fam, chart)
+            var, a_polys, invariants = _oracle_integral_model(fam, chart)
+            assert model.var == var, (name, chart)
+            assert model.a_polys == a_polys, (name, chart)
+            assert model.invariants == invariants, (name, chart)
+
+
+def _legendre(lam, level_primes=frozenset()):
+    """y^2 = x (x - 1) (x - lam)."""
+    ai = (0, -(1 + lam), 0, lam, 0)
+    return WeierstrassFamily(f"legendre({lam})",
+                             tuple(sympy.sympify(a) for a in ai),
+                             ("I2",) * 6, level_primes=level_primes)
+
+
+def test_exceptional_prime_outside_the_bad_primes_raises():
+    # 5t - 1 loses its leading coefficient mod 5; the roots 0 and 5 of
+    # t (t - 5) meet mod 5
+    for fam in (_legendre(5 * t), _legendre(t * (t - 5))):
+        with pytest.raises(VerificationError) as exc:
+            integral_model(fam, "zero")
+        assert 5 in exc.value.observed, fam.name
+    # the first is accepted once 5 is a level prime
+    assert integral_model(_legendre(5 * t, frozenset({5})), "zero").places
 
 
 # ---- the sympy Poly(modulus=p) classification, kept as the oracle ----------
@@ -196,12 +228,40 @@ def test_scan_matches_sympy_oracle():
             _assert_scan_matches_oracle(fam, p)
 
 
+def test_scan_matches_sympy_oracle_at_non_minimal_places():
+    # g4 in the model rescaled by u = (2t + 1)(t^2 + t + 1): good places
+    # with k = 1 at a non-monic linear and at a quadratic factor, where the
+    # minimal values carry g'(root)^(4k) and g'(root)^(6k); the primes
+    # where u meets the other places over Q are declared bad.  The t-chart
+    # only: the oracle's s-chart takes over a second per prime here
+    fam = preset("g4_legendre")
+    u = (2 * t + 1) * (t ** 2 + t + 1)
+    rescaled = WeierstrassFamily(
+        "g4_rescaled", tuple(a * u ** w for a, w in
+                             zip(fam.a_invariants, (1, 2, 3, 4, 6))),
+        fam.expected_config, level_primes=frozenset({2, 5, 7, 13, 17, 37, 41}))
+    for p in good_primes(rescaled, 5, 100):
+        fibers, minimal, _ = _oracle_classify_chart(rescaled, p, "zero")
+        rep = scan(rescaled, p)
+        assert tuple(f for f in rep.fibers
+                     if f.place != "inf") == tuple(fibers), p
+        assert {r: v for r, v in rep.minimal_values.items()
+                if r != "inf"} == minimal, p
+        assert rep.fibers == scan(fam, p).fibers, p
+
+
 @pytest.mark.slow
 def test_scan_matches_sympy_oracle_to_2200():
     for name in FAMILY_NAMES:
         fam = preset(name)
         for p in good_primes(fam, 5, 2200):
             _assert_scan_matches_oracle(fam, p)
+
+
+@pytest.mark.slow
+def test_scan_matches_sympy_oracle_at_100003():
+    for name in FAMILY_NAMES:
+        _assert_scan_matches_oracle(preset(name), 100003)
 
 
 def test_all_configurations_match_and_are_prime_independent():
