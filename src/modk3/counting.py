@@ -8,10 +8,18 @@ weight-3 coefficient data must reproduce up to an explicit quadratic
 twist fitted once per command.  The threefold traces use B(p) itself and
 need no twist.
 
-Every point count, of one curve or of all p + 1 fibres, is one numpy kernel
-over y^2 = x^3 + A x + B: blocks of BLOCK_CELLS // p fibres, each one int64
-array of A x + x^3 + B mod p over x in F_p, looked up in an int8 Legendre
-table.  Intermediates stay below p^2 + 2p: exact for p < 2^31, refused above.
+A surface count at p >= 17 takes each fibre's trace a from the Hasse
+invariant: a = H mod p, H the coefficient of x^(p-1) in
+(x^3 + A x + B)^((p-1)/2), singular fibre or not (Silverman, AEC V.4), and
+2 sqrt(p) < p / 2 makes the lift of H to (-p/2, p/2) exact.  Scaling by
+A/B gives H(A, B) = chi(AB) H(c, c) with c = A^3 / B^2, so one table of
+H(c, c) over c in F_p, built once per prime by Horner, serves every fibre
+of every family; A = 0 and B = 0 are single monomials.  Every lifted trace
+must satisfy the Weil bound a^2 <= 4p.  A single curve, and every fibre at
+p < 17, is counted by one numpy kernel over y^2 = x^3 + A x + B: blocks of
+BLOCK_CELLS // p fibres, each one int64 array of A x + x^3 + B mod p over
+x in F_p, looked up in an int8 Legendre table.  Intermediates stay below
+p^2 + 2p: exact for p < 2^31, refused above.
 """
 
 from __future__ import annotations
@@ -57,17 +65,24 @@ class CountReport:
                                     asdict(self), expected, self.total)
 
 
-def _short_model_points(c4, c6, p: int) -> int:
-    """Projective F_p points of y^2 = x^3 - 27 c4 x - 54 c6, summed over
-    the fibres whose invariants mod p fill the arrays c4 and c6."""
+def _legendre_table(p: int):
+    """chi[v] = (v / p) for v in F_p as an int8 array; p < 2^31."""
     if p >= 1 << 31:
         raise InvalidPrimeError(
             f"p={p} >= 2^31 would overflow the int64 fibre sum")
     x = np.arange(p, dtype=np.int64)
-    cube = x * x % p * x % p
     chi = np.full(p, -1, dtype=np.int8)
     chi[x * x % p] = 1
     chi[0] = 0
+    return chi
+
+
+def _short_model_points(c4, c6, p: int) -> int:
+    """Projective F_p points of y^2 = x^3 - 27 c4 x - 54 c6, summed over
+    the fibres whose invariants mod p fill the arrays c4 and c6."""
+    chi = _legendre_table(p)
+    x = np.arange(p, dtype=np.int64)
+    cube = x * x % p * x % p
     a = (-27 * np.asarray(c4, dtype=np.int64) % p)[:, None]
     b = (-54 * np.asarray(c6, dtype=np.int64) % p)[:, None]
     step = max(1, BLOCK_CELLS // p)
@@ -80,6 +95,79 @@ def _short_model_points(c4, c6, p: int) -> int:
         values %= p
         total += int(chi[values].sum(dtype=np.int64))
     return total
+
+
+def _power(base, e: int, p: int):
+    """base^e mod p elementwise over an int64 array of residues."""
+    result = np.ones_like(base)
+    while e:
+        if e & 1:
+            result = result * base % p
+        base = base * base % p
+        e >>= 1
+    return result
+
+
+#: room for the 21 primes 17 <= p <= 97 that every twist fit counts
+@lru_cache(maxsize=32)
+def _hasse_table(p: int) -> tuple:
+    """(chi, g, (M_B, e_B), (M_A, e_A)) at p, m = (p - 1) / 2: the Legendre
+    table, g[c] = H(c, c) over c in F_p, H(0, B) = M_B B^e_B and
+    H(A, 0) = M_A A^e_A (M = 0 where 3 resp. 2 does not divide m).
+    H(A, B) = sum over i of m! / (i! j! k!) A^j B^k, j = 2m - 3i,
+    k = 2i - m: H(c, c) is c^(m - floor(2m/3)) times a polynomial in c with
+    the terms floor(2m/3) >= i >= ceil(m/2)."""
+    chi = _legendre_table(p)
+    m = (p - 1) // 2
+    factorial = 1
+    for n in range(2, m + 1):
+        factorial = factorial * n % p
+    inverse = [pow(factorial, -1, p)] * (m + 1)  # inverse[n] = 1 / n!
+    for n in range(m, 0, -1):
+        inverse[n - 1] = inverse[n] * n % p
+
+    def multinomial(i):
+        return (factorial * inverse[i] * inverse[2 * m - 3 * i]
+                * inverse[2 * i - m] % p)
+
+    c = np.arange(p, dtype=np.int64)
+    g = np.zeros(p, dtype=np.int64)
+    for i in range((m + 1) // 2, 2 * m // 3 + 1):
+        g *= c
+        g += multinomial(i)
+        g %= p
+    g = g * _power(c, m - 2 * m // 3, p) % p
+    b_only = (multinomial(2 * m // 3), m // 3) if m % 3 == 0 else (0, 0)
+    a_only = (multinomial(m // 2), m // 2) if m % 2 == 0 else (0, 0)
+    chi.flags.writeable = g.flags.writeable = False  # shared by the cache
+    return chi, g, b_only, a_only
+
+
+def _hasse_points(c4, c6, p: int) -> int:
+    """_short_model_points for p >= 17, from the lifted traces H of
+    _hasse_table; each must satisfy the Weil bound."""
+    chi, g, (m_b, e_b), (m_a, e_a) = _hasse_table(p)
+    A = -27 * np.asarray(c4, dtype=np.int64) % p
+    B = -54 * np.asarray(c6, dtype=np.int64) % p
+    H = np.zeros_like(A)
+    both = (A != 0) & (B != 0)
+    a, b = A[both], B[both]
+    c = a * a % p * a % p * _power(b, p - 3, p) % p  # A^3 / B^2
+    H[both] = chi[a * b % p] * g[c] % p
+    # with A = B = 0 too: H(0, 0) = M_B 0^e_B = 0, as e_B > 0 or M_B = 0
+    only_b = A == 0
+    H[only_b] = m_b * _power(B[only_b], e_b, p) % p
+    only_a = (B == 0) & (A != 0)
+    H[only_a] = m_a * _power(A[only_a], e_a, p) % p
+    traces = np.where(H > p // 2, H - p, H)
+    squares = traces * traces
+    if squares.max() > 4 * p:
+        worst = int(squares.argmax())
+        raise VerificationError(
+            "a^2 <= 4p for the lifted Hasse invariant of every fibre",
+            dict(p=p, A=int(A[worst]), B=int(B[worst])), 4 * p,
+            int(squares[worst]))
+    return len(A) * (p + 1) - int(traces.sum())
 
 
 def curve_count(curve: WeierstrassCurve) -> int:
@@ -121,7 +209,9 @@ def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
             c4c6[row] = (c4c6[row] * t + c) % p
     for place, values in report.minimal_values.items():
         c4c6[:, p if place == "inf" else place] = values
-    total = _short_model_points(c4c6[0], c4c6[1], p)
+    # the lift of H is exact once 2 sqrt(p) < p / 2
+    points = _hasse_points if p >= 17 else _short_model_points
+    total = points(c4c6[0], c4c6[1], p)
     # extra components of the resolved singular fibers
     total += p * sum(f.tau for f in report.fibers)
     ns = report.ns_trace

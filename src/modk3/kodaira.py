@@ -28,7 +28,7 @@ from sympy.polys.fields import field as fraction_field
 from sympy.polys.galoistools import (gf_diff, gf_eval, gf_factor_sqf,
                                      gf_from_int_poly, gf_to_int_poly)
 
-from .arith import VerificationError, is_prime, legendre_symbol
+from .arith import VerificationError, is_prime, legendre_symbol, sqrt_mod
 from .families import (WeierstrassFamily, preset, t,
                        weierstrass_invariants)
 
@@ -89,8 +89,11 @@ def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralMo
         places.append((tuple(g), label, euler, k, *(
             tuple(dup_exquo(f, dup_pow(g, w * k, ZZ), ZZ))
             for f, w in ((c4, 4), (c6, 6)))))
+        # a collision of c4 or c6 with g mod p changes nothing at a place
+        # that is good after the shifts: only Delta's is asked there
+        rest = (hd,) if label == "good" else (h4, h6, hd)
         for n in [g[0], dup_discriminant(g, ZZ)] + [
-                dup_resultant(g, h, ZZ) for h in (h4, h6, hd) if h]:
+                dup_resultant(g, h, ZZ) for h in rest if h]:
             exceptional.update(sympy.primefactors(n))
     if exceptional - family.bad_primes:
         raise VerificationError(
@@ -175,9 +178,17 @@ def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
     for factor, label, euler, k, q4, q6 in model.places:
         g = gf_from_int_poly(list(factor), p)
         # g is squarefree mod p: its discriminant is a unit
-        monic = ([[1, g[1] * pow(g[0], -1, p) % p]] if len(g) == 2
-                 else gf_factor_sqf(g, p, ZZ)[1])
-        for pi in monic:
+        inverse = pow(g[0], -1, p)
+        monic = [c * inverse % p for c in g]
+        if len(g) == 3 and (r := sqrt_mod(monic[1] ** 2 - 4 * monic[2],
+                                          p)) is not None:
+            # t^2 + b t + c = (t + (b + r)/2)(t + (b - r)/2), r^2 = b^2 - 4c
+            factors = [[1, (monic[1] + s) * (p + 1) // 2 % p] for s in (r, -r)]
+        elif len(g) <= 3:  # linear, or an irreducible quadratic
+            factors = [monic]
+        else:
+            factors = gf_factor_sqf(g, p, ZZ)[1]
+        for pi in factors:
             coeffs, degree, split = gf_to_int_poly(pi, p), len(pi) - 1, None
             name = _place_name(coeffs, var) if chart == "zero" else "inf"
             if degree == 1:

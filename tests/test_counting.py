@@ -72,13 +72,14 @@ def test_k3_count_report_invariant():
 def test_count_report_identity_survives_python_O():
     # a forged report, a tensor quartic checked against a forged
     # root-product expansion, a local factor with constant term 2, a
-    # coset count in a forged ambient group and a family whose places
-    # collide at a prime it does not declare bad raise even where assert
-    # statements are stripped; one interpreter, since sympy imports slowly
-    # under -O
+    # coset count in a forged ambient group, a family whose places
+    # collide at a prime it does not declare bad and a forged Hasse table
+    # raise even where assert statements are stripped; one interpreter,
+    # since sympy imports slowly under -O
     code = ("import itertools, sys\n"
-            "from modk3 import congruence, kodaira, lfunctions\n"
-            "from modk3.families import WeierstrassFamily, t\n"
+            "import numpy as np\n"
+            "from modk3 import congruence, counting, kodaira, lfunctions\n"
+            "from modk3.families import WeierstrassFamily, preset, t\n"
             "from modk3.arith import VerificationError\n"
             "from modk3.cmforms import LocalFactor\n"
             "from modk3.counting import CountReport\n"
@@ -100,8 +101,13 @@ def test_count_report_identity_survives_python_O():
             "    lam = t * (t - 5)\n"
             "    kodaira.integral_model(WeierstrassFamily(\n"
             "        'forged', (0, -(1 + lam), 0, lam, 0), ()), 'zero')\n"
+            "def forged_table():\n"
+            "    chi, g, b_only, a_only = counting._hasse_table(101)\n"
+            "    forged = (chi, g * np.arange(101) % 101, b_only, a_only)\n"
+            "    counting._hasse_table = lambda p: forged\n"
+            "    counting.k3_point_count(preset('g4_legendre'), 101)\n"
             "for forgery in (forged_report, forged_quartic, forged_factor,\n"
-            "                forged_cosets, forged_places):\n"
+            "                forged_cosets, forged_places, forged_table):\n"
             "    try:\n"
             "        forgery()\n"
             "    except VerificationError as exc:\n"
@@ -117,7 +123,8 @@ def test_count_report_identity_survives_python_O():
         "tensor quartic = Kronecker root product",
         "a local factor has constant term 1",
         "|SL2(Z/N)| = |H| [SL2 : H]",
-        "the places of Delta over Q reduce at every good prime"]
+        "the places of Delta over Q reduce at every good prime",
+        "a^2 <= 4p for the lifted Hasse invariant of every fibre"]
 
 
 def test_k3_traces_match_forms_small_primes():

@@ -1,11 +1,14 @@
 """The numpy fibre-sum kernel against the pure-Python point count it
-replaced, which stays here as the oracle."""
+replaced, which stays here as the oracle, and the Hasse-invariant table
+path against the kernel."""
 
 import random
 
+import numpy as np
 import pytest
 
-from modk3.arith import InvalidPrimeError
+from modk3 import counting
+from modk3.arith import InvalidPrimeError, VerificationError, primes_up_to
 from modk3.counting import (count_report, curve_count, good_primes,
                             k3_point_count, twist_fit)
 from modk3.families import FAMILY_NAMES, WeierstrassCurve, preset
@@ -120,10 +123,63 @@ def test_kernel_refuses_primes_that_could_overflow():
         curve_count(WeierstrassCurve(0, 0, 0, -1, 0, p=2 ** 31 + 11))
 
 
+def kernel_total(family, p):
+    """k3_point_count's total with every fibre counted by the kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_hasse_points", counting._short_model_points)
+        return k3_point_count.__wrapped__(family, p).total
+
+
+def test_table_path_vs_kernel():
+    # every family at every good 17 <= p <= 97 and three random good p in
+    # 101-2200
+    rng = random.Random(1017)
+    for name in FAMILY_NAMES:
+        family = preset(name)
+        large = rng.sample(good_primes(family, 101, 2200), 3)
+        for p in good_primes(family, 17, 97) + large:
+            assert (k3_point_count(family, p).total
+                    == kernel_total(family, p)), (name, p)
+
+
+@pytest.mark.parametrize("p", [19, 31, 37, 43, 97, 17, 23, 29, 41, 101])
+def test_monomial_fibres_vs_kernel(p):
+    # y^2 = x^3 + B (A = -27 c4 = 0) and y^2 = x^3 + A x (B = -54 c6 = 0),
+    # one fibre at a time: H(0, B) exists iff p = 1 mod 6 and H(A, 0) iff
+    # p = 1 mod 4; the list has both residues of each
+    for c4, c6 in [(0, v) for v in range(p)] + [(v, 0) for v in range(p)]:
+        assert (counting._hasse_points([c4], [c6], p)
+                == counting._short_model_points([c4], [c6], p)), (c4, c6)
+
+
+def test_forged_table_breaks_the_weil_bound(monkeypatch):
+    # H(c, c) off by one power of c, as a wrong Horner start would give
+    chi, g, b_only, a_only = counting._hasse_table(101)
+    forged = (chi, g * np.arange(101) % 101, b_only, a_only)
+    monkeypatch.setattr(counting, "_hasse_table", lambda p: forged)
+    with pytest.raises(VerificationError):
+        k3_point_count.__wrapped__(preset("g4_legendre"), 101)
+
+
 @pytest.mark.slow
-def test_g4_twist_holds_on_held_out_primes_to_2000():
-    family = preset("g4_legendre")
-    fit = twist_fit(family)  # the good primes p <= 97
-    bad = [p for p in good_primes(family, 101, 2000)
-           if not count_report(family, p, fit).ok]
+def test_table_path_vs_kernel_to_2200():
+    # primes outside, so that the families share each table
+    families = [preset(name) for name in FAMILY_NAMES]
+    for p in primes_up_to(2200):
+        for family in families:
+            if p >= 17 and p not in family.bad_primes:
+                assert (k3_point_count(family, p).total
+                        == kernel_total(family, p)), (family.name, p)
+
+
+@pytest.mark.slow
+def test_k3_twists_hold_on_held_out_primes_to_10000():
+    # each twist fitted on the good p <= 97, checked at every good prime up
+    # to 10^4; primes outside, so that the families share each table
+    families = [preset(name)
+                for name in ("g4_legendre", "g62", "g82", "g8_412")]
+    fits = {family: twist_fit(family) for family in families}
+    bad = [(family.name, p) for p in primes_up_to(10 ** 4)
+           for family in families if p > 97 and p not in family.bad_primes
+           and not count_report(family, p, fits[family]).ok]
     assert bad == []

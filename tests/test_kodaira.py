@@ -250,6 +250,29 @@ def test_scan_matches_sympy_oracle_at_non_minimal_places():
         assert rep.fibers == scan(fam, p).fibers, p
 
 
+def test_good_places_ask_only_the_discriminant_resultant():
+    # g4 rescaled by u = 2t + 1: c4 / u^4 or c6 / u^6 vanishes at the good
+    # place t = -1/2 mod 7, 13, 17, 37 and 41, which changes neither a
+    # label nor a minimal value; Delta's other places meet it only mod 5
+    fam = preset("g4_legendre")
+    u = 2 * t + 1
+    ai = tuple(a * u ** w for a, w in zip(fam.a_invariants, (1, 2, 3, 4, 6)))
+    with pytest.raises(VerificationError) as exc:
+        integral_model(WeierstrassFamily("g4_u", ai, fam.expected_config,
+                                         level_primes=fam.level_primes),
+                       "zero")
+    assert exc.value.observed == [5]
+    rescaled = WeierstrassFamily("g4_u", ai, fam.expected_config,
+                                 level_primes=frozenset({2, 5}))
+    for p in (7, 11, 13, 17, 19, 37, 41):
+        fibers, minimal, _ = _oracle_classify_chart(rescaled, p, "zero")
+        rep = scan(rescaled, p)
+        assert tuple(f for f in rep.fibers
+                     if f.place != "inf") == tuple(fibers), p
+        assert {r: v for r, v in rep.minimal_values.items()
+                if r != "inf"} == minimal, p
+
+
 @pytest.mark.slow
 def test_scan_matches_sympy_oracle_to_2200():
     for name in FAMILY_NAMES:
