@@ -111,9 +111,10 @@ def _power(base, e: int, p: int):
 #: room for the 21 primes 17 <= p <= 97 that every twist fit counts
 @lru_cache(maxsize=32)
 def _hasse_table(p: int) -> tuple:
-    """(chi, g, (M_B, e_B), (M_A, e_A)) at p, m = (p - 1) / 2: the Legendre
-    table, g[c] = H(c, c) over c in F_p, H(0, B) = M_B B^e_B and
-    H(A, 0) = M_A A^e_A (M = 0 where 3 resp. 2 does not divide m).
+    """(chi, g, reciprocal, (M_B, e_B), (M_A, e_A)) at p, m = (p - 1) / 2: the
+    Legendre table, g[c] = H(c, c) over c in F_p, the int32 table of 1 / x
+    (0 at x = 0), H(0, B) = M_B B^e_B and H(A, 0) = M_A A^e_A (M = 0 where
+    3 resp. 2 does not divide m).
     H(A, B) = sum over i of m! / (i! j! k!) A^j B^k, j = 2m - 3i,
     k = 2i - m: H(c, c) is c^(m - floor(2m/3)) times a polynomial in c with
     the terms floor(2m/3) >= i >= ceil(m/2)."""
@@ -137,28 +138,30 @@ def _hasse_table(p: int) -> tuple:
         g += multinomial(i)
         g %= p
     g = g * _power(c, m - 2 * m // 3, p) % p
+    reciprocal = _power(c, p - 2, p).astype(np.int32)
     b_only = (multinomial(2 * m // 3), m // 3) if m % 3 == 0 else (0, 0)
     a_only = (multinomial(m // 2), m // 2) if m % 2 == 0 else (0, 0)
-    chi.flags.writeable = g.flags.writeable = False  # shared by the cache
-    return chi, g, b_only, a_only
+    for table in (chi, g, reciprocal):
+        table.flags.writeable = False  # shared by the cache
+    return chi, g, reciprocal, b_only, a_only
 
 
 def _hasse_points(c4, c6, p: int) -> int:
     """_short_model_points for p >= 17, from the lifted traces H of
     _hasse_table; each must satisfy the Weil bound."""
-    chi, g, (m_b, e_b), (m_a, e_a) = _hasse_table(p)
+    chi, g, reciprocal, (m_b, e_b), (m_a, e_a) = _hasse_table(p)
     A = -27 * np.asarray(c4, dtype=np.int64) % p
     B = -54 * np.asarray(c6, dtype=np.int64) % p
-    H = np.zeros_like(A)
-    both = (A != 0) & (B != 0)
-    a, b = A[both], B[both]
-    c = a * a % p * a % p * _power(b, p - 3, p) % p  # A^3 / B^2
-    H[both] = chi[a * b % p] * g[c] % p
-    # with A = B = 0 too: H(0, 0) = M_B 0^e_B = 0, as e_B > 0 or M_B = 0
-    only_b = A == 0
-    H[only_b] = m_b * _power(B[only_b], e_b, p) % p
-    only_a = (B == 0) & (A != 0)
-    H[only_a] = m_a * _power(A[only_a], e_a, p) % p
+    # 1 / B widened to int64 before any product; chi(AB) = 0 where A or B is 0
+    b_inverse = reciprocal[B].astype(np.int64)
+    c = A * A % p * A % p * b_inverse % p * b_inverse % p  # A^3 / B^2
+    H = chi[A * B % p] * g[c] % p
+    # with A = B = 0 too: H(0, 0) = M_B 0^e_B = 0, as e_B > 0 or M_B = 0;
+    # a polynomial c4 or c6 vanishes at few fibres
+    for i in np.flatnonzero(A == 0):
+        H[i] = m_b * pow(int(B[i]), e_b, p) % p
+    for i in np.flatnonzero((B == 0) & (A != 0)):
+        H[i] = m_a * pow(int(A[i]), e_a, p) % p
     traces = np.where(H > p // 2, H - p, H)
     squares = traces * traces
     if squares.max() > 4 * p:
@@ -277,17 +280,6 @@ def count_report(family: WeierstrassFamily, p: int, fit: tuple) -> CountReport:
     expected = kronecker_character(disc, p) * form_ap(HECKE_SPECS[form_id], p)
     return CountReport(base.family, base.p, base.total, base.ns_trace_used,
                        base.B, form_id, disc, base.B == expected)
-
-
-def kummer_fiber_count(a1: int, a2: int, r2: int, p: int) -> int:
-    """Points of the blown-up quotient of a product abelian surface, in the
-    closed form (p+1)^2 + a1 a2 + p r2 of the quotient average.  The
-    average equals it for all integers, so checking the two against each
-    other verifies nothing; test_kummer_against_twisted_quotient_oracle
-    checks the closed form against a point count of the quotient."""
-    if p % 2 == 0:
-        raise ValueError("p must be odd")
-    return (p + 1) ** 2 + a1 * a2 + p * r2
 
 
 def h3_trace(family: WeierstrassFamily, e_ainvs, p: int) -> int:

@@ -3,14 +3,17 @@
 ``integral_model`` clears each chart, t or s = 1/t (a_i(1/s) reverses the
 numerator and denominator of a_i(t)), to Z[var] by an admissible
 (x, y) -> (u^2 x, u^3 y), u the lcm of the denominators, and classifies its
-places over Q once per family (Tate in residue characteristic >= 5): each
-Q-irreducible factor g of Delta on the t-chart, s on the s-chart, with its
-Kodaira type, k shifts by (4, 6, 12) and c4 / g^(4k), c6 / g^(6k) over Z.
-A prime >= 5 dividing lc(g), disc(g) or the resultant of g with the part of
-c4, c6 or Delta prime to g must be bad; at every other p the factors stay
-squarefree, coprime and of the same valuations mod p.  Per prime, ``scan``
-only finds their roots, the minimal (c4, c6) there by Horner and split or
-non-split from the Legendre symbol of -c6.  The Euler audit
+places over Q once per family (Tate in residue characteristic >= 5) with
+no factoring over Z: gcds split the squarefree part of Delta (s on the
+s-chart) into classes g of equal (v(c4), v(c6), v(Delta)), each with its
+type, k shifts by (4, 6, 12) and c4 / g^(4k), c6 / g^(6k).  A prime >= 5
+dividing lc(g), disc(g) or the resultant of g with the part of c4, c6 or
+Delta prime to g must be bad; at every other p the classes stay squarefree
+and coprime, so each root keeps its class's valuations.  Per prime,
+``scan`` only splits each class into irreducibles mod p (gcds with
+t^p - t and u^((p^d - 1)/2) - 1 for u = t, t + 1, ...: no randomness),
+takes the minimal (c4, c6) at each root by Horner and split or non-split
+from the Legendre symbol of -c6.  The Euler audit
 sum(v(Delta_min) * deg) = 24 (resp. 12) pins the expected configuration.
 """
 
@@ -18,21 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import count, islice
 
-import sympy
-from sympy.polys.densearith import dup_div, dup_exquo, dup_pow
-from sympy.polys.domains import ZZ
-from sympy.polys.euclidtools import dup_discriminant, dup_resultant
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.fields import field as fraction_field
-from sympy.polys.galoistools import (gf_diff, gf_eval, gf_factor_sqf,
-                                     gf_from_int_poly, gf_to_int_poly)
-
-from .arith import VerificationError, is_prime, legendre_symbol, sqrt_mod
-from .families import (WeierstrassFamily, preset, t,
-                       weierstrass_invariants)
-
-_FIELDS = {"zero": fraction_field(t, ZZ)[0], "inf": fraction_field("s", ZZ)[0]}
+from .arith import VerificationError, is_prime, sqrt_mod
+from .families import WeierstrassFamily, preset, weierstrass_invariants
+from .zpoly import ZPoly
 
 
 class BadReductionError(ValueError):
@@ -43,66 +36,92 @@ class BadReductionError(ValueError):
 class IntegralModel:
     """Polynomial Weierstrass model with integer coefficients on one chart."""
 
-    var: sympy.Symbol
+    var: str  # "t" or "s"
+    #: (a1, a2, a3, a4, a6) over Z[var] as ZPoly integer coefficient tuples
     a_polys: tuple
     chart: str
-    #: (c4, c6, Delta) over Z[var] as integer coefficient tuples, leading first
+    #: (c4, c6, Delta) over Z[var] as ZPoly integer coefficient tuples
     invariants: tuple
-    #: (factor, label, euler, k, c4 / factor^(4k), c6 / factor^(6k)) over Z
-    #: at each Q-irreducible factor of Delta (t-chart) or at s (s-chart)
+    #: (g, label, euler, k, c4 / g^(4k), c6 / g^(6k)) over Z for each class g
+    #: of zeros of Delta with equal valuations (t-chart), or g = s (s-chart)
     places: tuple
 
 
-def _valuation(f: list, g: list) -> tuple:
-    """(v, f / g^v), g^v the largest power dividing f over Z; 10^9 if f = 0."""
-    v = 0
-    while f:
-        q, r = dup_div(f, g, ZZ)
-        if r:
-            return v, f
-        f, v = q, v + 1
-    return 10 ** 9, f
+def _valuation_classes(g: ZPoly, f: ZPoly) -> list:
+    """[(h, v)]: the squarefree primitive g split into the nonconstant h
+    whose zeros all have valuation v in f (10^9 for f = 0)."""
+    if not f:
+        return [(g, 10 ** 9)]
+    out, v = [], 0
+    while g.degree > 0:
+        try:
+            higher, f = g, f.exquo(g)  # every zero has valuation > v
+        except ArithmeticError:
+            higher = g.gcd(f)  # the zeros of valuation > v
+            out.append((g.exquo(higher), v))
+            f = f.exquo(higher)
+        g, v = higher, v + 1
+    return out
+
+
+def _primes_outside(n: int, primes) -> set:
+    """The prime factors of n outside ``primes``: none when n is +-1 once
+    they are divided out, else by trial division (a cofactor with no factor
+    below 10^6 is named as it stands)."""
+    for q in primes:
+        while n and n % q == 0:
+            n //= q
+    n, d, out = abs(n), 2, set()
+    while n > 1 and d * d <= n and d < 10 ** 6:
+        if n % d:
+            d += 1
+        else:
+            n, out = n // d, out | {d}
+    return out if n == 1 else out | {n}  # 0 only for a degenerate family
 
 
 @lru_cache(maxsize=None)
 def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralModel:
-    if chart not in _FIELDS:
+    if chart not in ("zero", "inf"):
         raise ValueError(f"unknown chart {chart!r}")
-    K = _FIELDS[chart]
-    fractions = [_FIELDS["zero"].from_expr(a) for a in family.a_invariants]
+    fractions = [(ZPoly(n), ZPoly(d)) for n, d in family.a_invariants]
     if chart == "inf":
-        s, rev = K.ring.gens[0], lambda f: K.ring.from_list(f.to_dense()[::-1])
-        fractions = [K.new(rev(a.numer) * s ** max(a.denom.degree(), 0),
-                           rev(a.denom) * s ** max(a.numer.degree(), 0))
-                     for a in fractions]
-    u = reduce(lambda x, y: x.lcm(y), (a.denom for a in fractions))
-    polys = [a.numer * (u ** w).exquo(a.denom)
-             for a, w in zip(fractions, (1, 2, 3, 4, 6))]
-    c4, c6, disc = (f.to_dense() for f in weierstrass_invariants(*polys)[4:])
-    factors = ([g for g, _ in dup_factor_list(disc, ZZ)[1]]
-               if chart == "zero" else [[1, 0]])
-    places, exceptional = [], set()
-    for g in factors:
-        (v4, h4), (v6, h6), (vd, hd) = (_valuation(f, g)
-                                        for f in (c4, c6, disc))
-        label, euler, k = _classify(v4, v6, vd)
-        places.append((tuple(g), label, euler, k, *(
-            tuple(dup_exquo(f, dup_pow(g, w * k, ZZ), ZZ))
-            for f, w in ((c4, 4), (c6, 6)))))
-        # a collision of c4 or c6 with g mod p changes nothing at a place
-        # that is good after the shifts: only Delta's is asked there
-        rest = (hd,) if label == "good" else (h4, h6, hd)
-        for n in [g[0], dup_discriminant(g, ZZ)] + [
-                dup_resultant(g, h, ZZ) for h in rest if h]:
-            exceptional.update(sympy.primefactors(n))
-    if exceptional - family.bad_primes:
+        # a(1/s) = rev(n) s^deg(d) / (rev(d) s^deg(n)), still in lowest terms
+        # once the common power of s cancels
+        fractions = [(ZPoly(n[::-1] + (0,) * max(d.degree - n.degree, 0)),
+                      ZPoly(d[::-1] + (0,) * max(n.degree - d.degree, 0)))
+                     for n, d in fractions]
+    u = reduce(lambda x, y: (x * y).exquo(x.gcd(y)), (d for _, d in fractions))
+    u = u if u[0] > 0 else -u
+    polys = [n * (u ** w).exquo(d)
+             for (n, d), w in zip(fractions, (1, 2, 3, 4, 6))]
+    c4, c6, disc = weierstrass_invariants(*polys)[4:]
+    if chart == "zero":
+        zeros = disc.exquo(disc.gcd(disc.derivative())).primitive()
+    else:
+        zeros = ZPoly((1, 0))
+    places, numbers = [], []
+    for h, vd in _valuation_classes(zeros, disc):
+        for h4, v4 in _valuation_classes(h, c4):
+            for g, v6 in _valuation_classes(h4, c6):
+                label, euler, k = _classify(v4, v6, vd)
+                places.append((g, label, euler, k, *(
+                    f.exquo(g ** (w * k)) for f, w in ((c4, 4), (c6, 6)))))
+                # a collision of c4 or c6 with g mod p changes nothing at a
+                # place that is good after the shifts: only Delta's is asked
+                rest = ((disc, vd),) if label == "good" else (
+                    (c4, v4), (c6, v6), (disc, vd))
+                numbers += [g[0], g.discriminant()] + [
+                    g.resultant(f.exquo(g ** v)) for f, v in rest if f]
+    exceptional = set().union(*(_primes_outside(n, family.bad_primes)
+                                for n in numbers))
+    if exceptional:
         raise VerificationError(
             "the places of Delta over Q reduce at every good prime",
             dict(family=family.name, chart=chart), sorted(family.bad_primes),
-            sorted(exceptional - family.bad_primes))
-    return IntegralModel(K.symbols[0], tuple(f.as_expr() for f in polys),
-                         chart, tuple(tuple(f) for f in (c4, c6, disc)),
-                         tuple(places))
+            sorted(exceptional))
+    return IntegralModel("t" if chart == "zero" else "s", tuple(polys),
+                         chart, (c4, c6, disc), tuple(places))
 
 
 def _classify(v4: int, v6: int, vd: int):
@@ -169,33 +188,144 @@ def _place_name(coeffs: list, var: str) -> str:
     return out[3:]
 
 
+# ---- polynomials mod p: ZPoly (or lists) with coefficients in [0, p) -----
+
+def _reduce(f, p: int) -> ZPoly:
+    return ZPoly([c % p for c in f])
+
+
+def _horner(f, x: int, p: int) -> int:
+    value = 0
+    for c in f:
+        value = (value * x + c) % p
+    return value
+
+
+def _monic(f: ZPoly, p: int) -> ZPoly:
+    inverse = pow(f[0], -1, p)
+    return ZPoly([c * inverse % p for c in f])
+
+
+def _divmod(f, g, p: int) -> tuple:
+    """(quotient, remainder) of f by the monic g mod p, as lists."""
+    f, k = list(f), max(len(f) - len(g) + 1, 0)
+    tail = [(j, c) for j, c in enumerate(g) if j and c]  # g is often sparse
+    for i in range(k):
+        q = f[i] = f[i] % p
+        if q:
+            for j, c in tail:
+                f[i + j] -= q * c
+    return f[:k], [c % p for c in f[k:]]
+
+
+def _powmod(f, e: int, modulus: ZPoly, p: int) -> ZPoly:
+    """f^e mod the monic modulus, left to right on lists: multiplying by a
+    short f (t or t + a) is cheap."""
+    f, result = _divmod(f, modulus, p)[1], [1]
+
+    def mulmod(a: list, b: list) -> list:
+        product = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    product[j] += x * y
+        return _divmod(product, modulus, p)[1]
+
+    for bit in bin(e)[2:]:
+        result = mulmod(result, result)
+        if bit == "1":
+            result = mulmod(result, f)
+    return ZPoly(result)
+
+
+def _gcd(f, g: ZPoly, p: int) -> ZPoly:
+    """The monic gcd mod p; f != 0, g without leading zeros."""
+    while g:
+        g = _monic(g, p)
+        f, g = g, _divmod(f, g, p)[1]
+        g = g[next((i for i, c in enumerate(g) if c), len(g)):]
+    return _monic(f, p)
+
+
+def _equal_degree(f: ZPoly, d: int, p: int, start: int = 0) -> list:
+    """The factors of f, a product of distinct monic irreducibles of degree
+    d mod p, split off by gcds with u^((p^d - 1)/2) - 1 for the monic
+    u = t, t + 1, ..., t + p - 1, t^2, t^2 + 1, ... in turn from ``start``."""
+    e = (p ** d - 1) // 2
+    candidates = islice((ZPoly([1, *(n // p ** i % p
+                                     for i in range(k - 1, -1, -1))])
+                         for k in count(1) for n in range(p ** k)), start, None)
+    done, todo = ([f], []) if f.degree == d else ([], [f])
+    while todo:
+        u, pieces, todo = next(candidates), todo, []
+        if u.degree >= f.degree or any(g.degree % d for g in pieces):
+            # some monic u of lower degree splits any two factors of degree d
+            raise VerificationError("f is a product of irreducibles of degree d",
+                                    dict(p=p, d=d, f=f), "a split", pieces)
+        for g in pieces:
+            h = _gcd(g, _reduce(_powmod(u, e, g, p) - 1, p), p)
+            for q in ([h, ZPoly(_divmod(g, h, p)[0])]
+                      if 0 < h.degree < g.degree else [g]):
+                if d == 1 and q.degree == 2:  # two roots: one square root
+                    done += _irreducible_factors(q, p)
+                else:
+                    (done if q.degree == d else todo).append(q)
+    return done
+
+
+def _irreducible_factors(g: ZPoly, p: int) -> list:
+    """The monic irreducible factors of the squarefree g mod p, by degree
+    and then coefficients (the order of sympy's gf_factor_sqf)."""
+    f = _monic(g, p)
+    if f.degree < 2:
+        return [f]
+    if f.degree == 2:
+        # t^2 + b t + c = (t + (b + r)/2)(t + (b - r)/2), r^2 = b^2 - 4c
+        disc = (f[1] ** 2 - 4 * f[2]) % p
+        if pow(disc, (p - 1) // 2, p) != 1:  # Euler: irreducible
+            return [f]
+        r = pow(disc, (p + 1) // 4, p) if p % 4 == 3 else sqrt_mod(disc, p)
+        return sorted(ZPoly((1, (f[1] + s) * (p + 1) // 2 % p)) for s in (r, -r))
+    # t^p - t = t (w - 1)(w + 1), w = t^((p - 1)/2): the roots by character
+    t = ZPoly((1, 0))
+    w = _powmod(t, (p - 1) // 2, f, p)
+    factors = []
+    for h in (t, w - 1, w + 1):
+        part = _gcd(f, _reduce(h, p), p)
+        if part.degree > 0:
+            factors += (_irreducible_factors(part, p) if part.degree <= 2
+                        else _equal_degree(part, 1, p, start=1))
+            f = ZPoly(_divmod(f, part, p)[0])
+    power, d = t * w * w, 1  # t^p; then t^(p^d) mod f
+    while f.degree >= 2 * (d + 1):  # f may still have a factor of degree d + 1
+        d += 1
+        power = _powmod(power, p, f, p)
+        part = _gcd(f, _reduce(power - t, p), p)
+        if part.degree > 0:
+            factors += _equal_degree(part, d, p)
+            f = ZPoly(_divmod(f, part, p)[0])
+    return sorted(factors + [f] * (f.degree > 0), key=lambda f: (len(f), f))
+
+
 def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
     """The bad fibers of one chart over F_p, ordered by the symmetric
     coefficients of their monic factors, and the minimal (c4, c6) at each
     rational zero of Delta (keyed by the root; "inf" for s = 0)."""
     model = integral_model(family, chart)
-    var, fibers, minimal = str(model.var), [], {}
+    fibers, minimal = [], {}
     for factor, label, euler, k, q4, q6 in model.places:
-        g = gf_from_int_poly(list(factor), p)
         # g is squarefree mod p: its discriminant is a unit
-        inverse = pow(g[0], -1, p)
-        monic = [c * inverse % p for c in g]
-        if len(g) == 3 and (r := sqrt_mod(monic[1] ** 2 - 4 * monic[2],
-                                          p)) is not None:
-            # t^2 + b t + c = (t + (b + r)/2)(t + (b - r)/2), r^2 = b^2 - 4c
-            factors = [[1, (monic[1] + s) * (p + 1) // 2 % p] for s in (r, -r)]
-        elif len(g) <= 3:  # linear, or an irreducible quadratic
-            factors = [monic]
-        else:
-            factors = gf_factor_sqf(g, p, ZZ)[1]
-        for pi in factors:
-            coeffs, degree, split = gf_to_int_poly(pi, p), len(pi) - 1, None
-            name = _place_name(coeffs, var) if chart == "zero" else "inf"
+        g = _reduce(factor, p)
+        derivative = g.derivative()
+        for pi in _irreducible_factors(g, p):
+            coeffs = [c - p if c > p // 2 else c for c in pi]
+            degree, split = len(pi) - 1, None
+            name = _place_name(coeffs, model.var) if chart == "zero" else "inf"
             if degree == 1:
                 # the minimal model divides by pi^k: (g / pi)(root) = g'(root)
                 root = -pi[1] % p
-                w = pow(gf_eval(gf_diff(g, p, ZZ), root, p, ZZ), k, p)
-                c4, c6 = (gf_eval(q, root, p, ZZ) * w ** e % p
+                w = pow(_horner(derivative, root, p), k, p)
+                c4, c6 = (_horner(q, root, p) * w ** e % p
                           for q, e in ((q4, 4), (q6, 6)))
                 minimal[root if chart == "zero" else "inf"] = c4, c6
                 if label.startswith("I") and not label.endswith("*"):
@@ -206,7 +336,7 @@ def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
                             "minimal c6 is a unit at a multiplicative place",
                             dict(family=family.name, p=p, place=name),
                             "c6 != 0", 0)
-                    split = legendre_symbol(-c6 % p, p) == 1
+                    split = pow(-c6 % p, (p - 1) // 2, p) == 1  # Euler
             if label != "good":
                 fibers.append(((degree, coeffs), FiberReport(
                     name, degree, label, euler, split,
@@ -263,7 +393,7 @@ def scan(family: WeierstrassFamily, p: int) -> ScanReport:
     fibers_inf, minimal_inf = _classify_chart(family, p, "inf")
     fibers += fibers_inf
     total = sum(f.euler * f.degree for f in fibers)
-    c4_c6 = tuple(tuple(gf_from_int_poly(list(f), p))
+    c4_c6 = tuple(_reduce(f, p)
                   for f in integral_model(family, "zero").invariants[:2])
     return ScanReport(family.name, p, tuple(fibers), total,
                       expected_euler(family), c4_c6,

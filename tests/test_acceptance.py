@@ -11,10 +11,10 @@ from modk3.cmforms import HECKE_SPECS, ap as form_ap, splitting, verify_against_
 from modk3.congruence import (PRESET_CUSP_WIDTHS, cusps_and_widths, genus,
                               group_report, index_in_modular_group,
                               is_torsion_free, preset_group)
+from helpers import two_isogeny_quotient
 from modk3.counting import (ap_elliptic, curve_count, good_primes, h3_trace,
-                            k3_point_count, kummer_fiber_count,
-                            ns_trace_prediction, twist_fit)
-from modk3.families import (WeierstrassCurve, preset, two_isogeny_quotient)
+                            k3_point_count, ns_trace_prediction, twist_fit)
+from modk3.families import WeierstrassCurve, preset
 from modk3.kodaira import config_vs_expected, eigenspace_counts, scan
 from modk3.lfunctions import (_root_product_expansion, assemble_h3,
                               betti_hodge_report, tensor_factor)
@@ -140,13 +140,6 @@ def test_criterion_6_tensor_suite():
         coeffs = assemble_h3(fam, E_TEST, 97)
         for p in good_primes(fam, 5, 97):
             assert coeffs[p - 1] == h3_trace(fam, E_TEST, p), (name, p)
-    for _ in range(200):
-        p = rng.choice([5, 7, 11, 13, 17, 19])
-        bound = int(2 * p ** 0.5)
-        a1, a2 = rng.randint(-bound, bound), rng.randint(-bound, bound)
-        r2 = rng.choice([1, 2, 4]) * rng.choice([1, 2, 4])
-        assert (kummer_fiber_count(a1, a2, r2, p)
-                == (p + 1) ** 2 + a1 * a2 + p * r2)
     b = betti_hodge_report()
     assert b["B3_product"] == 44 and b["b2_threefold"] == 31
     assert b["b3_threefold"] == 16 and b["h21_threefold"] == 7

@@ -3,11 +3,46 @@ from fractions import Fraction
 
 import pytest
 
+import sympy
+
+from helpers import (SpecializationError, fibred_product_identity,
+                     integer_data, parameter_map, specialize, t,
+                     tate_multiples, torsion_order, two_isogeny_quotient)
 from modk3.families import (FAMILY_NAMES, SingularCurveError,
-                            SpecializationError, WeierstrassCurve,
-                            fibred_product_identity, parameter_map, preset,
-                            specialize, tate_multiples, torsion_order,
-                            two_isogeny_quotient)
+                            WeierstrassCurve, preset)
+
+
+def sympy_presets() -> dict:
+    """Each preset's (a1, a2, a3, a4, a6) as the sympy expressions in t
+    that the integer data was expanded from."""
+    lam = (t + 1 / t) ** 2 / 4
+    a8 = (-2 * t ** 2 + 4 * t - 1) / t
+    b8 = -2 * t ** 2 + 3 * t - 1
+    a62 = (2 * t ** 2 - 10) / (t ** 2 - 9)
+    b62 = -(a62 - 1) * (a62 - 2)
+    q = 8 * t ** 4 - 16 * t ** 3 + 16 * t ** 2 - 8 * t + 1
+    b12 = -t ** 2 * (t ** 2 - 1)
+    presets = {
+        "g4_legendre": (0, -(1 + lam), 0, lam, 0),
+        "e1_4": (1, t, t, 0, 0),
+        "e1_6": (t, -(t - 1) * (t - 2), -(t - 1) * (t - 2), 0, 0),
+        "e1_7": (1 + t - t ** 2, t ** 2 - t ** 3, t ** 2 - t ** 3, 0, 0),
+        "e1_8": (a8, b8, b8, 0, 0),
+        "g62": (a62, b62, b62, 0, 0),
+        "g82": (0, 2 + (t + 1 / t) ** 2 / 2, 0, (t - 1 / t) ** 4 / 16, 0),
+        "g8_412": (0, -2 * q, 0,
+                   (8 * t ** 2 - 8 * t + 1) * (2 * t - 1) ** 4, 0),
+        "x0_12": (t ** 2 + 1, b12, b12, 0, 0),
+    }
+    return {name: tuple(sympy.sympify(a) for a in ai)
+            for name, ai in presets.items()}
+
+
+def test_integer_presets_are_the_cancelled_sympy_expressions():
+    presets = sympy_presets()
+    assert set(presets) == set(FAMILY_NAMES)
+    for name, exprs in presets.items():
+        assert preset(name).a_invariants == integer_data(exprs), name
 
 
 def random_curve(rng, p):
@@ -171,14 +206,19 @@ def test_fibred_product_identity():
     assert fibred_product_identity()
 
 
+def _evaluate(family, x: Fraction) -> list:
+    """The family's a_i at t = x from its integer data."""
+    def at(f):
+        return sum(c * x ** (len(f) - 1 - i) for i, c in enumerate(f))
+    return [at(n) / at(d) for n, d in family.a_invariants]
+
+
 def test_g62_is_base_change_of_e1_6():
     # the degree-2 cover glues the level-6 family along xi -> a
-    from sympy import Rational, symbols
-    t = symbols("t")
     e16 = preset("e1_6")
     g62 = preset("g62")
-    for xi in (Rational(1), Rational(2), Rational(5, 2)):
+    for xi in (Fraction(1), Fraction(2), Fraction(5, 2)):
         a = parameter_map("xi_to_a", xi)
-        lhs = [x.subs(t, xi) for x in g62.a_invariants]
-        rhs = [x.subs(t, a) for x in e16.a_invariants]
+        lhs = _evaluate(g62, xi)
+        rhs = _evaluate(e16, Fraction(int(a.p), int(a.q)))
         assert lhs == rhs, xi

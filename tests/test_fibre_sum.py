@@ -154,8 +154,8 @@ def test_monomial_fibres_vs_kernel(p):
 
 def test_forged_table_breaks_the_weil_bound(monkeypatch):
     # H(c, c) off by one power of c, as a wrong Horner start would give
-    chi, g, b_only, a_only = counting._hasse_table(101)
-    forged = (chi, g * np.arange(101) % 101, b_only, a_only)
+    chi, g, reciprocal, b_only, a_only = counting._hasse_table(101)
+    forged = (chi, g * np.arange(101) % 101, reciprocal, b_only, a_only)
     monkeypatch.setattr(counting, "_hasse_table", lambda p: forged)
     with pytest.raises(VerificationError):
         k3_point_count.__wrapped__(preset("g4_legendre"), 101)

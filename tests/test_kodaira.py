@@ -3,16 +3,18 @@ import random
 import pytest
 import sympy
 from sympy import Poly, Rational, cancel, fraction, together
-from sympy.polys.galoistools import gf_from_int_poly
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
 
+from helpers import as_sympy, sympy_family, t
 from modk3.arith import VerificationError, legendre_symbol
 from modk3.counting import good_primes
-from modk3.families import (FAMILY_NAMES, WeierstrassFamily, preset, t,
-                            weierstrass_invariants)
+from modk3.families import FAMILY_NAMES, preset, weierstrass_invariants
 from modk3.kodaira import (BadReductionError, FiberReport, _classify,
-                           _tau, config_vs_expected,
+                           _irreducible_factors, _tau, config_vs_expected,
                            expected_euler, fiber_euler, integral_model,
                            eigenspace_counts, ns_report, scan)
+from modk3.zpoly import ZPoly
 
 EXPECTED = {
     "g4_legendre": ["I4"] * 6,
@@ -62,12 +64,10 @@ def test_fiber_euler_numbers():
 
 
 def test_integral_models_have_integer_coefficients():
-    from sympy import Poly, Rational
     for name in ("g4_legendre", "g82", "e1_8"):
         m = integral_model(preset(name), "zero")
         for a in m.a_polys:
-            assert all(Rational(c).q == 1
-                       for c in Poly(a, m.var).all_coeffs())
+            assert all(type(c) is int for c in a) and a[:1] != (0,)
 
 
 def test_reduced_invariants_match_per_prime_computation():
@@ -81,7 +81,8 @@ def test_reduced_invariants_match_per_prime_computation():
                 model = integral_model(fam, chart)
                 reduced = [gf_from_int_poly(list(f), p)
                            for f in model.invariants]
-                a_polys = [Poly(a, model.var, modulus=p)
+                a_polys = [Poly.from_list(list(a) or [0],
+                                          sympy.symbols(model.var), modulus=p)
                            for a in model.a_polys]
                 per_prime = [gf_from_int_poly([int(c) for c in f.all_coeffs()], p)
                              for f in weierstrass_invariants(*a_polys)[4:]]
@@ -90,12 +91,12 @@ def test_reduced_invariants_match_per_prime_computation():
 
 def _oracle_integral_model(family, chart):
     """The Expr ``cancel``/``expand`` construction of the integral model:
-    (var, a_polys, invariants)."""
+    (var, a_polys, invariants), a_polys as integer coefficient tuples."""
     if chart == "zero":
-        var, exprs = t, family.a_invariants
+        var, exprs = t, as_sympy(family)
     else:
         var = sympy.symbols("s")
-        exprs = tuple(cancel(a.subs(t, 1 / var)) for a in family.a_invariants)
+        exprs = tuple(cancel(a.subs(t, 1 / var)) for a in as_sympy(family))
     dens = [fraction(together(cancel(e)))[1] for e in exprs]
     u = Poly(1, var)
     for d in dens:
@@ -110,7 +111,9 @@ def _oracle_integral_model(family, chart):
     invariants = tuple(tuple(int(x) for x in f.all_coeffs())
                        for f in weierstrass_invariants(
                            *(Poly(ap, var) for ap in a_polys))[4:])
-    return var, tuple(a_polys), invariants
+    a_polys = tuple(tuple(int(x) for x in Poly(ap, var).all_coeffs())
+                    if ap != 0 else () for ap in a_polys)
+    return str(var), a_polys, invariants
 
 
 def test_integral_model_matches_expr_construction():
@@ -126,10 +129,30 @@ def test_integral_model_matches_expr_construction():
 
 def _legendre(lam, level_primes=frozenset()):
     """y^2 = x (x - 1) (x - lam)."""
-    ai = (0, -(1 + lam), 0, lam, 0)
-    return WeierstrassFamily(f"legendre({lam})",
-                             tuple(sympy.sympify(a) for a in ai),
-                             ("I2",) * 6, level_primes=level_primes)
+    return sympy_family(f"legendre({lam})", (0, -(1 + lam), 0, lam, 0),
+                        ("I2",) * 6, level_primes)
+
+
+def test_deterministic_split_matches_gf_factor_sqf():
+    # random squarefree polynomials of degree <= 8, half of them products
+    # of distinct linear factors, so that the equal-degree split has work
+    rng = random.Random(11)
+    for p in (5, 97, 2203, 100003):
+        done = 0
+        while done < 40:
+            if done % 2:
+                g = [rng.randrange(p) for _ in range(rng.randint(2, 9))]
+                g = gf_from_int_poly(g, p)
+            else:
+                g = [1]
+                for r in rng.sample(range(p), rng.randint(1, min(8, p))):
+                    g = Poly.from_list(g, t) * Poly(t - r, t)
+                    g = gf_from_int_poly([int(c) for c in g.all_coeffs()], p)
+            if len(g) < 2 or not gf_sqf_p(g, p, ZZ):
+                continue
+            factors = [list(f) for f in _irreducible_factors(ZPoly(g), p)]
+            assert factors == gf_factor_sqf(g, p, ZZ)[1], (g, p)
+            done += 1
 
 
 def test_exceptional_prime_outside_the_bad_primes_raises():
@@ -185,13 +208,14 @@ def _oracle_classify_place(pi, c4, c6, vd, p, place_name):
 
 def _oracle_classify_chart(family, p, chart):
     model = integral_model(family, chart)
-    c4, c6, disc = (Poly.from_list(f, model.var, modulus=p)
+    var = sympy.symbols(model.var)
+    c4, c6, disc = (Poly.from_list(f, var, modulus=p)
                     for f in model.invariants)
     if chart == "zero":
         places = sorted(disc.factor_list()[1],
                         key=lambda f: (f[0].degree(), f[0].all_coeffs()))
     else:
-        s = Poly(model.var, model.var, modulus=p)
+        s = Poly(var, var, modulus=p)
         places = [(s, _oracle_valuation(disc, s))]
     fibers, minimal = [], {}
     for pi, vd in places:
@@ -236,10 +260,10 @@ def test_scan_matches_sympy_oracle_at_non_minimal_places():
     # only: the oracle's s-chart takes over a second per prime here
     fam = preset("g4_legendre")
     u = (2 * t + 1) * (t ** 2 + t + 1)
-    rescaled = WeierstrassFamily(
+    rescaled = sympy_family(
         "g4_rescaled", tuple(a * u ** w for a, w in
-                             zip(fam.a_invariants, (1, 2, 3, 4, 6))),
-        fam.expected_config, level_primes=frozenset({2, 5, 7, 13, 17, 37, 41}))
+                             zip(as_sympy(fam), (1, 2, 3, 4, 6))),
+        fam.expected_config, {2, 5, 7, 13, 17, 37, 41})
     for p in good_primes(rescaled, 5, 100):
         fibers, minimal, _ = _oracle_classify_chart(rescaled, p, "zero")
         rep = scan(rescaled, p)
@@ -256,14 +280,12 @@ def test_good_places_ask_only_the_discriminant_resultant():
     # label nor a minimal value; Delta's other places meet it only mod 5
     fam = preset("g4_legendre")
     u = 2 * t + 1
-    ai = tuple(a * u ** w for a, w in zip(fam.a_invariants, (1, 2, 3, 4, 6)))
+    ai = tuple(a * u ** w for a, w in zip(as_sympy(fam), (1, 2, 3, 4, 6)))
     with pytest.raises(VerificationError) as exc:
-        integral_model(WeierstrassFamily("g4_u", ai, fam.expected_config,
-                                         level_primes=fam.level_primes),
-                       "zero")
+        integral_model(sympy_family("g4_u", ai, fam.expected_config,
+                                    fam.level_primes), "zero")
     assert exc.value.observed == [5]
-    rescaled = WeierstrassFamily("g4_u", ai, fam.expected_config,
-                                 level_primes=frozenset({2, 5}))
+    rescaled = sympy_family("g4_u", ai, fam.expected_config, {2, 5})
     for p in (7, 11, 13, 17, 19, 37, 41):
         fibers, minimal, _ = _oracle_classify_chart(rescaled, p, "zero")
         rep = scan(rescaled, p)
