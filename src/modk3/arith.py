@@ -152,7 +152,9 @@ def sqrt_mod(a: int, p: int):
     a %= p
     if a == 0:
         return 0
-    if legendre_symbol(a, p) == -1:
+    # Euler's criterion by pow, so p is checked for primality only once
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
         return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
@@ -163,7 +165,7 @@ def sqrt_mod(a: int, p: int):
         q //= 2
         s += 1
     z = 2
-    while legendre_symbol(z, p) != -1:
+    while pow(z, half, p) != p - 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:

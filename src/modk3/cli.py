@@ -23,7 +23,7 @@ from .families import FAMILY_NAMES, preset
 from .kodaira import config_vs_expected, ns_report, scan
 from .lfunctions import (assemble_h3, betti_hodge_report, h3_local_factor,
                          h3_primes)
-from .qseries import FORM_IDS, GRID, form_series
+from .qseries import FORM_IDS, form_series
 
 FAMILY_ALIASES = {"g4": "g4_legendre"}
 COUNT_PMAX_CEILING = 2200
@@ -118,9 +118,8 @@ def cmd_groups_verify(args) -> list:
 
 
 def cmd_forms_qexp(args) -> list:
-    n = args.prec
-    series = form_series(args.form, (n + 2) * GRID)
-    return [{"form": args.form, "n": n, "coefficients": series.coefficients(n)}]
+    return [{"form": args.form, "n": args.prec,
+             "coefficients": form_series(args.form, args.prec)}]
 
 
 def cmd_forms_ap(args) -> list:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
                     VerificationError, _norm_solutions, is_prime,
                     kronecker_character, primes_up_to)
-from .qseries import GRID, form_series, series_power
+from .qseries import form_series, series_power
 
 
 class WeilBoundError(ValueError):
@@ -140,7 +140,7 @@ def ap(spec: HeckeCharSpec, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _eta_coefficients(form_id: str, nmax: int) -> tuple:
-    return tuple(form_series(form_id, (nmax + 1) * GRID).coefficients(nmax))
+    return tuple(form_series(form_id, nmax))
 
 
 @dataclass(frozen=True)

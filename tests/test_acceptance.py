@@ -18,7 +18,7 @@ from modk3.families import WeierstrassCurve, preset
 from modk3.kodaira import config_vs_expected, eigenspace_counts, scan
 from modk3.lfunctions import (_root_product_expansion, assemble_h3,
                               betti_hodge_report, tensor_factor)
-from modk3.qseries import GRID, _pentagonal_coeffs, form_series
+from modk3.qseries import ETA_FORMS, _pentagonal_coeffs, eta_product
 
 K3_FAMILIES = ("g4_legendre", "g62", "g82", "g8_412")
 E_TEST = (0, 0, 0, -1, 0)
@@ -59,12 +59,21 @@ def test_criterion_2_form_suite():
             assert abs(a) <= 2 * p, (fid, p)
             if splitting(spec, p) == -1:
                 assert a == 0, (fid, p)
-    prec = 300 * GRID
-    h8 = form_series("h8", prec)
-    assert h8.agrees_with(form_series("h5", prec // 2 + GRID).rescale(2))
-    assert h8.agrees_with(form_series("h1", prec // 4 + GRID).rescale(4))
-    assert form_series("h7", prec).agrees_with(
-        form_series("h2", prec // 2 + GRID).rescale(2))
+    # h8(tau) = h5(2 tau) = h1(4 tau) and h7(tau) = h2(2 tau): equal
+    # leading exponents, and each eta product is the smaller scale's spread
+    def offset(fid, scale=1):
+        return scale * sum(m * r for m, r in ETA_FORMS[fid])
+
+    def spread(fid, s, n):
+        a = eta_product(ETA_FORMS[fid], -(-n // s))
+        return [a[k // s] if k % s == 0 else 0 for k in range(n)]
+
+    n = 300
+    assert offset("h8") == offset("h5", 2) == offset("h1", 4)
+    assert offset("h7") == offset("h2", 2)
+    h8 = eta_product(ETA_FORMS["h8"], n)
+    assert h8 == spread("h5", 2, n) == spread("h1", 4, n)
+    assert eta_product(ETA_FORMS["h7"], n) == spread("h2", 2, n)
     # convention note: the passing normalization takes a_p = tr(pi^2)
     # = (u^2 - d v^2)/2 on the (u + v sqrt(-d))/2 lattice
     report(2, "form suite", t0, 5)

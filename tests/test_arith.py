@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from modk3 import arith
 from modk3.arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
                          SUPPORTED_D, UnsupportedFieldError,
                          VerificationError,
@@ -72,7 +73,7 @@ def test_kronecker_is_periodic_and_multiplicative():
 
 
 def test_sqrt_mod():
-    for p in (5, 13, 17, 97, 193):
+    for p in (3, 5, 7, 11, 13, 17, 97, 193):
         for a in range(p):
             r = sqrt_mod(a, p)
             if legendre_symbol(a, p) == -1:
@@ -80,6 +81,21 @@ def test_sqrt_mod():
             else:
                 assert r is not None and r * r % p == a
                 assert r <= p - r  # canonical smaller root
+
+
+def test_sqrt_mod_checks_the_prime_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+    monkeypatch.setattr(arith, "is_prime", counted)
+    # 2017 = 1 mod 4 takes Tonelli-Shanks and its non-residue search
+    for a, p in ((4, 2017), (2016, 2017), (5, 2017), (4, 2003), (2, 2003)):
+        calls.clear()
+        r = sqrt_mod(a, p)
+        assert r is None or r * r % p == a, (a, p)
+        assert calls == [p], (a, p)
 
 
 def test_quadfield_integrality_constraints():

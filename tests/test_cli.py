@@ -48,6 +48,15 @@ def test_forms_qexp(capsys):
     assert run(["forms", "qexp", "--form", "h3", "--prec", "8"]) == 0
     recs = records(capsys)
     assert recs[0]["coefficients"] == [1, -3, 0, 5, 0, 0, -7, -3]
+    # h1 sits on q^(1/4 + Z), so every integral coefficient is 0; h9 is the
+    # sign twist of h4 and h6 reads h9 at even exponents
+    for form, coefficients in (
+            ("h1", [0] * 12),
+            ("h6", [-2, 4, 4, -8, 0, -8, 0, 16, 10, 0, -28, 16]),
+            ("h9", [-1, -2, 2, 4, 0, 4, 0, -8, 5, 0, -14, -8])):
+        assert run(["forms", "qexp", "--form", form, "--prec", "12"]) == 0
+        assert records(capsys) == [{"form": form, "n": 12,
+                                    "coefficients": coefficients}]
 
 
 def test_forms_ap(capsys):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "modk3"
 
 
@@ -49,3 +51,72 @@ def test_verify_all_loads_no_sympy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.rstrip().endswith('"suite": "betti"}')
+
+
+FLOAT_CALLS = {"sqrt", "log", "exp", "fft", "roots"}
+
+
+def _float_sites(tree) -> list:
+    """Nodes through which a float can enter: float literals and the name
+    float, math/numpy calls that return floats (sqrt, log, exp, fft,
+    roots), numpy float dtypes, and true division outside Fraction."""
+    float_types = {name for name, obj in vars(np).items()
+                   if isinstance(obj, type) and issubclass(obj, np.inexact)}
+
+    def float_dtype(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and np.dtype(node.value).kind in "fc")
+
+    def fraction(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction")
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            bad = isinstance(node.value, (float, complex))
+        elif isinstance(node, ast.Name):
+            bad = node.id in ("float", "complex")
+        elif isinstance(node, ast.Attribute):
+            bad = node.attr in FLOAT_CALLS or node.attr in float_types
+        elif isinstance(node, ast.ImportFrom):
+            bad = any(a.name in FLOAT_CALLS | float_types for a in node.names)
+        elif isinstance(node, ast.keyword):
+            bad = node.arg == "dtype" and float_dtype(node.value)
+        elif isinstance(node, ast.Call):
+            bad = (isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("astype", "dtype")
+                   and any(map(float_dtype, node.args)))
+        elif isinstance(node, ast.BinOp):
+            bad = (isinstance(node.op, ast.Div)
+                   and not (fraction(node.left) and fraction(node.right)))
+        elif isinstance(node, ast.AugAssign):
+            bad = isinstance(node.op, ast.Div)
+        else:
+            bad = False
+        if bad:
+            found.append(node)
+    return found
+
+
+def test_no_floating_point_in_the_library():
+    # every verified value is an exact integer or Fraction; a float anywhere
+    # in the library could round one silently
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in _float_sites(ast.parse(path.read_text(), str(path)))]
+    assert sorted(SRC.glob("*.py")) and found == []
+
+
+def test_the_float_rule_catches_each_kind_of_site():
+    allowed = ("x = Fraction(a) / Fraction(b)\n"
+               "y = math.isqrt(n) // 2\n"
+               "z = np.zeros(4, dtype=np.int64).astype('i8')\n")
+    assert _float_sites(ast.parse(allowed)) == []
+    for line in ("x = 0.5", "x = float(n)", "x = math.sqrt(n)",
+                 "x = np.log(a)", "x = math.exp(1)", "x = np.fft.fft(a)",
+                 "x = np.roots(c)", "from math import sqrt",
+                 "x = np.zeros(3, dtype=np.float64)",
+                 "x = np.zeros(3, dtype='f8')", "x = a.astype('float32')",
+                 "x = a / b", "x = Fraction(a) / b", "x /= 2", "x = 1j"):
+        assert _float_sites(ast.parse(line)), line

@@ -1,14 +1,11 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from modk3.qseries import (DEFAULT_PREC, ETA_FORMS, EtaQuotient, GRID,
-                           NonIntegralSeriesError,
-                           NonUnitLeadingCoefficientError, TruncatedSeries,
-                           _pentagonal_coeffs, _product, eta_power_expansion,
-                           expand, form_series, series_power)
+from modk3.qseries import (ETA_FORMS, FORM_IDS, NonUnitLeadingCoefficientError,
+                           _pentagonal_coeffs, _product, eta_product,
+                           form_series, series_power)
 
 
 def naive_euler_product(nterms):
@@ -26,8 +23,9 @@ def naive_euler_product(nterms):
 def naive_mul(a, b, nterms):
     out = [0] * nterms
     for i in range(nterms):
-        for j in range(nterms - i):
-            out[i + j] += a[i] * b[j]
+        if a[i]:
+            for j in range(nterms - i):
+                out[i + j] += a[i] * b[j]
     return out
 
 
@@ -50,50 +48,54 @@ def naive_power(a, r, nterms):
     return out
 
 
-def schoolbook_mul(s, t):
-    """The term-by-term product of two series, kept as the oracle of the
-    Kronecker-substitution kernel behind TruncatedSeries.mul."""
-    prec = min(s.prec + t.offset, t.prec + s.offset)
-    if s.is_zero or t.is_zero:
-        return TruncatedSeries(0, GRID, (), prec)
-    stride = math.gcd(s.stride, t.stride)
-    offset = s.offset + t.offset
-    n_out = max(0, -(-(prec - offset) // stride))
-    out = [0] * n_out
-    for i, ci in enumerate(s.coeffs):
-        if ci == 0:
-            continue
-        ei = s.stride * i
-        for j, cj in enumerate(t.coeffs):
-            if cj == 0:
-                continue
-            k = (ei + t.stride * j) // stride
-            if k >= n_out:
-                break
-            out[k] += ci * cj
-    return TruncatedSeries.make(offset, stride, out, prec)
+def spread(a, s, n):
+    """The first n coefficients of a(x^s)."""
+    return [a[k // s] if k % s == 0 else 0 for k in range(n)]
 
 
-def random_series(rng, bound):
-    """A series on one of the strides 24*{1, 2, 3, 4, 8}, possibly with a
-    negative offset and a precision that cuts it mid-way; zero and
-    single-term series included."""
-    stride = GRID * rng.choice((1, 2, 3, 4, 8))
-    offset = rng.randint(-3 * GRID, 3 * GRID)
+def schoolbook_product(a, sa, b, sb, n):
+    """The first n coefficients of a(x^sa) * b(x^sb) multiplied term by
+    term, kept as the oracle of the Kronecker-substitution kernel."""
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if sa * i + sb * j < n:
+                out[sa * i + sb * j] += x * y
+    return out
+
+
+def naive_eta_product(factors, n):
+    """prod (1 - x^(mk))^r over the (m, r) factors, each factor the naive
+    Euler product in x^m raised by repeated naive multiplication."""
+    out = [1] + [0] * (n - 1)
+    for m, r in factors:
+        factor = naive_power(spread(naive_euler_product(-(-n // m)), m, n),
+                             r, n)
+        # the sparser operand drives naive_mul's outer loop
+        a, b = sorted((out, factor), key=lambda c: sum(map(bool, c)))
+        out = naive_mul(a, b, n)
+    return out
+
+
+def random_list(rng, bound):
+    """A list with a nonzero head and scattered zeros; empty and one- and
+    two-term lists included."""
     length = rng.choice((0, 1, 1, 2, rng.randint(3, 40)))
     coeffs = [rng.choice((0, rng.randint(-bound, bound))) for _ in range(length)]
     if length:
         coeffs[0] = rng.choice((-1, 1)) * rng.randint(1, bound)
-    prec = offset + stride * rng.randint(0, length + 3) + rng.randint(0, stride)
-    return TruncatedSeries.make(offset, stride, coeffs, max(prec, 1))
+    return coeffs
 
 
 def test_product_matches_schoolbook_random():
     rng = random.Random(11)
     for trial in range(400):
         bound = rng.choice((1, 5, 2 ** 63, 10 ** 40))
-        s, t = random_series(rng, bound), random_series(rng, bound)
-        assert s.mul(t) == schoolbook_mul(s, t), (trial, s, t)
+        a, b = random_list(rng, bound), random_list(rng, bound)
+        sa, sb = rng.choice((1, 2, 3, 4, 8)), rng.choice((1, 2, 3, 4, 8))
+        n = rng.randint(0, 2 * max(sa * len(a), sb * len(b)) + 3)
+        assert (_product(a, sa, b, sb, n)
+                == schoolbook_product(a, sa, b, sb, n)), (trial, a, b, n)
 
 
 def test_product_strides_and_cuts():
@@ -103,12 +105,8 @@ def test_product_strides_and_cuts():
         sa, sb = rng.choice((1, 2, 3, 4, 8)), rng.choice((1, 2, 3, 4, 8))
         a = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(rng.randint(0, 30))]
         b = [rng.choice((0, 1, -1)) for _ in range(rng.randint(0, 30))]
-        expected = [0] * n
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                if sa * i + sb * j < n:
-                    expected[sa * i + sb * j] += x * y
-        assert _product(a, sa, b, sb, n) == expected, (a, sa, b, sb, n)
+        assert (_product(a, sa, b, sb, n)
+                == schoolbook_product(a, sa, b, sb, n)), (a, sa, b, sb, n)
 
 
 def test_product_width_at_the_bound():
@@ -122,9 +120,7 @@ def test_product_width_at_the_bound():
         assert out == [-min(k + 1, n - k) * 2 ** 63 * (2 ** 63 - 1)
                        for k in range(n)]
         assert min(out) == -bound
-        s = TruncatedSeries(0, GRID, tuple(a), n * GRID)
-        t = TruncatedSeries(0, GRID, tuple(b), n * GRID)
-        assert s.mul(t) == schoolbook_mul(s, t)
+        assert out == schoolbook_product(a, 1, b, 1, n)
 
 
 def test_eta_powers_match_miller_recurrence():
@@ -132,9 +128,8 @@ def test_eta_powers_match_miller_recurrence():
     for r in range(1, 7):
         coeffs = series_power(_pentagonal_coeffs(nterms), r, nterms)
         for m in (1, 3, 8):
-            prec = m * r + GRID * m * nterms
-            expected = TruncatedSeries.make(m * r, GRID * m, coeffs, prec)
-            assert eta_power_expansion(m, r, prec) == expected, (m, r)
+            n = m * nterms
+            assert eta_product(((m, r),), n) == spread(coeffs, m, n), (m, r)
 
 
 def test_series_power_vs_naive_random():
@@ -151,11 +146,7 @@ def test_eta_powers_vs_naive():
     nterms = 300
     pent = _pentagonal_coeffs(nterms)
     for r in range(-3, 7):
-        prec = GRID * nterms + r
-        expected = TruncatedSeries.make(r, GRID, naive_power(pent, r, nterms),
-                                        prec)
-        s = eta_power_expansion(1, r, prec)
-        assert s.prec == expected.prec and s.agrees_with(expected), r
+        assert eta_product(((1, r),), nterms) == naive_power(pent, r, nterms), r
 
 
 def test_series_power_needs_unit_leading_coefficient():
@@ -170,102 +161,85 @@ def test_pentagonal_vs_naive_product():
 
 
 def test_eta_power_matches_naive_multiplication():
-    prec = 40 * GRID
-    s = eta_power_expansion(1, 6, prec)
-    # square of eta^3 equals eta^6 on the common range
-    s3 = eta_power_expansion(1, 3, prec)
-    assert s.agrees_with(s3.mul(s3))
-
-
-def test_series_canonicalization():
-    s = TruncatedSeries.make(0, GRID, [0, 0, 3, 0, 5, 0, 0], 10 * GRID)
-    assert s.offset == 2 * GRID
-    assert s.stride == 2 * GRID
-    assert s.coeffs == (3, 5)
-
-
-def test_coefficient_window_guard():
-    s = TruncatedSeries.one(5 * GRID)
-    with pytest.raises(ValueError):
-        s.coefficient(5)
-    assert s.coefficient(0) == 1
-
-
-def test_invert_roundtrip():
-    s = eta_power_expansion(1, 2, 60 * GRID)
-    prod = s.mul(s.invert())
-    assert prod.agrees_with(TruncatedSeries.one(prod.prec))
-    zero = TruncatedSeries.make(0, GRID, [], GRID)
-    with pytest.raises(NonUnitLeadingCoefficientError):
-        zero.invert()
+    n = 40
+    # eta^6 is the square of eta^3, as one factor and as two
+    s3 = eta_product(((1, 3),), n)
+    assert eta_product(((1, 6),), n) == naive_mul(s3, s3, n)
+    assert eta_product(((1, 3), (1, 3)), n) == naive_mul(s3, s3, n)
 
 
 def test_negative_eta_powers():
     # eta(q)^-1 * eta(q) == 1
-    prec = 50 * GRID
-    s = eta_power_expansion(1, 1, prec).mul(eta_power_expansion(1, -1, prec))
-    assert s.agrees_with(TruncatedSeries.one(s.prec))
+    n = 50
+    assert eta_product(((1, 1), (1, -1)), n) == [1] + [0] * (n - 1)
 
 
 def test_eta_quotient_metadata():
-    q = ETA_FORMS["h4"]
-    assert q.weight == 3
-    assert q.grid_offset == 2 + 2 + 4 + 16
-    assert q.is_integral
-    assert ETA_FORMS["h1"].grid_offset == 6
-    assert not ETA_FORMS["h1"].is_integral
-    with pytest.raises(ValueError):
-        EtaQuotient(((0, 3),))
+    # every eta form has weight sum(r) / 2 = 3
+    for factors in ETA_FORMS.values():
+        assert Fraction(sum(r for _, r in factors), 2) == 3, factors
+    assert sum(m * r for m, r in ETA_FORMS["h4"]) == 2 + 2 + 4 + 16
+    assert sum(m * r for m, r in ETA_FORMS["h1"]) == 6
+    assert form_series("h1", 30) == [0] * 30
 
 
 def test_leading_exponents():
-    assert form_series("h1", 2 * GRID).leading_exponent() == Fraction(1, 4)
-    assert form_series("h3", 2 * GRID).leading_exponent() == 1
-    assert form_series("h8", 2 * GRID).leading_exponent() == 1
+    def leading(fid):
+        return Fraction(sum(m * r for m, r in ETA_FORMS[fid]), 24)
+    assert leading("h1") == Fraction(1, 4)
+    assert leading("h3") == leading("h8") == 1
+    assert form_series("h3", 1) == form_series("h8", 1) == [1]
 
 
 def test_scaling_chain():
-    prec = 300 * GRID
-    h8 = form_series("h8", prec)
-    assert h8.agrees_with(form_series("h5", prec // 2 + GRID).rescale(2))
-    assert h8.agrees_with(form_series("h1", prec // 4 + GRID).rescale(4))
-    h7 = form_series("h7", prec)
-    assert h7.agrees_with(form_series("h2", prec // 2 + GRID).rescale(2))
+    # h8(tau) = h5(2 tau) = h1(4 tau) and h7(tau) = h2(2 tau): the leading
+    # exponents scale and the eta products spread
+    n = 300
+    offset = {fid: sum(m * r for m, r in ETA_FORMS[fid]) for fid in ETA_FORMS}
+    assert offset["h8"] == 2 * offset["h5"] == 4 * offset["h1"]
+    assert offset["h7"] == 2 * offset["h2"]
+    h8 = eta_product(ETA_FORMS["h8"], n)
+    assert h8 == spread(eta_product(ETA_FORMS["h5"], n // 2), 2, n)
+    assert h8 == spread(eta_product(ETA_FORMS["h1"], n // 4), 4, n)
+    assert eta_product(ETA_FORMS["h7"], n) == spread(
+        eta_product(ETA_FORMS["h2"], n // 2), 2, n)
 
 
 def test_sign_twist_and_h6_h9():
-    prec = 100 * GRID
-    h4 = form_series("h4", prec)
-    h9 = form_series("h9", prec)
+    h4 = form_series("h4", 80)
+    h9 = form_series("h9", 80)
     for n in range(1, 80):
-        assert h9.coefficient(n) == (-1) ** n * h4.coefficient(n)
+        assert h9[n - 1] == (-1) ** n * h4[n - 1]
     # h6 is h9 with all exponents halved
-    h6 = form_series("h6", prec)
+    h6 = form_series("h6", 40)
     for n in range(1, 40):
-        assert h6.coefficient(n) == h9.coefficient(2 * n)
-    with pytest.raises(NonIntegralSeriesError):
-        form_series("h1", prec).sign_twist()
+        assert h6[n - 1] == h9[2 * n - 1]
+
+
+def test_form_series_matches_term_by_term_products():
+    N = 1000
+    naive = {}
+    for fid, factors in ETA_FORMS.items():
+        shift, frac = divmod(sum(m * r for m, r in factors), 24)
+        if frac:
+            naive[fid] = [0] * N
+            continue
+        assert shift == 1, fid
+        naive[fid] = naive_eta_product(factors, N)
+    # h4 once more to q^2N for h6, then the sign and halving rules by hand
+    h4 = naive_eta_product(ETA_FORMS["h4"], 2 * N)
+    h9 = [(-1) ** n * h4[n - 1] for n in range(1, 2 * N + 1)]
+    naive["h9"], naive["h6"] = h9[:N], [h9[2 * n - 1] for n in range(1, N + 1)]
+    assert sorted(naive) == sorted(FORM_IDS)
+    for fid in FORM_IDS:
+        assert form_series(fid, N) == naive[fid], fid
 
 
 def test_known_expansions():
-    h3 = form_series("h3", 30 * GRID)
-    assert h3.coefficients(10) == [1, -3, 0, 5, 0, 0, -7, -3, 9, 0]
-    h4 = form_series("h4", 30 * GRID)
-    assert h4.coefficients(12) == [1, -2, -2, 4, 0, 4, 0, -8, -5, 0, 14, -8]
-
-
-def test_text_and_json_roundtrip():
-    s = form_series("h3", 6 * GRID)
-    assert "24:1" in s.to_text()
-    assert s.to_json().startswith("[[")
+    assert form_series("h3", 10) == [1, -3, 0, 5, 0, 0, -7, -3, 9, 0]
+    assert form_series("h4", 12) == [1, -2, -2, 4, 0, 4, 0, -8, -5, 0, 14, -8]
 
 
 def test_unknown_form_rejected():
     with pytest.raises(KeyError):
-        form_series("h10")
-
-
-def test_default_precision_is_500_coefficients():
-    assert DEFAULT_PREC == 500 * GRID
-    s = form_series("h8", DEFAULT_PREC)
-    assert len(s.coefficients(499)) == 499
+        form_series("h10", 10)
