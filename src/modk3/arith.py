@@ -1,8 +1,8 @@
 """Exact modular and imaginary-quadratic arithmetic primitives.
 
-Everything here works on plain Python integers.  Elements of the four
-class-number-one fields Q(sqrt(-d)), d in {1, 2, 3, 7}, are encoded as
-(u + v*sqrt(-d))/2 with the usual half-integer congruence conditions.
+Everything here works on plain Python integers.  An element of a
+class-number-one field Q(sqrt(-d)), d in {1, 2, 3, 7}, is (u + v*sqrt(-d))/2:
+a ``QuadFieldElement``, or a plain (u, v) pair on the hot paths.
 """
 
 from __future__ import annotations
@@ -79,13 +79,6 @@ def _check_odd_prime(p: int) -> None:
         raise InvalidPrimeError(f"need an odd prime, got {p}")
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """(a|p) in {-1, 0, 1}, computed by Euler's criterion."""
-    _check_odd_prime(p)
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
-
-
 def is_fundamental_discriminant(D: int) -> bool:
     if D == 1:
         return True
@@ -149,6 +142,11 @@ def _kronecker(a: int, n: int) -> int:
 def sqrt_mod(a: int, p: int):
     """Tonelli-Shanks; returns the smaller root, or None for a non-residue."""
     _check_odd_prime(p)
+    return _sqrt_mod(a, p)
+
+
+def _sqrt_mod(a: int, p: int):
+    # sqrt_mod for an odd prime p already checked
     a %= p
     if a == 0:
         return 0
@@ -190,12 +188,8 @@ class QuadFieldElement:
     def __post_init__(self):
         if self.d not in SUPPORTED_D:
             raise UnsupportedFieldError(f"unsupported field parameter d={self.d}")
-        if -self.d % 4 == 1:  # d in {3, 7}
-            if (self.u - self.v) % 2 != 0:
-                raise ValueError(f"u, v must have equal parity for d={self.d}")
-        else:  # d in {1, 2}
-            if self.u % 2 != 0 or self.v % 2 != 0:
-                raise ValueError(f"u, v must both be even for d={self.d}")
+        if not _is_integral(self.d, self.u, self.v):
+            raise ValueError(f"({self.u}, {self.v}) not integral, d={self.d}")
 
     def _halve(self, n: int, m: int, identity: str) -> int:
         if n % m:  # the encoding's parity conditions make it exact
@@ -215,9 +209,6 @@ class QuadFieldElement:
     def conjugate(self) -> "QuadFieldElement":
         return QuadFieldElement(self.d, self.u, -self.v)
 
-    def __neg__(self) -> "QuadFieldElement":
-        return QuadFieldElement(self.d, -self.u, -self.v)
-
     def __mul__(self, other: "QuadFieldElement") -> "QuadFieldElement":
         if self.d != other.d:
             raise ValueError("field mismatch")
@@ -233,29 +224,28 @@ class QuadFieldElement:
         return self._halve(self.u * self.u - self.d * self.v * self.v, 2,
                            "2 | u^2 - d v^2")
 
-    def divisible_by(self, c: int) -> bool:
-        """Whether self lies in c * O_K."""
-        if self.u % c != 0 or self.v % c != 0:
-            return False
-        try:
-            QuadFieldElement(self.d, self.u // c, self.v // c)
-        except ValueError:
-            return False
-        return True
-
     def unit_orbit(self) -> list:
         """All unit multiples of self (4 for d=1, 6 for d=3, 2 otherwise)."""
-        orbit = [self, -self]
-        if self.d == 1:
-            rot = QuadFieldElement(1, -self.v, self.u)  # multiplication by i
-            orbit += [rot, -rot]
-        elif self.d == 3:
-            zeta = QuadFieldElement(3, 1, 1)  # primitive sixth root of unity
-            cur = self
-            for _ in range(2):
-                cur = cur * zeta
-                orbit += [cur, -cur]
-        return orbit
+        return [QuadFieldElement(self.d, u, v)
+                for u, v in unit_pairs(self.d, self.u, self.v)]
+
+
+def _is_integral(d: int, u: int, v: int) -> bool:
+    """Whether (u + v*sqrt(-d))/2 lies in O_K, d in {1, 2, 3, 7}."""
+    return (u - v) % 2 == 0 if d % 4 == 3 else u % 2 == v % 2 == 0
+
+
+def unit_pairs(d: int, u: int, v: int) -> list:
+    """The unit multiples of (u + v*sqrt(-d))/2 as (u, v) pairs, itself
+    first: by -1, i for d = 1, and zeta_6 = (1 + sqrt(-3))/2 for d = 3."""
+    pairs = [(u, v), (-u, -v)]
+    if d == 1:
+        pairs += [(-v, u), (v, -u)]
+    elif d == 3:
+        for _ in range(2):
+            u, v = (u - 3 * v) // 2, (u + v) // 2
+            pairs += [(u, v), (-u, -v)]
+    return pairs
 
 
 def norm_equation_solutions(d: int, p: int) -> list:
@@ -267,24 +257,36 @@ def norm_equation_solutions(d: int, p: int) -> list:
         raise UnsupportedFieldError(f"unsupported field parameter d={d}")
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
-    return _norm_solutions(d, p)
+    return [QuadFieldElement(d, u, v) for u, v in _norm_solutions(d, p)
+            if u >= 0]
 
 
 def _norm_solutions(d: int, p: int) -> list:
-    # norm_equation_solutions for a d and a prime p already checked
-    target = 4 * p
-    out = []
-    vmax = math.isqrt(target // d)
-    for v in range(vmax + 1):
-        rem = target - d * v * v
-        u = math.isqrt(rem)
-        if u * u != rem:
-            continue
-        try:
-            el = QuadFieldElement(d, u, v)
-        except ValueError:
-            continue
-        out.append(el)
-        if v != 0:
-            out.append(el.conjugate())
-    return out
+    """Every (u, v) with u^2 + d*v^2 = 4p, for a prime p already checked.
+
+    Cornacchia (Cohen, A Course in Computational Algebraic Number Theory,
+    Alg. 1.5.3) solves x^2 + |D| y^2 = 4p, D = -d or -4d the field
+    discriminant, by Euclid on (2p, a root of D mod p of the parity of D)
+    down to 2 sqrt(p).  Q(sqrt(-d)) has class number one, so the other
+    solutions are the unit multiples of that one and their conjugates."""
+    D = FIELD_DISC[d]
+    if p == 2:  # Cohen's special case: D + 8 is a square unless 2 is inert
+        x, y = math.isqrt(D + 8), 1
+        if x * x != D + 8:
+            return []
+    else:
+        x = _sqrt_mod(D, p)
+        if x is None:
+            return []
+        if (x - D) % 2:
+            x = p - x
+        a, bound = 2 * p, math.isqrt(4 * p)
+        while x > bound:
+            a, x = x, a % x
+        y = math.isqrt((4 * p - x * x) // -D)
+    v = y if -D == d else 2 * y
+    if x * x + d * v * v != 4 * p:
+        raise VerificationError("u^2 + d v^2 = 4p", dict(d=d, p=p, u=x, v=v),
+                                4 * p, x * x + d * v * v)
+    pairs = unit_pairs(d, x, v)
+    return list(dict.fromkeys(pairs + [(u, -w) for u, w in pairs]))

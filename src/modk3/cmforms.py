@@ -2,9 +2,9 @@
 
 The four newforms h8, h7, h3, h4 are attached to Hecke characters of the
 fields Q(sqrt(-d)) for d = 1, 3, 7, 2 with conductors (2), (2), (1), (1).
-At a split prime p the coefficient is the trace of pi^2 for a generator pi
-of a prime above p normalized by pi = +-1 mod c*O_K; the eta products of
-``qseries`` serve as the independent ground truth.
+At a split prime p, a_p = tr(pi^2) = (u^2 - d v^2)/2 for pi = (u + v
+sqrt(-d))/2 the generator above p (``arith``'s Cornacchia pairs) with
+pi = +-1 mod c*O_K; the eta products of ``qseries`` are the ground truth.
 
 Local Euler factors are integer polynomials in T = p^(-s); every Dirichlet
 series here and in ``lfunctions`` is built from them by
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
-                    VerificationError, _norm_solutions, is_prime,
-                    kronecker_character, primes_up_to)
+                    VerificationError, _is_integral, _norm_solutions,
+                    is_prime, kronecker_character, primes_up_to)
 from .qseries import form_series, series_power
 
 
@@ -73,17 +73,8 @@ def splitting(spec: HeckeCharSpec, p: int) -> int:
 
 def _generator_candidates(spec: HeckeCharSpec, p: int) -> list:
     # p is a prime checked by the caller; spec.d has a FIELD_DISC entry
-    sols = _norm_solutions(spec.d, p)
-    if not sols:
-        raise NoGeneratorError(f"p={p} is inert in Q(sqrt(-{spec.d}))")
-    seen, out = set(), []
-    for s in sols:
-        for g in s.unit_orbit():
-            key = (g.u, g.v)
-            if key not in seen:
-                seen.add(key)
-                out.append(g)
-    return out
+    return [QuadFieldElement(spec.d, u, v)
+            for u, v in _norm_solutions(spec.d, p)]
 
 
 def normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
@@ -94,23 +85,24 @@ def normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
 
 
 def _normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
-    cands = _generator_candidates(spec, p)
-    c = spec.conductor_gen
-    if c == 1:
-        return cands[0]
-    good = [g for g in cands
-            if QuadFieldElement(spec.d, g.u - 2, g.v).divisible_by(c)
-            or QuadFieldElement(spec.d, g.u + 2, g.v).divisible_by(c)]
+    d, c = spec.d, spec.conductor_gen
+    sols = _norm_solutions(d, p)
+    if not sols:
+        raise NoGeneratorError(f"p={p} is inert in Q(sqrt(-{d}))")
+    # pi -+ 1 = (u -+ 2 + v sqrt(-d))/2 lies in c*O_K
+    good = [(u, v) for u, v in sols if v % c == 0 and (
+        (u - 2) % c == 0 and _is_integral(d, (u - 2) // c, v // c)
+        or (u + 2) % c == 0 and _is_integral(d, (u + 2) // c, v // c))]
     if not good:
         raise NormalizationFailureError(
             f"no unit multiple of a generator above p={p} is +-1 mod {c}")
     # normalized candidates all share tr(pi^2); pick a deterministic one
-    traces = {g.trace_of_square() for g in good}
+    traces = {(u * u - d * v * v) // 2 for u, v in good}
     if len(traces) != 1:
         raise VerificationError("the normalized tr(pi^2) is unique",
                                 dict(form=spec.form_id, p=p), "one value",
                                 sorted(traces))
-    return max(good, key=lambda g: (g.u, g.v))
+    return QuadFieldElement(d, *max(good))
 
 
 def ap(spec: HeckeCharSpec, p: int) -> int:
@@ -185,9 +177,12 @@ def euler_to_dirichlet(factors: dict, N: int) -> list:
     a = [0] * (N + 1)
     a[1] = 1
     for p, factor in factors.items():
-        # 1/L_p(T) to T^k for every p^k <= N, then a_{m p^k} = a_m a_{p^k}
-        # for every m built from the primes already multiplied in
-        inv = series_power(list(factor.coefficients), -1, N.bit_length())
+        # 1/L_p(T) to T^k for the largest p^k <= N, then a_{m p^k} =
+        # a_m a_{p^k} for every m built from the primes already multiplied in
+        nterms = 2
+        while p ** nterms <= N:
+            nterms += 1
+        inv = series_power(list(factor.coefficients), -1, nterms)
         for m in [m for m in range(1, N // p + 1) if a[m]]:
             n, k = m * p, 1
             while n <= N:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import count, islice
 
-from .arith import VerificationError, is_prime, sqrt_mod
+from .arith import VerificationError, _sqrt_mod, is_prime
 from .families import WeierstrassFamily, preset, weierstrass_invariants
 from .zpoly import ZPoly
 
@@ -281,10 +281,9 @@ def _irreducible_factors(g: ZPoly, p: int) -> list:
         return [f]
     if f.degree == 2:
         # t^2 + b t + c = (t + (b + r)/2)(t + (b - r)/2), r^2 = b^2 - 4c
-        disc = (f[1] ** 2 - 4 * f[2]) % p
-        if pow(disc, (p - 1) // 2, p) != 1:  # Euler: irreducible
+        r = _sqrt_mod(f[1] ** 2 - 4 * f[2], p)
+        if not r:  # a non-residue (or 0, which squarefree g excludes)
             return [f]
-        r = pow(disc, (p + 1) // 4, p) if p % 4 == 3 else sqrt_mod(disc, p)
         return sorted(ZPoly((1, (f[1] + s) * (p + 1) // 2 % p)) for s in (r, -r))
     # t^p - t = t (w - 1)(w + 1), w = t^((p - 1)/2): the roots by character
     t = ZPoly((1, 0))

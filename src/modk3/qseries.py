@@ -2,10 +2,11 @@
 
 An eta product prod_i eta(q^(m_i))^(r_i) is q^(sum_i m_i r_i / 24) times
 prod_i P(q^(m_i))^(r_i), where P(x) = prod_{k>=1} (1 - x^k) comes from
-Euler's pentagonal theorem.  ``eta_product`` multiplies those factors into
-one integer list: every product is one exact big-int multiply (Kronecker
-substitution, ``_product``) and ``series_power`` (Miller's recurrence) does
-the negative powers.  ``form_series`` shifts the list by the leading
+Euler's pentagonal theorem and P^3 from Jacobi's identity.  ``eta_product``
+multiplies those factors into one integer list: P^r is r // 3 Jacobi cubes
+and r % 3 copies of P, every product is one exact big-int multiply
+(Kronecker substitution, ``_product``) and ``series_power`` (Miller's
+recurrence) does r < 1.  ``form_series`` shifts the list by the leading
 exponent and returns the coefficients at integral exponents.
 """
 
@@ -88,19 +89,34 @@ def _product(a, sa: int, b, sb: int, n: int) -> list:
             for k in range(0, nb * n, nb)]
 
 
-def eta_product(factors, n: int) -> list:
-    """First n >= 0 coefficients of prod P(x^m)^r over the (m, r) factors."""
-    out = [1] + [0] * (n - 1) if n else []
-    for m, r in factors:
-        # P^r is r - 1 exact products for r >= 1; series_power does r < 1
-        nterms = -(-n // m)
-        coeffs = pent = _pentagonal_coeffs(nterms)
-        for _ in range(r - 1):
-            coeffs = _product(coeffs, 1, pent, 1, nterms)
-        if r < 1:
-            coeffs = series_power(pent, r, nterms)
-        out = _product(out, 1, coeffs, m, n)
+def _jacobi_cube(nterms: int) -> list:
+    """nterms coefficients of P^3, (-1)^k (2k+1) at x^(k(k+1)/2) (Jacobi)."""
+    out, k = [0] * nterms, 0
+    while k * (k + 1) // 2 < nterms:
+        out[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
     return out
+
+
+def eta_product(factors, n: int) -> list:
+    """First n >= 0 coefficients of prod P(x^m)^r over the nonempty (m, r)
+    factors, largest m first, in x^g for g the gcd of the m so far: sparse
+    factors multiply at their own short length."""
+    powers = []
+    for m, r in sorted(factors, reverse=True):
+        # P^r is r // 3 Jacobi cubes and r % 3 copies of P, or series_power
+        nterms = -(-n // m)
+        pent = _pentagonal_coeffs(nterms)
+        powers += ([(m, series_power(pent, r, nterms))] if r < 1 else
+                   [(m, _jacobi_cube(nterms))] * (r // 3)
+                   + [(m, pent)] * (r % 3))
+    (g, out), *rest = powers
+    for m, coeffs in rest:
+        h = math.gcd(g, m)
+        out, g = _product(out, g // h, coeffs, m // h, -(-n // h)), h
+    spread = [0] * n
+    spread[::g] = out
+    return spread
 
 
 # The nine weight-3 forms.  h1..h5, h7, h8 are eta products, given as

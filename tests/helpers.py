@@ -1,18 +1,41 @@
-"""Test-only helpers: conversions between sympy expressions in t and the
-integer data of a family, the printed base-change maps and gluing
-identity, specialisation of a family to one curve, and curve constructions
-(torsion orders, closed-form multiples of a Tate-normal point,
-2-isogenies)."""
+"""Test-only helpers: the Legendre symbol and the O(sqrt p) norm-equation
+search (oracles of the library's fast paths), conversions between sympy
+expressions in t and the integer data of a family, the printed base-change
+maps and gluing identity, specialisation of a family to one curve, and
+curve constructions (torsion orders, closed-form multiples of a
+Tate-normal point, 2-isogenies)."""
 
+import math
 from fractions import Fraction
 
 import sympy
 from sympy import Poly, Rational, cancel, fraction
 
+from modk3.arith import _check_odd_prime
 from modk3.families import WeierstrassCurve, WeierstrassFamily
 from modk3.kodaira import integral_model
 
 t = sympy.symbols("t")
+
+
+def legendre_symbol(a: int, p: int) -> int:
+    """(a|p) in {-1, 0, 1} for an odd prime p by Euler's criterion: the
+    oracle of sqrt_mod, of the Kronecker character and of split tests."""
+    _check_odd_prime(p)
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def loop_norm_solutions(d: int, p: int) -> list:
+    """Every (u, v) with u >= 0, u^2 + d v^2 = 4p and (u + v sqrt(-d))/2
+    integral, by the O(sqrt p) search over v that Cornacchia replaced."""
+    out = []
+    for v in range(math.isqrt(4 * p // d) + 1):
+        rem = 4 * p - d * v * v
+        u = math.isqrt(rem)
+        if u * u == rem and (u - v) % 2 == 0 and (d % 4 == 3 or u % 2 == 0):
+            out += [(u, v), (u, -v)] if v else [(u, v)]
+    return out
 
 
 def _coefficients(poly) -> tuple:

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
+from helpers import legendre_symbol, loop_norm_solutions
 from modk3 import arith
 from modk3.arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
                          SUPPORTED_D, UnsupportedFieldError,
                          VerificationError,
                          is_fundamental_discriminant, is_prime,
-                         kronecker_character, legendre_symbol,
-                         norm_equation_solutions, primes_up_to, sqrt_mod)
+                         kronecker_character, norm_equation_solutions,
+                         primes_up_to, sqrt_mod)
 
 
 def naive_is_prime(n):
@@ -187,3 +188,41 @@ def test_norm_equation_split_inert():
 def test_norm_equation_rejects_composites():
     with pytest.raises(InvalidPrimeError):
         norm_equation_solutions(1, 15)
+
+
+def test_norm_solutions_match_the_loop_to_20000():
+    # Cornacchia and the unit multiples against the O(sqrt p) search: every
+    # element of norm p exactly once
+    for d in SUPPORTED_D:
+        for p in primes_up_to(20000):
+            sols = arith._norm_solutions(d, p)
+            loop = loop_norm_solutions(d, p)
+            assert len(set(sols)) == len(sols), (d, p)
+            assert set(sols) == set(loop) | {(-u, -v) for u, v in loop}, (d, p)
+
+
+def test_unit_pairs_match_field_multiplication():
+    # the integer rule against products by i, zeta_6 = (1 + sqrt(-3))/2 or 1
+    generators = {1: QuadFieldElement(1, 0, 2), 3: QuadFieldElement(3, 1, 1)}
+    for d in SUPPORTED_D:
+        gen = generators.get(d, QuadFieldElement(d, 2, 0))
+        for u in range(-9, 10):
+            for v in range(-9, 10):
+                if d in (1, 2) and (u % 2 or v % 2) or (u - v) % 2:
+                    continue
+                x, products = QuadFieldElement(d, u, v), set()
+                for _ in range(6):
+                    products |= {(x.u, x.v), (-x.u, -x.v)}
+                    x = x * gen
+                pairs = arith.unit_pairs(d, u, v)
+                assert pairs[0] == (u, v) and set(pairs) == products, (d, u, v)
+                assert len(set(pairs)) == len(pairs) or (u, v) == (0, 0)
+
+
+def test_forged_square_root_fails_the_norm_check(monkeypatch):
+    # 0 is no square root of -4 mod 13: Cornacchia then ends on
+    # (u, v) = (0, 6), whose norm 36 is not 4p = 52
+    monkeypatch.setattr(arith, "_sqrt_mod", lambda a, p: 0)
+    with pytest.raises(VerificationError, match="4p") as exc:
+        norm_equation_solutions(1, 13)
+    assert (exc.value.expected, exc.value.observed) == (52, 36)

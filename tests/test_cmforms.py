@@ -1,10 +1,13 @@
+import itertools
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+from helpers import loop_norm_solutions
 from modk3 import arith, cmforms
-from modk3.arith import (InvalidPrimeError, VerificationError,
+from modk3.arith import (InvalidPrimeError, QuadFieldElement,
+                         VerificationError,
                          is_fundamental_discriminant, is_prime,
                          kronecker_character, primes_up_to)
 from modk3.cmforms import (BadPrimeError, HECKE_SPECS, HeckeCharSpec,
@@ -18,6 +21,38 @@ from modk3.qseries import form_series
 def primes_upto(n):
     return [p for p in range(2, n + 1)
             if all(p % k for k in range(2, int(p ** 0.5) + 1))]
+
+
+def divisible_by(g, c):
+    """Whether g lies in c*O_K, by QuadFieldElement's integrality check."""
+    if g.u % c or g.v % c:
+        return False
+    try:
+        QuadFieldElement(g.d, g.u // c, g.v // c)
+    except ValueError:
+        return False
+    return True
+
+
+def element_ap(spec, p):
+    """(a_p, (u, v) of the normalized generator or None) from the O(sqrt p)
+    generators by QuadFieldElement arithmetic: the normalisation that the
+    integer pairs replaced."""
+    d, c = spec.d, spec.conductor_gen
+    gens = [QuadFieldElement(d, s * u, s * v)
+            for u, v in loop_norm_solutions(d, p) for s in (1, -1)]
+    if not gens:
+        return 0, None
+    if spec.disc % p == 0:  # ramified: the generator with rational square
+        g = next(g for g in gens if g.u * g.v == 0)
+        return (g.u * g.u - d * g.v * g.v) // 4, None
+    good = [g for g in gens
+            if divisible_by(QuadFieldElement(d, g.u - 2, g.v), c)
+            or divisible_by(QuadFieldElement(d, g.u + 2, g.v), c)]
+    traces = {g.trace_of_square() for g in good}
+    assert len(traces) == 1, (spec.form_id, p, traces)
+    g = max(good, key=lambda g: (g.u, g.v))
+    return traces.pop(), (g.u, g.v)
 
 
 def test_spec_table():
@@ -162,3 +197,32 @@ def test_eta_agreement_to_20000():
     # the Hecke-character coefficients against the eta products to q^20000
     for fid in ("h3", "h4", "h7", "h8"):
         assert verify_against_eta(HECKE_SPECS[fid], 20000) == [], fid
+
+
+def test_ap_matches_the_element_normalisation_to_20000():
+    for fid, spec in HECKE_SPECS.items():
+        for p in primes_up_to(20000):
+            if fid == "h8" and p == 2:  # 2 divides the conductor of chi
+                continue
+            expected, pair = element_ap(spec, p)
+            assert ap(spec, p) == expected, (fid, p)
+            if pair is not None:
+                g = normalized_generator(spec, p)
+                assert (g.u, g.v) == pair, (fid, p)
+
+
+@pytest.mark.slow
+def test_ap_at_large_primes():
+    # near 10^6, 10^9 and 10^12: the first two primes and the first prime
+    # split in all four fields, against the O(sqrt p) generators and the
+    # Weil bound
+    for k in (6, 9, 12):
+        primes = (q for q in itertools.count(10 ** k) if is_prime(q))
+        sample = [next(primes), next(primes)]
+        sample.append(next(q for q in primes if all(
+            splitting(spec, q) == 1 for spec in HECKE_SPECS.values())))
+        for p in sample:
+            for fid, spec in HECKE_SPECS.items():
+                a = ap(spec, p)
+                assert a == element_ap(spec, p)[0], (fid, p)
+                assert abs(a) <= 2 * p, (fid, p)

@@ -73,12 +73,12 @@ def test_count_report_identity_survives_python_O():
     # a forged report, a tensor quartic checked against a forged
     # root-product expansion, a local factor with constant term 2, a
     # coset count in a forged ambient group, a family whose places
-    # collide at a prime it does not declare bad and a forged Hasse table
-    # raise even where assert statements are stripped; one interpreter for
-    # all of them
+    # collide at a prime it does not declare bad, a forged Hasse table and
+    # a Cornacchia pair of the wrong norm raise even where assert
+    # statements are stripped; one interpreter for all of them
     code = ("import itertools, sys\n"
             "import numpy as np\n"
-            "from modk3 import congruence, counting, kodaira, lfunctions\n"
+            "from modk3 import arith, congruence, counting, kodaira, lfunctions\n"
             "from modk3.families import WeierstrassFamily, preset\n"
             "from modk3.arith import VerificationError\n"
             "from modk3.cmforms import LocalFactor\n"
@@ -113,8 +113,13 @@ def test_count_report_identity_survives_python_O():
             "              a_only)\n"
             "    counting._hasse_table = lambda p: forged\n"
             "    counting.k3_point_count(preset('g4_legendre'), 101)\n"
+            "def forged_cornacchia():\n"
+            "    # 0 is no square root of -4 mod 13: the pair is (0, 6)\n"
+            "    arith._sqrt_mod = lambda a, p: 0\n"
+            "    arith.norm_equation_solutions(1, 13)\n"
             "for forgery in (forged_report, forged_quartic, forged_factor,\n"
-            "                forged_cosets, forged_places, forged_table):\n"
+            "                forged_cosets, forged_places, forged_table,\n"
+            "                forged_cornacchia):\n"
             "    try:\n"
             "        forgery()\n"
             "    except VerificationError as exc:\n"
@@ -132,7 +137,8 @@ def test_count_report_identity_survives_python_O():
         "|SL2(Z/N)| = |H| [SL2 : H]",
         "names 5: True",
         "the places of Delta over Q reduce at every good prime",
-        "a^2 <= 4p for the lifted Hasse invariant of every fibre"]
+        "a^2 <= 4p for the lifted Hasse invariant of every fibre",
+        "u^2 + d v^2 = 4p"]
 
 
 def test_k3_traces_match_forms_small_primes():

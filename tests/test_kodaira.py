@@ -6,8 +6,8 @@ from sympy import Poly, Rational, cancel, fraction, together
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
 
-from helpers import as_sympy, sympy_family, t
-from modk3.arith import VerificationError, legendre_symbol
+from helpers import as_sympy, legendre_symbol, sympy_family, t
+from modk3.arith import VerificationError
 from modk3.counting import good_primes
 from modk3.families import FAMILY_NAMES, preset, weierstrass_invariants
 from modk3.kodaira import (BadReductionError, FiberReport, _classify,

@@ -130,6 +130,41 @@ def test_euler_to_dirichlet_multiplicative():
         assert a[p * p] == a[p] ** 2 - p
 
 
+def full_inverse_dirichlet(factors, N):
+    """a_n as the product over p^k || n of the T^k coefficient of
+    1/L_p(T), each inverse solved term by term to N.bit_length() terms;
+    0 when a prime of n has no factor."""
+    inverse = {}
+    for p, factor in factors.items():
+        c, b = factor.coefficients, []
+        for k in range(N.bit_length()):
+            b.append((k == 0) - sum(c[j] * b[k - j]
+                                    for j in range(1, min(k, len(c) - 1) + 1)))
+        inverse[p] = b
+    return [math.prod(inverse[p][k] if p in inverse else 0
+                      for p, k in sympy.factorint(n).items())
+            for n in range(1, N + 1)]
+
+
+def test_euler_to_dirichlet_matches_full_inverses():
+    # the inverses cut to the largest p^k <= N against full-length ones, for
+    # random weight-3 and quartic factors, some primes without a factor
+    rng = random.Random(13)
+    for N in (1, 2, 30, 400):
+        for _ in range(4):
+            factors = {}
+            for p in primes_up_to(N):
+                kind = rng.randrange(3)
+                if kind == 1:
+                    factors[p] = weight3_factor(rng.randint(-2 * p, 2 * p),
+                                                rng.choice((-1, 0, 1)), p)
+                elif kind == 2:
+                    factors[p] = LocalFactor(p, 5, (1,) + tuple(
+                        rng.randint(-p ** 3, p ** 3) for _ in range(4)))
+            assert (euler_to_dirichlet(factors, N)
+                    == full_inverse_dirichlet(factors, N)), N
+
+
 def test_h3_local_factor_reads_back_trace():
     fam = preset("g62")
     for p in (13, 17):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from modk3.qseries import (ETA_FORMS, FORM_IDS, NonUnitLeadingCoefficientError,
-                           _pentagonal_coeffs, _product, eta_product,
-                           form_series, series_power)
+                           _jacobi_cube, _pentagonal_coeffs, _product,
+                           eta_product, form_series, series_power)
 
 
 def naive_euler_product(nterms):
@@ -158,6 +158,14 @@ def test_series_power_needs_unit_leading_coefficient():
 def test_pentagonal_vs_naive_product():
     nterms = 300
     assert _pentagonal_coeffs(nterms) == naive_euler_product(nterms)
+
+
+def test_jacobi_cube_is_the_cube_of_p():
+    # Jacobi's identity against P * P * P by the product kernel
+    for n in (0, 1, 2, 7, 5000):
+        pent = _pentagonal_coeffs(n)
+        assert _jacobi_cube(n) == _product(
+            _product(pent, 1, pent, 1, n), 1, pent, 1, n), n
 
 
 def test_eta_power_matches_naive_multiplication():
