@@ -5,6 +5,9 @@ fields Q(sqrt(-d)) for d = 1, 3, 7, 2 with conductors (2), (2), (1), (1).
 At a split prime p, a_p = tr(pi^2) = (u^2 - d v^2)/2 for pi = (u + v
 sqrt(-d))/2 the generator above p (``arith``'s Cornacchia pairs) with
 pi = +-1 mod c*O_K; the eta products of ``qseries`` are the ground truth.
+``coefficient_sequence`` makes one pass over the sieve: one Kronecker symbol
+per prime is the splitting that ``_ap`` (``ap`` without its primality test)
+takes and the nebentypus value eps(p); a spec checks Disc K once.
 
 Local Euler factors are integer polynomials in T = p^(-s); every Dirichlet
 series here and in ``lfunctions`` is built from them by
@@ -17,8 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
-                    VerificationError, _is_integral, _norm_solutions,
-                    is_prime, kronecker_character, primes_up_to)
+                    VerificationError, _is_integral, _kronecker,
+                    _norm_solutions, is_fundamental_discriminant, is_prime,
+                    kronecker_character, primes_up_to)
 from .qseries import form_series, series_power
 
 
@@ -50,6 +54,10 @@ class HeckeCharSpec:
         return FIELD_DISC[self.d]
 
     def __post_init__(self):
+        if not is_fundamental_discriminant(self.disc):
+            raise VerificationError("Disc K is a fundamental discriminant",
+                                    dict(form=self.form_id, d=self.d),
+                                    "a fundamental discriminant", self.disc)
         # cond(h) = Nm(c) * |Disc(K)| must reproduce the level
         cond = self.conductor_gen ** 2 * abs(self.disc)
         if cond != self.level:
@@ -108,8 +116,12 @@ def _normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
 def ap(spec: HeckeCharSpec, p: int) -> int:
     """p-th coefficient of the newform at a good (or tamely ramified) prime."""
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    s = splitting(spec, p)
+        raise InvalidPrimeError(f"{p} is not prime")
+    return _ap(spec, p, splitting(spec, p))
+
+
+def _ap(spec: HeckeCharSpec, p: int, s: int) -> int:
+    # ap for a prime p already checked, s its splitting in K
     if s == -1:
         return 0
     if s == 0:
@@ -201,11 +213,12 @@ def coefficient_sequence(spec: HeckeCharSpec, N: int) -> list:
     """
     factors = {}
     for p in primes_up_to(N):
+        s = _kronecker(spec.disc, p)
         try:
-            app = ap(spec, p)
+            app = _ap(spec, p, s)
         except BadPrimeError:
             app = _eta_coefficients(spec.form_id, p)[p - 1]
-        eps = 0 if spec.level % p == 0 else kronecker_character(spec.disc, p)
+        eps = 0 if spec.level % p == 0 else s
         factors[p] = weight3_factor(app, eps, p)
     return euler_to_dirichlet(factors, N)
 

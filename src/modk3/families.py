@@ -3,8 +3,7 @@
 Family coefficients a1..a6 are exact rational functions of a parameter t,
 stored as integer data: a numerator and a denominator coefficient tuple
 each.  WeierstrassCurve holds one curve over Q (Fraction arithmetic) or
-over F_p (int arithmetic mod p); the full long-Weierstrass group law works
-over either field.
+over F_p (int arithmetic mod p).
 """
 
 from __future__ import annotations
@@ -133,8 +132,6 @@ class WeierstrassCurve:
             return x * pow(int(y) % self.p, -1, self.p) % self.p
         return Fraction(x) / Fraction(y)
 
-    # ---- point arithmetic on the long form -------------------------------
-
     def is_on_curve(self, P) -> bool:
         if P is None:
             return True
@@ -142,45 +139,6 @@ class WeierstrassCurve:
         lhs = y * y + self.a1 * x * y + self.a3 * y
         rhs = x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
         return self._eq(lhs, rhs)
-
-    def negate(self, P):
-        if P is None:
-            return None
-        x, y = P
-        ny = -y - self.a1 * x - self.a3
-        return (x, ny % self.p if self.p else ny)
-
-    def add(self, P, Q):
-        if P is None:
-            return Q
-        if Q is None:
-            return P
-        if not (self.is_on_curve(P) and self.is_on_curve(Q)):
-            raise ValueError("point not on curve")
-        x1, y1 = P
-        x2, y2 = Q
-        a1, a2, a3, a4, a6 = (self._f(a) for a in self.ainvs)
-        if self._eq(x1, x2) and self._eq(y2, -y1 - a1 * x2 - a3):
-            return None
-        if self._eq(x1, x2):
-            lam = self._div(3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1,
-                            2 * y1 + a1 * x1 + a3)
-        else:
-            lam = self._div(y2 - y1, x2 - x1)
-        nu = y1 - lam * x1
-        x3 = lam * lam + a1 * lam - a2 - x1 - x2
-        y3 = -(lam + a1) * x3 - nu - a3
-        if self.p:
-            x3, y3 = x3 % self.p, y3 % self.p
-        return (x3, y3)
-
-    def multiply(self, n: int, P):
-        if n < 0:
-            return self.negate(self.multiply(-n, P))
-        R = None
-        for _ in range(n):
-            R = self.add(R, P)
-        return R
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 An eta product prod_i eta(q^(m_i))^(r_i) is q^(sum_i m_i r_i / 24) times
 prod_i P(q^(m_i))^(r_i), where P(x) = prod_{k>=1} (1 - x^k) comes from
-Euler's pentagonal theorem and P^3 from Jacobi's identity.  ``eta_product``
-multiplies those factors into one integer list: P^r is r // 3 Jacobi cubes
-and r % 3 copies of P, every product is one exact big-int multiply
-(Kronecker substitution, ``_product``) and ``series_power`` (Miller's
-recurrence) does r < 1.  ``form_series`` shifts the list by the leading
-exponent and returns the coefficients at integral exponents.
+Euler's pentagonal theorem, P^3 from Jacobi's identity and P(x)^2 / P(x^2)
+from Gauss's.  ``eta_product`` multiplies those factors into one integer
+list: up the strides m, P(x^m)^r is r // 3 Jacobi cubes and one P if
+r % 3 == 1, or one phi(-x^m) and one more P at stride 2m if r % 3 == 2.
+Every product is one exact big-int multiply (Kronecker substitution,
+``_product``) and ``series_power`` (Miller's recurrence) does r < 1.
+``form_series`` shifts the list by the leading exponent and returns the
+coefficients at integral exponents.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 
 class NonUnitLeadingCoefficientError(ValueError):
@@ -98,18 +101,38 @@ def _jacobi_cube(nterms: int) -> list:
     return out
 
 
+def _gauss_phi(nterms: int) -> list:
+    """nterms coefficients of P(x)^2 / P(x^2) = phi(-x), (-1)^k at x^(k^2)
+    for every integer k (Gauss; Andrews, The Theory of Partitions, 2.2)."""
+    out, m = [0] * nterms, math.isqrt(nterms) + 1
+    for k in range(-m, m + 1):
+        if k * k < nterms:
+            out[k * k] += (-1) ** (k % 2)
+    return out
+
+
 def eta_product(factors, n: int) -> list:
     """First n >= 0 coefficients of prod P(x^m)^r over the nonempty (m, r)
-    factors, largest m first, in x^g for g the gcd of the m so far: sparse
-    factors multiply at their own short length."""
-    powers = []
-    for m, r in sorted(factors, reverse=True):
-        # P^r is r // 3 Jacobi cubes and r % 3 copies of P, or series_power
-        nterms = -(-n // m)
-        pent = _pentagonal_coeffs(nterms)
-        powers += ([(m, series_power(pent, r, nterms))] if r < 1 else
-                   [(m, _jacobi_cube(nterms))] * (r // 3)
-                   + [(m, pent)] * (r % 3))
+    factors, rewritten up the strides, then multiplied largest stride first
+    in x^g for g the gcd of the strides so far: sparse factors multiply at
+    their own short length."""
+    exponents, powers = Counter(), []
+    for m, r in factors:
+        exponents[m] += r
+    while exponents:
+        m = min(exponents)
+        r, nterms = exponents.pop(m), -(-n // m)
+        if r < 1:
+            powers.append((m, series_power(_pentagonal_coeffs(nterms), r,
+                                           nterms)))
+            continue
+        powers += [(m, _jacobi_cube(nterms))] * (r // 3)
+        if r % 3 == 1:
+            powers.append((m, _pentagonal_coeffs(nterms)))
+        elif r % 3 == 2:  # P(x^m)^2 = phi(-x^m) P(x^(2m))
+            powers.append((m, _gauss_phi(nterms)))
+            exponents[2 * m] += 1
+    powers.sort(key=lambda power: power[0], reverse=True)
     (g, out), *rest = powers
     for m, coeffs in rest:
         h = math.gcd(g, m)

@@ -2,8 +2,8 @@
 search (oracles of the library's fast paths), conversions between sympy
 expressions in t and the integer data of a family, the printed base-change
 maps and gluing identity, specialisation of a family to one curve, and
-curve constructions (torsion orders, closed-form multiples of a
-Tate-normal point, 2-isogenies)."""
+curve constructions (the group law on the long form, torsion orders,
+closed-form multiples of a Tate-normal point, 2-isogenies)."""
 
 import math
 from fractions import Fraction
@@ -127,13 +127,58 @@ def fibred_product_identity() -> bool:
     return sympy.simplify(lhs - rhs) == 0
 
 
+def negate_point(curve: WeierstrassCurve, P):
+    """-P on the long Weierstrass curve; None is the point at infinity."""
+    if P is None:
+        return None
+    x, y = P
+    ny = -y - curve.a1 * x - curve.a3
+    return (x, ny % curve.p if curve.p else ny)
+
+
+def add_points(curve: WeierstrassCurve, P, Q):
+    """P + Q by the chord-and-tangent law on the long form."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    if not (curve.is_on_curve(P) and curve.is_on_curve(Q)):
+        raise ValueError("point not on curve")
+    x1, y1 = P
+    x2, y2 = Q
+    a1, a2, a3, a4, a6 = (curve._f(a) for a in curve.ainvs)
+    if curve._eq(x1, x2) and curve._eq(y2, -y1 - a1 * x2 - a3):
+        return None
+    if curve._eq(x1, x2):
+        lam = curve._div(3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1,
+                         2 * y1 + a1 * x1 + a3)
+    else:
+        lam = curve._div(y2 - y1, x2 - x1)
+    nu = y1 - lam * x1
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    y3 = -(lam + a1) * x3 - nu - a3
+    if curve.p:
+        x3, y3 = x3 % curve.p, y3 % curve.p
+    return (x3, y3)
+
+
+def multiply_point(curve: WeierstrassCurve, n: int, P):
+    """n * P by repeated addition."""
+    if n < 0:
+        return negate_point(curve, multiply_point(curve, -n, P))
+    R = None
+    for _ in range(n):
+        R = add_points(curve, R, P)
+    return R
+
+
 def torsion_order(curve: WeierstrassCurve, P, bound: int = 12):
     """Least n <= bound with n*P = O, or None."""
     R = P
     for n in range(1, bound + 1):
         if R is None:
             return n if n > 1 or P is None else 1
-        R = curve.add(R, P)
+        R = add_points(curve, R, P)
     return None
 
 

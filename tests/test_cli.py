@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from modk3 import cli, congruence, counting, lfunctions
-from modk3.cli import build_parser, run
+from modk3.arith import InvalidPrimeError
+from modk3.cli import HECKE_SPECS, build_parser, form_ap, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,6 +63,14 @@ def test_forms_qexp(capsys):
 def test_forms_ap(capsys):
     assert run(["forms", "ap", "--form", "h7", "--p", "7"]) == 0
     assert records(capsys) == [{"form": "h7", "p": 7, "ap": 2}]
+
+
+def test_forms_ap_rejects_a_composite(capsys):
+    with pytest.raises(InvalidPrimeError):
+        form_ap(HECKE_SPECS["h3"], 9)
+    assert run(["forms", "ap", "--form", "h3", "--p", "9"]) == 1
+    err = capsys.readouterr().err
+    assert err == '{"ok": false, "error": "9 is not prime"}\n'
 
 
 def test_forms_ap_even_split_prime(capsys):

@@ -73,12 +73,14 @@ def test_count_report_identity_survives_python_O():
     # a forged report, a tensor quartic checked against a forged
     # root-product expansion, a local factor with constant term 2, a
     # coset count in a forged ambient group, a family whose places
-    # collide at a prime it does not declare bad, a forged Hasse table and
-    # a Cornacchia pair of the wrong norm raise even where assert
-    # statements are stripped; one interpreter for all of them
+    # collide at a prime it does not declare bad, a forged Hasse table, a
+    # Cornacchia pair of the wrong norm and a Hecke spec over a forged
+    # field discriminant raise even where assert statements are stripped;
+    # one interpreter for all of them
     code = ("import itertools, sys\n"
             "import numpy as np\n"
-            "from modk3 import arith, congruence, counting, kodaira, lfunctions\n"
+            "from modk3 import (arith, cmforms, congruence, counting, kodaira,\n"
+            "                   lfunctions)\n"
             "from modk3.families import WeierstrassFamily, preset\n"
             "from modk3.arith import VerificationError\n"
             "from modk3.cmforms import LocalFactor\n"
@@ -117,9 +119,13 @@ def test_count_report_identity_survives_python_O():
             "    # 0 is no square root of -4 mod 13: the pair is (0, 6)\n"
             "    arith._sqrt_mod = lambda a, p: 0\n"
             "    arith.norm_equation_solutions(1, 13)\n"
+            "def forged_field():\n"
+            "    # -16 = 4 * (-4) is no field discriminant\n"
+            "    cmforms.FIELD_DISC = {**cmforms.FIELD_DISC, 1: -16}\n"
+            "    cmforms.HeckeCharSpec('h8', 1, 2, 64)\n"
             "for forgery in (forged_report, forged_quartic, forged_factor,\n"
             "                forged_cosets, forged_places, forged_table,\n"
-            "                forged_cornacchia):\n"
+            "                forged_cornacchia, forged_field):\n"
             "    try:\n"
             "        forgery()\n"
             "    except VerificationError as exc:\n"
@@ -138,7 +144,8 @@ def test_count_report_identity_survives_python_O():
         "names 5: True",
         "the places of Delta over Q reduce at every good prime",
         "a^2 <= 4p for the lifted Hasse invariant of every fibre",
-        "u^2 + d v^2 = 4p"]
+        "u^2 + d v^2 = 4p",
+        "Disc K is a fundamental discriminant"]
 
 
 def test_k3_traces_match_forms_small_primes():

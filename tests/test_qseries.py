@@ -1,11 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from modk3.qseries import (ETA_FORMS, FORM_IDS, NonUnitLeadingCoefficientError,
-                           _jacobi_cube, _pentagonal_coeffs, _product,
-                           eta_product, form_series, series_power)
+                           _gauss_phi, _jacobi_cube, _pentagonal_coeffs,
+                           _product, eta_product, form_series, series_power)
 
 
 def naive_euler_product(nterms):
@@ -75,6 +76,25 @@ def naive_eta_product(factors, n):
         a, b = sorted((out, factor), key=lambda c: sum(map(bool, c)))
         out = naive_mul(a, b, n)
     return out
+
+
+def cube_and_copies_eta(factors, n):
+    """eta_product without Gauss's rewrite, kept as its oracle: P^r as
+    r // 3 Jacobi cubes and r % 3 copies of P per factor (five products
+    for h4), multiplied largest stride first in x^g for g the gcd of the
+    strides so far."""
+    powers = []
+    for m, r in sorted(factors, reverse=True):
+        nterms = -(-n // m)
+        pent = _pentagonal_coeffs(nterms)
+        powers += ([(m, series_power(pent, r, nterms))] if r < 1 else
+                   [(m, _jacobi_cube(nterms))] * (r // 3)
+                   + [(m, pent)] * (r % 3))
+    (g, out), *rest = powers
+    for m, coeffs in rest:
+        h = math.gcd(g, m)
+        out, g = _product(out, g // h, coeffs, m // h, -(-n // h)), h
+    return spread(out, g, n)
 
 
 def random_list(rng, bound):
@@ -166,6 +186,40 @@ def test_jacobi_cube_is_the_cube_of_p():
         pent = _pentagonal_coeffs(n)
         assert _jacobi_cube(n) == _product(
             _product(pent, 1, pent, 1, n), 1, pent, 1, n), n
+
+
+def test_gauss_phi_is_p_squared_over_p_of_x_squared():
+    assert _gauss_phi(0) == []
+    assert _gauss_phi(10) == [1, -2, 0, 0, 2, 0, 0, 0, 0, -2]
+    for n in (1, 2, 5, 3000):
+        pent = _pentagonal_coeffs(n)
+        quotient = _product(series_power(pent, 2, n), 1,
+                            series_power(pent, -1, -(-n // 2)), 2, n)
+        assert _gauss_phi(n) == quotient, n
+
+
+def test_gauss_rewrite_matches_the_cube_and_copies_expansion():
+    for fid, factors in ETA_FORMS.items():
+        assert (eta_product(factors, 6000)
+                == cube_and_copies_eta(factors, 6000)), fid
+
+
+def test_gauss_rewrite_vs_naive():
+    n = 90
+    cases = [((1, 2),), ((1, 5),),
+             ((3, 2),),            # the push opens the absent stride 6
+             ((1, 2), (2, 2)),     # the push completes a cube at stride 2
+             ((1, 2), (2, -1)),    # the push cancels a negative power
+             ((2, 5), (2, 3), (4, 1))]
+    rng = random.Random(17)
+    for _ in range(20):
+        factors = [(rng.choice((1, 2, 3, 4, 6)), rng.choice((2, 5, 8)))]
+        factors += [(rng.choice((1, 2, 3, 4, 6)), rng.randint(-2, 6))
+                    for _ in range(rng.randint(0, 2))]
+        cases.append(tuple(rng.sample(factors, len(factors))))
+    for factors in cases:
+        assert (eta_product(factors, n)
+                == naive_eta_product(factors, n)), factors
 
 
 def test_eta_power_matches_naive_multiplication():
