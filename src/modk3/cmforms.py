@@ -152,7 +152,6 @@ class LocalFactor:
     p: int
     weight: int
     coefficients: tuple  # polynomial in T, constant term first
-    nebentypus: int = 1
 
     def __post_init__(self):
         if self.coefficients[0] != 1:
@@ -168,8 +167,7 @@ class LocalFactor:
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        return LocalFactor(self.p, max(self.weight, other.weight),
-                           tuple(out), self.nebentypus)
+        return LocalFactor(self.p, max(self.weight, other.weight), tuple(out))
 
 
 def weight3_factor(B: int, eps_p: int, p: int) -> LocalFactor:
@@ -179,8 +177,8 @@ def weight3_factor(B: int, eps_p: int, p: int) -> LocalFactor:
     if eps_p not in (-1, 0, 1):
         raise ValueError("nebentypus value must be -1, 0 or 1")
     if eps_p == 0:
-        return LocalFactor(p, 3, (1, -B), 0)
-    return LocalFactor(p, 3, (1, -B, eps_p * p * p), eps_p)
+        return LocalFactor(p, 3, (1, -B))
+    return LocalFactor(p, 3, (1, -B, eps_p * p * p))
 
 
 def euler_to_dirichlet(factors: dict, N: int) -> list:

@@ -15,11 +15,12 @@ invariant: a = H mod p, H the coefficient of x^(p-1) in
 A/B gives H(A, B) = chi(AB) H(c, c) with c = A^3 / B^2, so one table of
 H(c, c) over c in F_p, built once per prime by Horner, serves every fibre
 of every family; A = 0 and B = 0 are single monomials.  Every lifted trace
-must satisfy the Weil bound a^2 <= 4p.  A single curve, and every fibre at
-p < 17, is counted by one numpy kernel over y^2 = x^3 + A x + B: blocks of
+must satisfy the Weil bound a^2 <= 4p.  A single curve, given as its
+integer a-invariants (a1, a2, a3, a4, a6), and every fibre at p < 17, is
+counted by one numpy kernel over y^2 = x^3 + A x + B: blocks of
 BLOCK_CELLS // p fibres, each one int64 array of A x + x^3 + B mod p over
 x in F_p, looked up in an int8 Legendre table.  Intermediates stay below
-p^2 + 2p: exact for p < 2^31, refused above.
+p^2 + 2p: exact for p < 2^31, refused above before any array is built.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .arith import (InvalidPrimeError, VerificationError, is_prime,
                     kronecker_character, primes_up_to)
 from .cmforms import HECKE_SPECS, HeckeCharSpec, WeilBoundError, ap as form_ap
-from .families import WeierstrassCurve, WeierstrassFamily
+from .families import WeierstrassFamily, weierstrass_invariants
 from .kodaira import BadReductionError, scan
 
 #: fundamental discriminants D with |D| dividing 48
@@ -65,11 +66,15 @@ class CountReport:
                                     asdict(self), expected, self.total)
 
 
-def _legendre_table(p: int):
-    """chi[v] = (v / p) for v in F_p as an int8 array; p < 2^31."""
+def _check_int64(p: int):
+    """Refuse a p at which the int64 fibre sum could overflow."""
     if p >= 1 << 31:
         raise InvalidPrimeError(
             f"p={p} >= 2^31 would overflow the int64 fibre sum")
+
+
+def _legendre_table(p: int):
+    """chi[v] = (v / p) for v in F_p as an int8 array; p < 2^31."""
     x = np.arange(p, dtype=np.int64)
     chi = np.full(p, -1, dtype=np.int8)
     chi[x * x % p] = 1
@@ -80,6 +85,7 @@ def _legendre_table(p: int):
 def _short_model_points(c4, c6, p: int) -> int:
     """Projective F_p points of y^2 = x^3 - 27 c4 x - 54 c6, summed over
     the fibres whose invariants mod p fill the arrays c4 and c6."""
+    _check_int64(p)
     chi = _legendre_table(p)
     x = np.arange(p, dtype=np.int64)
     cube = x * x % p * x % p
@@ -173,27 +179,30 @@ def _hasse_points(c4, c6, p: int) -> int:
     return len(A) * (p + 1) - int(traces.sum())
 
 
-def curve_count(curve: WeierstrassCurve) -> int:
-    """Projective F_p points of the (possibly singular) Weierstrass cubic."""
-    p = curve.p
-    if p in (0, 2, 3):
-        raise BadReductionError("need a finite field of characteristic >= 5")
+def _check_prime(p: int):
+    if not is_prime(p) or p < 5:
+        raise BadReductionError(f"need a prime p >= 5, got {p}")
+
+
+def curve_count(ainvs: tuple, p: int) -> int:
+    """Projective F_p points of the (possibly singular) Weierstrass cubic
+    with integer a-invariants ainvs, at a prime p >= 5."""
+    _check_prime(p)
     # (x, y) -> (36x + 3b2, 108(2y + a1 x + a3)) is an affine bijection of
     # F_p^2 onto the short model, singular or not
-    c4, c6 = curve._invariants()[4:6]
-    return _short_model_points([c4], [c6], p)
+    c4, c6 = weierstrass_invariants(*ainvs)[4:6]
+    return _short_model_points([c4 % p], [c6 % p], p)
 
 
 @lru_cache(maxsize=None)
 def ap_elliptic(ainvs: tuple, p: int) -> int:
     """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime of good reduction;
     memoized on the tuple (a1, a2, a3, a4, a6) and p."""
-    if not is_prime(p) or p < 5:
-        raise BadReductionError(f"need a prime p >= 5, got {p}")
-    curve = WeierstrassCurve(*[int(a) % p for a in ainvs], p=p)
-    if curve._is_zero(curve.discriminant()):
+    _check_prime(p)
+    *_, c4, c6, disc = weierstrass_invariants(*ainvs)
+    if disc % p == 0:
         raise BadReductionError(f"bad reduction at p={p}")
-    a = p + 1 - curve_count(curve)
+    a = p + 1 - _short_model_points([c4 % p], [c6 % p], p)
     if a * a > 4 * p:
         raise WeilBoundError(f"|A|={abs(a)} exceeds 2 sqrt({p})")
     return a
@@ -202,6 +211,7 @@ def ap_elliptic(ainvs: tuple, p: int) -> int:
 @lru_cache(maxsize=None)
 def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
     """Fiberwise surface total over P^1(F_p) and the trace B(p) it leaves."""
+    _check_int64(p)
     report = scan(family, p)
     # (c4, c6) of every fibre, column t0 < p from the t-chart by Horner,
     # then the minimal values at the zeros of Delta and at infinity (column p)
@@ -269,7 +279,7 @@ def ns_trace_prediction(family: WeierstrassFamily, p: int) -> int:
     Galois decomposition."""
     if family.ns_data is None:
         raise ValueError(f"{family.name} has no stored lattice decomposition")
-    return family.ns_data.trace(p, kronecker_character)
+    return family.ns_data.trace(p)
 
 
 def count_report(family: WeierstrassFamily, p: int, fit: tuple) -> CountReport:
@@ -290,7 +300,7 @@ def h3_trace(family: WeierstrassFamily, e_ainvs, p: int) -> int:
     attached_form(family)
     A = ap_elliptic(e_ainvs, p)
     B = k3_point_count(family, p).B
-    minus = family.ns_data.minus_trace_terms(p, kronecker_character)
+    minus = family.ns_data.minus_trace_terms(p)
     return A * B + p * A * minus
 
 
@@ -299,5 +309,5 @@ def h2_trace(family: WeierstrassFamily, p: int) -> int:
     the fiber class, and the invariant lattice part."""
     if family.ns_data is None:
         raise ValueError(f"{family.name} has no stored lattice decomposition")
-    plus = family.ns_data.plus_trace_terms(p, kronecker_character)
+    plus = family.ns_data.plus_trace_terms(p)
     return p * (17 + plus)

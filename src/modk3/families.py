@@ -1,27 +1,25 @@
-"""The explicit Weierstrass families over the t-line and curve arithmetic.
+"""The explicit Weierstrass families over the t-line.
 
 Family coefficients a1..a6 are exact rational functions of a parameter t,
 stored as integer data: a numerator and a denominator coefficient tuple
-each.  WeierstrassCurve holds one curve over Q (Fraction arithmetic) or
-over F_p (int arithmetic mod p).
+each.  A single curve is its tuple of integer a-invariants
+(a1, a2, a3, a4, a6); weierstrass_invariants gives its b-, c-invariants
+and Delta over Z, to be reduced mod p where needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .arith import VerificationError
+from .arith import VerificationError, kronecker_character
 
 FAMILY_NAMES = ("g4_legendre", "e1_4", "e1_6", "e1_7", "e1_8",
                 "g62", "g82", "g8_412", "x0_12")
 
 
 class SingularCurveError(ValueError):
-    def __init__(self, msg, c4=None):
-        super().__init__(msg)
-        self.c4 = c4
+    """A Weierstrass cubic with Delta = 0 where a curve is required."""
 
 
 @dataclass(frozen=True)
@@ -43,15 +41,17 @@ class NSDecomposition:
     def total_rank(self):
         return sum(m for _, m in self.plus_part + self.minus_part)
 
-    def trace(self, p: int, chi) -> int:
-        """n' + sum chi_D(p) * n'' over both parts; chi(D, p) supplied."""
-        return self.plus_trace_terms(p, chi) + self.minus_trace_terms(p, chi)
+    def trace(self, p: int) -> int:
+        """n' + sum chi_D(p) * n'' over both parts."""
+        return self.plus_trace_terms(p) + self.minus_trace_terms(p)
 
-    def minus_trace_terms(self, p: int, chi) -> int:
-        return sum(m * (1 if d == 1 else chi(d, p)) for d, m in self.minus_part)
+    def minus_trace_terms(self, p: int) -> int:
+        return sum(m * (1 if d == 1 else kronecker_character(d, p))
+                   for d, m in self.minus_part)
 
-    def plus_trace_terms(self, p: int, chi) -> int:
-        return sum(m * (1 if d == 1 else chi(d, p)) for d, m in self.plus_part)
+    def plus_trace_terms(self, p: int) -> int:
+        return sum(m * (1 if d == 1 else kronecker_character(d, p))
+                   for d, m in self.plus_part)
 
 
 @dataclass(frozen=True)
@@ -86,59 +86,6 @@ def weierstrass_invariants(a1, a2, a3, a4, a6) -> tuple:
                                 {"a": (a1, a2, a3, a4, a6)},
                                 c4 ** 3 - c6 ** 2, 1728 * disc)
     return b2, b4, b6, b8, c4, c6, disc
-
-
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    """Long Weierstrass curve over Q (p=0, Fraction coefficients) or F_p."""
-
-    a1: object
-    a2: object
-    a3: object
-    a4: object
-    a6: object
-    p: int = 0  # 0 means Q
-
-    def _f(self, x):
-        return Fraction(x) if self.p == 0 else x % self.p
-
-    @property
-    def ainvs(self):
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    def _invariants(self) -> tuple:
-        inv = weierstrass_invariants(*(self._f(a) for a in self.ainvs))
-        return tuple(x % self.p for x in inv) if self.p else inv
-
-    def invariants(self):
-        """(b2, b4, b6, b8, c4, c6, Delta, j); raises on Delta = 0."""
-        inv = self._invariants()
-        c4, disc = inv[4], inv[6]
-        if self._is_zero(disc):
-            raise SingularCurveError("singular curve (Delta = 0)", c4=c4)
-        return inv + (self._div(c4 ** 3, disc),)
-
-    def discriminant(self):
-        return self._invariants()[6]
-
-    def _is_zero(self, x) -> bool:
-        return (x % self.p == 0) if self.p else x == 0
-
-    def _eq(self, x, y) -> bool:
-        return self._is_zero(x - y)
-
-    def _div(self, x, y):
-        if self.p:
-            return x * pow(int(y) % self.p, -1, self.p) % self.p
-        return Fraction(x) / Fraction(y)
-
-    def is_on_curve(self, P) -> bool:
-        if P is None:
-            return True
-        x, y = P
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
-        return self._eq(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

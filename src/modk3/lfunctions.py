@@ -12,7 +12,8 @@ from .arith import VerificationError, kronecker_character
 from .cmforms import LocalFactor, WeilBoundError, euler_to_dirichlet
 from .counting import (ap_elliptic, attached_form, good_primes, h3_trace,
                        k3_point_count)
-from .families import WeierstrassCurve, WeierstrassFamily
+from .families import (SingularCurveError, WeierstrassFamily,
+                       weierstrass_invariants)
 
 
 def weight2_factor(A: int, p: int) -> LocalFactor:
@@ -57,14 +58,14 @@ def tensor_factor(A: int, B: int, eps_p: int, p: int) -> LocalFactor:
         raise VerificationError("tensor quartic = Kronecker root product",
                                 dict(A=A, B=B, eps_p=eps_p, p=p),
                                 expansion, coeffs)
-    return LocalFactor(p, 4, coeffs, eps_p)
+    return LocalFactor(p, 4, coeffs)
 
 
 def shifted_elliptic_factor(A: int, p: int, chi_p: int = 1) -> LocalFactor:
     """Local factor of L(E, s-1), optionally twisted: 1 - chi(p) p A T + p^3 T^2."""
     if A * A > 4 * p:
         raise WeilBoundError(f"|A|={abs(A)} exceeds 2 sqrt({p})")
-    return LocalFactor(p, 4, (1, -chi_p * p * A, p ** 3), chi_p)
+    return LocalFactor(p, 4, (1, -chi_p * p * A, p ** 3))
 
 
 def h3_local_factor(family: WeierstrassFamily, e_ainvs, p: int) -> LocalFactor:
@@ -84,7 +85,9 @@ def h3_local_factor(family: WeierstrassFamily, e_ainvs, p: int) -> LocalFactor:
 def h3_primes(family: WeierstrassFamily, e_ainvs, pmin: int, pmax: int) -> list:
     """The good primes of the family in [pmin, pmax] at which E has good
     reduction too; raises on a singular E."""
-    e_disc = WeierstrassCurve(*[int(x) for x in e_ainvs]).invariants()[6]
+    e_disc = weierstrass_invariants(*e_ainvs)[6]
+    if e_disc == 0:
+        raise SingularCurveError("singular curve (Delta = 0)")
     return [p for p in good_primes(family, pmin, pmax) if e_disc % p]
 
 

@@ -1,21 +1,78 @@
-"""Test-only helpers: the Legendre symbol and the O(sqrt p) norm-equation
-search (oracles of the library's fast paths), conversions between sympy
-expressions in t and the integer data of a family, the printed base-change
-maps and gluing identity, specialisation of a family to one curve, and
-curve constructions (the group law on the long form, torsion orders,
-closed-form multiples of a Tate-normal point, 2-isogenies)."""
+"""Test-only helpers: one Weierstrass curve over Q or F_p (the library
+holds a curve as its integer a-invariants), the Legendre symbol and the
+O(sqrt p) norm-equation search (oracles of the library's fast paths),
+conversions between sympy expressions in t and the integer data of a
+family, the printed base-change maps and gluing identity, specialisation
+of a family to one curve, and curve constructions (the group law on the
+long form, torsion orders, closed-form multiples of a Tate-normal point,
+2-isogenies)."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
 from sympy import Poly, Rational, cancel, fraction
 
 from modk3.arith import _check_odd_prime
-from modk3.families import WeierstrassCurve, WeierstrassFamily
+from modk3.families import (SingularCurveError, WeierstrassFamily,
+                            weierstrass_invariants)
 from modk3.kodaira import integral_model
 
 t = sympy.symbols("t")
+
+
+@dataclass(frozen=True)
+class WeierstrassCurve:
+    """Long Weierstrass curve over Q (p=0, Fraction coefficients) or F_p."""
+
+    a1: object
+    a2: object
+    a3: object
+    a4: object
+    a6: object
+    p: int = 0  # 0 means Q
+
+    def _f(self, x):
+        return Fraction(x) if self.p == 0 else x % self.p
+
+    @property
+    def ainvs(self):
+        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    def _invariants(self) -> tuple:
+        inv = weierstrass_invariants(*(self._f(a) for a in self.ainvs))
+        return tuple(x % self.p for x in inv) if self.p else inv
+
+    def invariants(self):
+        """(b2, b4, b6, b8, c4, c6, Delta, j); raises on Delta = 0."""
+        inv = self._invariants()
+        c4, disc = inv[4], inv[6]
+        if self._is_zero(disc):
+            raise SingularCurveError("singular curve (Delta = 0)")
+        return inv + (self._div(c4 ** 3, disc),)
+
+    def discriminant(self):
+        return self._invariants()[6]
+
+    def _is_zero(self, x) -> bool:
+        return (x % self.p == 0) if self.p else x == 0
+
+    def _eq(self, x, y) -> bool:
+        return self._is_zero(x - y)
+
+    def _div(self, x, y):
+        if self.p:
+            return x * pow(int(y) % self.p, -1, self.p) % self.p
+        return Fraction(x) / Fraction(y)
+
+    def is_on_curve(self, P) -> bool:
+        if P is None:
+            return True
+        x, y = P
+        lhs = y * y + self.a1 * x * y + self.a3 * y
+        rhs = x ** 3 + self.a2 * x * x + self.a4 * x + self.a6
+        return self._eq(lhs, rhs)
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,26 @@ def test_surface_count_ceiling(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "refusing p > 2200 without --force\n"
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_surface_count_refuses_p_past_2_31_before_any_array():
+    # one int64 array over F_p at this p takes 16 GiB: the child runs
+    # capped at 3 GiB of address space, so only a refusal made before the
+    # first length-p array gives this record
+    env = dict(os.environ, PYTHONPATH="src")
+    out = subprocess.run([sys.executable, "-m", "modk3.cli", "surface",
+                          "count", "--family", "g4", "--p", "2147483659",
+                          "--force"], cwd=ROOT, env=env, capture_output=True,
+                         text=True, timeout=120,
+                         preexec_fn=_cap_address_space)
+    assert out.returncode == 1, out.stderr[-2000:]
+    assert "Traceback" not in out.stderr
+    assert out.stderr == ('{"ok": false, "error": "p=2147483659 >= 2^31 '
+                          'would overflow the int64 fibre sum"}\n')
 
 
 def test_surface_verify(capsys):

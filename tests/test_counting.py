@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from helpers import WeierstrassCurve
 from modk3.arith import VerificationError, kronecker_character
 from modk3.cmforms import HECKE_SPECS, ap as form_ap
 from modk3.counting import (CountReport, ModelMismatchError, ap_elliptic,
                             count_report, curve_count, good_primes, h2_trace,
                             h3_trace, k3_point_count, ns_trace_prediction,
                             twist_fit)
-from modk3.families import WeierstrassCurve, preset
+from modk3.families import preset
 from modk3.kodaira import BadReductionError
 
 E_TEST = (0, 0, 0, -1, 0)  # y^2 = x^3 - x, conductor 32
@@ -32,11 +33,11 @@ def exhaustive_count(E):
 
 
 def test_curve_count_examples():
-    assert curve_count(WeierstrassCurve(0, 0, 0, -1, 0, p=7)) == 8
+    assert curve_count((0, 0, 0, -1, 0), 7) == 8
     # split node: y^2 = x^2 (x + 1) over F_5
-    assert curve_count(WeierstrassCurve(0, 1, 0, 0, 0, p=5)) == 5
+    assert curve_count((0, 1, 0, 0, 0), 5) == 5
     # cusp: y^2 = x^3 over F_5
-    assert curve_count(WeierstrassCurve(0, 0, 0, 0, 0, p=5)) == 6
+    assert curve_count((0, 0, 0, 0, 0), 5) == 6
 
 
 def test_curve_count_vs_enumeration_random():
@@ -46,7 +47,7 @@ def test_curve_count_vs_enumeration_random():
         E = WeierstrassCurve(rng.randrange(p), rng.randrange(p),
                              rng.randrange(p), rng.randrange(p),
                              rng.randrange(p), p=p)
-        assert curve_count(E) == exhaustive_count(E), E
+        assert curve_count(E.ainvs, E.p) == exhaustive_count(E), E
 
 
 def test_ap_elliptic():
@@ -211,8 +212,7 @@ def test_ns_trace_prediction_matches_geometry():
 def test_kummer_against_twisted_quotient_oracle():
     # #(A/-1)(F_p) = (#E1 #E2 + #E1' #E2')/2 with E' the quadratic twist
     p = 13
-    E = WeierstrassCurve(0, 0, 0, -1 % p, 0, p=p)
-    n = curve_count(E)
+    n = curve_count(E_TEST, p)
     a = p + 1 - n
     # y^2 = x^3 - x is its own twist statistics carrier: twist trace is -a
     n_tw = p + 1 + a
@@ -246,4 +246,9 @@ def test_bad_primes_rejected():
     with pytest.raises(BadReductionError):
         k3_point_count(preset("g62"), 3)
     with pytest.raises(BadReductionError):
-        curve_count(WeierstrassCurve(0, 0, 0, 1, 1, p=3))
+        curve_count((0, 0, 0, 1, 1), 3)
+    # y^2 = x^3 - x over Z/nZ: no field, whatever the count would give
+    for n in (1, 4, 9, 15):
+        with pytest.raises(BadReductionError,
+                           match=f"need a prime p >= 5, got {n}$"):
+            curve_count(E_TEST, n)

@@ -59,17 +59,13 @@ FLOAT_CALLS = {"sqrt", "log", "exp", "fft", "roots"}
 def _float_sites(tree) -> list:
     """Nodes through which a float can enter: float literals and the name
     float, math/numpy calls that return floats (sqrt, log, exp, fft,
-    roots), numpy float dtypes, and true division outside Fraction."""
+    roots), numpy float dtypes, and true division."""
     float_types = {name for name, obj in vars(np).items()
                    if isinstance(obj, type) and issubclass(obj, np.inexact)}
 
     def float_dtype(node):
         return (isinstance(node, ast.Constant) and isinstance(node.value, str)
                 and np.dtype(node.value).kind in "fc")
-
-    def fraction(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "Fraction")
 
     found = []
     for node in ast.walk(tree):
@@ -87,10 +83,7 @@ def _float_sites(tree) -> list:
             bad = (isinstance(node.func, ast.Attribute)
                    and node.func.attr in ("astype", "dtype")
                    and any(map(float_dtype, node.args)))
-        elif isinstance(node, ast.BinOp):
-            bad = (isinstance(node.op, ast.Div)
-                   and not (fraction(node.left) and fraction(node.right)))
-        elif isinstance(node, ast.AugAssign):
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
             bad = isinstance(node.op, ast.Div)
         else:
             bad = False
@@ -100,7 +93,7 @@ def _float_sites(tree) -> list:
 
 
 def test_no_floating_point_in_the_library():
-    # every verified value is an exact integer or Fraction; a float anywhere
+    # every verified value is an exact integer; a float anywhere
     # in the library could round one silently
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(SRC.glob("*.py"))
@@ -109,8 +102,7 @@ def test_no_floating_point_in_the_library():
 
 
 def test_the_float_rule_catches_each_kind_of_site():
-    allowed = ("x = Fraction(a) / Fraction(b)\n"
-               "y = math.isqrt(n) // 2\n"
+    allowed = ("y = math.isqrt(n) // 2\n"
                "z = np.zeros(4, dtype=np.int64).astype('i8')\n")
     assert _float_sites(ast.parse(allowed)) == []
     for line in ("x = 0.5", "x = float(n)", "x = math.sqrt(n)",
@@ -118,5 +110,6 @@ def test_the_float_rule_catches_each_kind_of_site():
                  "x = np.roots(c)", "from math import sqrt",
                  "x = np.zeros(3, dtype=np.float64)",
                  "x = np.zeros(3, dtype='f8')", "x = a.astype('float32')",
-                 "x = a / b", "x = Fraction(a) / b", "x /= 2", "x = 1j"):
+                 "x = a / b", "x = Fraction(a) / b",
+                 "x = Fraction(a) / Fraction(b)", "x /= 2", "x = 1j"):
         assert _float_sites(ast.parse(line)), line
