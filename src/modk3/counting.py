@@ -179,15 +179,11 @@ def _hasse_points(c4, c6, p: int) -> int:
     return len(A) * (p + 1) - int(traces.sum())
 
 
-def _check_prime(p: int):
-    if not is_prime(p) or p < 5:
-        raise BadReductionError(f"need a prime p >= 5, got {p}")
-
-
 def curve_count(ainvs: tuple, p: int) -> int:
     """Projective F_p points of the (possibly singular) Weierstrass cubic
     with integer a-invariants ainvs, at a prime p >= 5."""
-    _check_prime(p)
+    if not is_prime(p) or p < 5:
+        raise BadReductionError(f"need a prime p >= 5, got {p}")
     # (x, y) -> (36x + 3b2, 108(2y + a1 x + a3)) is an affine bijection of
     # F_p^2 onto the short model, singular or not
     c4, c6 = weierstrass_invariants(*ainvs)[4:6]
@@ -198,11 +194,9 @@ def curve_count(ainvs: tuple, p: int) -> int:
 def ap_elliptic(ainvs: tuple, p: int) -> int:
     """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime of good reduction;
     memoized on the tuple (a1, a2, a3, a4, a6) and p."""
-    _check_prime(p)
-    *_, c4, c6, disc = weierstrass_invariants(*ainvs)
-    if disc % p == 0:
+    a = p + 1 - curve_count(ainvs, p)  # refuses all but primes p >= 5
+    if weierstrass_invariants(*ainvs)[6] % p == 0:
         raise BadReductionError(f"bad reduction at p={p}")
-    a = p + 1 - _short_model_points([c4 % p], [c6 % p], p)
     if a * a > 4 * p:
         raise WeilBoundError(f"|A|={abs(a)} exceeds 2 sqrt({p})")
     return a

@@ -117,7 +117,9 @@ def test_surface_count_refuses_p_past_2_31_before_any_array():
     # one int64 array over F_p at this p takes 16 GiB: the child runs
     # capped at 3 GiB of address space, so only a refusal made before the
     # first length-p array gives this record
-    env = dict(os.environ, PYTHONPATH="src")
+    # one BLAS thread, so numpy's import fits under the cap on any core count
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-m", "modk3.cli", "surface",
                           "count", "--family", "g4", "--p", "2147483659",
                           "--force"], cwd=ROOT, env=env, capture_output=True,
