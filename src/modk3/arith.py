@@ -248,19 +248,6 @@ def unit_pairs(d: int, u: int, v: int) -> list:
     return pairs
 
 
-def norm_equation_solutions(d: int, p: int) -> list:
-    """All QuadFieldElements of norm p, i.e. u^2 + d*v^2 = 4p, with u >= 0.
-
-    Both (u, v) and (u, -v) are listed when v != 0.  Empty iff p is inert.
-    """
-    if d not in SUPPORTED_D:
-        raise UnsupportedFieldError(f"unsupported field parameter d={d}")
-    if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not prime")
-    return [QuadFieldElement(d, u, v) for u, v in _norm_solutions(d, p)
-            if u >= 0]
-
-
 def _norm_solutions(d: int, p: int) -> list:
     """Every (u, v) with u^2 + d*v^2 = 4p, for a prime p already checked.
 

@@ -17,8 +17,8 @@ from dataclasses import asdict
 from .arith import primes_up_to
 from .cmforms import HECKE_SPECS, ap as form_ap, verify_against_eta
 from .congruence import group_report
-from .counting import (count_report, good_primes, h3_trace,
-                       ns_trace_prediction, twist_fit)
+from .counting import (b_trace_prediction, count_report, good_primes,
+                       h3_trace, ns_trace_prediction)
 from .families import FAMILY_NAMES, preset
 from .kodaira import config_vs_expected, ns_report, scan
 from .lfunctions import (assemble_h3, betti_hodge_report, h3_local_factor,
@@ -157,28 +157,32 @@ def cmd_surface_scan(args) -> list:
 
 def cmd_surface_count(args) -> list:
     family = _family(args.family)
-    primes = _primes(args, family)
-    fit = twist_fit(family)
-    return [dict(asdict(count_report(family, p, fit)), suite="count")
-            for p in primes]
+    return [dict(asdict(count_report(family, p)), suite="count")
+            for p in _primes(args, family)]
 
 
 def cmd_surface_verify(args) -> list:
+    """B(p) = chi_D(p) a_p(form) for the family's stored form and twist D,
+    and the lattice trace against its stored decomposition, at every prime
+    of the window; expected and observed values at the first failure."""
     family = _family(args.family)
     primes = _primes(args, family)
-    form_id, disc = fit = twist_fit(family, primes)
-    failing = []
+    evidence = dict.fromkeys(("first_failure", "B_expected", "B_observed",
+                              "ns_expected", "ns_observed"))
     for p in primes:
-        rep = count_report(family, p, fit)
-        ns_ok = (family.ns_data is None
-                 or rep.ns_trace_used == ns_trace_prediction(family, p))
-        if not (rep.ok and ns_ok):
-            failing.append(p)
+        rep = count_report(family, p)
+        ns = (None if family.ns_data is None
+              else ns_trace_prediction(family, p))
+        if not rep.ok or ns not in (None, rep.ns_trace_used):
+            evidence = {"first_failure": p,
+                        "B_expected": b_trace_prediction(family, p),
+                        "B_observed": rep.B, "ns_expected": ns,
+                        "ns_observed": rep.ns_trace_used}
+            break
     return [{"suite": "surface", "target": family.name,
-             "form": form_id, "twist_disc": disc,
-             "primes": [primes[0], primes[-1]],
-             "first_failure": failing[0] if failing else None,
-             "ok": not failing}]
+             "form": family.form_id, "twist_disc": family.twist_disc,
+             "primes": [primes[0], primes[-1]], **evidence,
+             "ok": evidence["first_failure"] is None}]
 
 
 def cmd_l3fold_euler(args) -> list:

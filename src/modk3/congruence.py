@@ -299,11 +299,6 @@ def preset_lift(k: int) -> CongruenceGroupSpec:
     return CongruenceGroupSpec(name + "~", N, pred, projective=False)
 
 
-def psl2z() -> CongruenceGroupSpec:
-    """The full modular group (modulus-1 convention)."""
-    return CongruenceGroupSpec("PSL(2,Z)", 1, lambda m: True, projective=True)
-
-
 def group_report(k: int) -> dict:
     """One verification record for preset group k and its lift."""
     g = preset_group(k)

@@ -3,10 +3,10 @@
 The surface total over F_p is assembled fiberwise from the Weierstrass
 model (locally minimalized at the singular places) plus p times the
 Frobenius-fixed extra fiber components; subtracting the algebraic part
-1 + p^2 + p * ns_trace leaves the transcendental trace B(p), which the
-weight-3 coefficient data must reproduce up to an explicit quadratic
-twist fitted once per command.  The threefold traces use B(p) itself and
-need no twist.
+1 + p^2 + p * ns_trace leaves the transcendental trace B(p), which must
+equal chi_D(p) a_p of the family's attached weight-3 form, D the
+quadratic twist stored with the family.  The threefold traces use B(p)
+itself and need no twist.
 
 A surface count at p >= 17 takes each fibre's trace a from the Hasse
 invariant: a = H mod p, H the coefficient of x^(p-1) in
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
@@ -36,9 +35,6 @@ from .arith import (InvalidPrimeError, VerificationError, is_prime,
 from .cmforms import HECKE_SPECS, HeckeCharSpec, WeilBoundError, ap as form_ap
 from .families import WeierstrassFamily, weierstrass_invariants
 from .kodaira import BadReductionError, scan
-
-#: fundamental discriminants D with |D| dividing 48
-TWIST_DISCS = (1, -3, -4, 8, -8, 12, -24, 24)
 
 #: int64 cells per block of the fibre sum (512 KB)
 BLOCK_CELLS = 1 << 16
@@ -114,7 +110,7 @@ def _power(base, e: int, p: int):
     return result
 
 
-#: room for the 21 primes 17 <= p <= 97 that every twist fit counts
+#: room for the 19 primes 17 <= p <= 97 that verify all --pmax 97 counts
 @lru_cache(maxsize=32)
 def _hasse_table(p: int) -> tuple:
     """(chi, g, reciprocal, (M_B, e_B), (M_A, e_A)) at p, m = (p - 1) / 2: the
@@ -238,36 +234,6 @@ def attached_form(family: WeierstrassFamily) -> HeckeCharSpec:
     return HECKE_SPECS[family.form_id]
 
 
-def twist_fit(family: WeierstrassFamily, primes=None) -> tuple:
-    """The unique (form id, twist discriminant D) with
-    B(p) = chi_D(p) * a_p(form) at every supplied good prime."""
-    spec = attached_form(family)
-    if primes is None:
-        primes = good_primes(family)
-    traces = {p: k3_point_count(family, p).B for p in primes}
-    if all(b == 0 for b in traces.values()):
-        raise ModelMismatchError("all traces vanish; primes cannot fit a twist")
-    def fits(D):
-        return all(b == kronecker_character(D, p) * form_ap(spec, p)
-                   for p, b in traces.items())
-
-    candidates = [D for D in TWIST_DISCS if fits(D)]
-    if not candidates:
-        raise ModelMismatchError(
-            f"{family.name}: no quadratic twist of {family.form_id} fits")
-    # chi_D a_p = chi_D' a_p at every good p iff chi_D chi_D' is the CM
-    # character (a_p = 0 off its kernel), i.e. iff D D' disc(K) is a
-    # positive square; any other survivor means too few primes
-    base = candidates[0]
-    for D in candidates[1:]:
-        n = base * D * spec.disc
-        if n <= 0 or isqrt(n) ** 2 != n:
-            raise ModelMismatchError(f"{family.name}: twist not separated "
-                                     f"by the supplied primes: {candidates}")
-    candidates.sort(key=lambda D: (abs(D), D < 0))
-    return family.form_id, candidates[0]
-
-
 def ns_trace_prediction(family: WeierstrassFamily, p: int) -> int:
     """Frobenius trace on the algebraic lattice predicted by the stored
     Galois decomposition."""
@@ -276,14 +242,21 @@ def ns_trace_prediction(family: WeierstrassFamily, p: int) -> int:
     return family.ns_data.trace(p)
 
 
-def count_report(family: WeierstrassFamily, p: int, fit: tuple) -> CountReport:
-    """k3_point_count with the fitted (form id, twist discriminant) filled
-    in and verified."""
-    form_id, disc = fit
+def b_trace_prediction(family: WeierstrassFamily, p: int) -> int:
+    """chi_D(p) a_p(form): the B(p) that the family's attached form and
+    stored twist discriminant D predict."""
+    spec = attached_form(family)
+    return kronecker_character(family.twist_disc, p) * form_ap(spec, p)
+
+
+def count_report(family: WeierstrassFamily, p: int) -> CountReport:
+    """k3_point_count with the family's (form id, twist discriminant)
+    filled in and checked against b_trace_prediction."""
+    attached_form(family)  # a family with no form raises before counting
     base = k3_point_count(family, p)
-    expected = kronecker_character(disc, p) * form_ap(HECKE_SPECS[form_id], p)
     return CountReport(base.family, base.p, base.total, base.ns_trace_used,
-                       base.B, form_id, disc, base.B == expected)
+                       base.B, family.form_id, family.twist_disc,
+                       base.B == b_trace_prediction(family, p))
 
 
 def h3_trace(family: WeierstrassFamily, e_ainvs, p: int) -> int:

@@ -65,6 +65,7 @@ class WeierstrassFamily:
     ns_data: NSDecomposition = None
     level_primes: frozenset = frozenset()
     form_id: str = ""       # weight-3 form with the same CM field
+    twist_disc: int = 0     # D with B(p) = chi_D(p) a_p(form), 0 without a form
 
     @property
     def bad_primes(self) -> frozenset:
@@ -107,7 +108,7 @@ _PRESETS = {
                       ((1, 0, 2, 0, 1), (4, 0, 0)), _0),
         expected_config=("I4",) * 6, preset_group_id=1,
         ns_data=_ns([(1, 12), (-4, 2)], [(1, 3), (-4, 3)]),
-        level_primes=frozenset({2}), form_id="h8"),
+        level_primes=frozenset({2}), form_id="h8", twist_disc=1),
     # (1, t, t, 0, 0)
     "e1_4": dict(
         a_invariants=(((1,), (1,)), ((1, 0), (1,)), ((1, 0), (1,)), _0, _0),
@@ -137,14 +138,14 @@ _PRESETS = {
                       ((-8, 0, 8), (1, 0, -18, 0, 81)), _0, _0),
         expected_config=("I6",) * 3 + ("I2",) * 3, preset_group_id=2,
         ns_data=_ns([(1, 14)], [(1, 6)]),
-        level_primes=frozenset({3}), form_id="h7"),
+        level_primes=frozenset({3}), form_id="h7", twist_disc=1),
     # (0, 2 + (t + 1/t)^2 / 2, 0, (t - 1/t)^4 / 16, 0)
     "g82": dict(
         a_invariants=(_0, ((1, 0, 6, 0, 1), (2, 0, 0)), _0,
                       ((1, 0, -4, 0, 6, 0, -4, 0, 1), (16, 0, 0, 0, 0)), _0),
         expected_config=("I8", "I8", "I2", "I2", "I2", "I2"),
         preset_group_id=5, ns_data=_ns([(1, 13), (-4, 1)], [(1, 6)]),
-        level_primes=frozenset({2}), form_id="h8"),
+        level_primes=frozenset({2}), form_id="h8", twist_disc=1),
     # q = 8t^4 - 16t^3 + 16t^2 - 8t + 1:
     # (0, -2q, 0, (8t^2 - 8t + 1)(2t - 1)^4, 0)
     "g8_412": dict(
@@ -152,7 +153,7 @@ _PRESETS = {
                       ((128, -384, 464, -288, 96, -16, 1), (1,)), _0),
         expected_config=("I8", "I4", "I4", "I4", "I2", "I2"),
         preset_group_id=6, ns_data=_ns([(1, 13), (8, 1)], [(1, 5), (-4, 1)]),
-        level_primes=frozenset({2}), form_id="h4"),
+        level_primes=frozenset({2}), form_id="h4", twist_disc=1),
     # b = -t^2 (t^2 - 1): (t^2 + 1, b, b, 0, 0)
     "x0_12": dict(
         a_invariants=(((1, 0, 1), (1,)), ((-1, 0, 1, 0, 0), (1,)),

@@ -16,13 +16,6 @@ from .families import (SingularCurveError, WeierstrassFamily,
                        weierstrass_invariants)
 
 
-def weight2_factor(A: int, p: int) -> LocalFactor:
-    """1 - A T + p T^2 for an elliptic curve with good reduction."""
-    if A * A > 4 * p:
-        raise WeilBoundError(f"|A|={abs(A)} exceeds 2 sqrt({p})")
-    return LocalFactor(p, 2, (1, -A, p))
-
-
 def _root_product_expansion(A: int, B: int, eps_p: int, p: int) -> tuple:
     """prod_{i,j} (1 - alpha_i beta_j T) = (1, -e1, e2, -e3, e4) for the
     roots alpha of x^2 - A x + p and beta of y^2 - B y + eps p^2, by

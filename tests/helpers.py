@@ -1,23 +1,35 @@
 """Test-only helpers: one Weierstrass curve over Q or F_p (the library
 holds a curve as its integer a-invariants), the Legendre symbol and the
-O(sqrt p) norm-equation search (oracles of the library's fast paths),
-conversions between sympy expressions in t and the integer data of a
-family, the printed base-change maps and gluing identity, specialisation
-of a family to one curve, and curve constructions (the group law on the
-long form, torsion orders, closed-form multiples of a Tate-normal point,
-2-isogenies)."""
+O(sqrt p) norm-equation search (oracles of the library's fast paths), the
+twist fit (the oracle of each family's stored twist), the norm-equation
+solutions as field elements, the full modular group and the weight-2
+local factor, conversions between sympy expressions in t and the integer
+data of a family, the printed base-change maps and gluing identity,
+specialisation of a family to one curve, and curve constructions (the
+group law on the long form, torsion orders, closed-form multiples of a
+Tate-normal point, 2-isogenies)."""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import sympy
 from sympy import Poly, Rational, cancel, fraction
 
-from modk3.arith import _check_odd_prime
+from modk3.arith import (SUPPORTED_D, InvalidPrimeError, QuadFieldElement,
+                         UnsupportedFieldError, _check_odd_prime,
+                         _norm_solutions, is_prime, kronecker_character)
+from modk3.cmforms import LocalFactor, WeilBoundError, ap as form_ap
+from modk3.congruence import CongruenceGroupSpec
+from modk3.counting import (ModelMismatchError, attached_form, good_primes,
+                            k3_point_count)
 from modk3.families import (SingularCurveError, WeierstrassFamily,
                             weierstrass_invariants)
 from modk3.kodaira import integral_model
+
+#: fundamental discriminants D with |D| dividing 48
+TWIST_DISCS = (1, -3, -4, 8, -8, 12, -24, 24)
 
 t = sympy.symbols("t")
 
@@ -93,6 +105,61 @@ def loop_norm_solutions(d: int, p: int) -> list:
         if u * u == rem and (u - v) % 2 == 0 and (d % 4 == 3 or u % 2 == 0):
             out += [(u, v), (u, -v)] if v else [(u, v)]
     return out
+
+
+def norm_equation_solutions(d: int, p: int) -> list:
+    """All QuadFieldElements of norm p, i.e. u^2 + d*v^2 = 4p, with u >= 0.
+
+    Both (u, v) and (u, -v) are listed when v != 0.  Empty iff p is inert.
+    """
+    if d not in SUPPORTED_D:
+        raise UnsupportedFieldError(f"unsupported field parameter d={d}")
+    if not is_prime(p):
+        raise InvalidPrimeError(f"{p} is not prime")
+    return [QuadFieldElement(d, u, v) for u, v in _norm_solutions(d, p)
+            if u >= 0]
+
+
+def twist_fit(family: WeierstrassFamily, primes=None) -> tuple:
+    """The unique (form id, twist discriminant D) with
+    B(p) = chi_D(p) * a_p(form) at every supplied good prime."""
+    spec = attached_form(family)
+    if primes is None:
+        primes = good_primes(family)
+    traces = {p: k3_point_count(family, p).B for p in primes}
+    if all(b == 0 for b in traces.values()):
+        raise ModelMismatchError("all traces vanish; primes cannot fit a twist")
+    def fits(D):
+        return all(b == kronecker_character(D, p) * form_ap(spec, p)
+                   for p, b in traces.items())
+
+    candidates = [D for D in TWIST_DISCS if fits(D)]
+    if not candidates:
+        raise ModelMismatchError(
+            f"{family.name}: no quadratic twist of {family.form_id} fits")
+    # chi_D a_p = chi_D' a_p at every good p iff chi_D chi_D' is the CM
+    # character (a_p = 0 off its kernel), i.e. iff D D' disc(K) is a
+    # positive square; any other survivor means too few primes
+    base = candidates[0]
+    for D in candidates[1:]:
+        n = base * D * spec.disc
+        if n <= 0 or isqrt(n) ** 2 != n:
+            raise ModelMismatchError(f"{family.name}: twist not separated "
+                                     f"by the supplied primes: {candidates}")
+    candidates.sort(key=lambda D: (abs(D), D < 0))
+    return family.form_id, candidates[0]
+
+
+def psl2z() -> CongruenceGroupSpec:
+    """The full modular group (modulus-1 convention)."""
+    return CongruenceGroupSpec("PSL(2,Z)", 1, lambda m: True, projective=True)
+
+
+def weight2_factor(A: int, p: int) -> LocalFactor:
+    """1 - A T + p T^2 for an elliptic curve with good reduction."""
+    if A * A > 4 * p:
+        raise WeilBoundError(f"|A|={abs(A)} exceeds 2 sqrt({p})")
+    return LocalFactor(p, 2, (1, -A, p))
 
 
 def _coefficients(poly) -> tuple:

@@ -6,14 +6,15 @@ import random
 import sys
 import time
 
-from modk3.arith import SUPPORTED_D, kronecker_character, norm_equation_solutions
+from modk3.arith import SUPPORTED_D, kronecker_character
 from modk3.cmforms import HECKE_SPECS, ap as form_ap, splitting, verify_against_eta
 from modk3.congruence import (PRESET_CUSP_WIDTHS, cusps_and_widths, genus,
                               group_report, index_in_modular_group,
                               is_torsion_free, preset_group)
-from helpers import WeierstrassCurve, two_isogeny_quotient
+from helpers import (WeierstrassCurve, norm_equation_solutions,
+                     two_isogeny_quotient)
 from modk3.counting import (ap_elliptic, curve_count, good_primes, h3_trace,
-                            k3_point_count, ns_trace_prediction, twist_fit)
+                            k3_point_count, ns_trace_prediction)
 from modk3.families import preset
 from modk3.kodaira import config_vs_expected, eigenspace_counts, scan
 from modk3.lfunctions import (_root_product_expansion, assemble_h3,
@@ -109,8 +110,8 @@ def test_criterion_4_k3_modularity_suite():
     t0 = time.monotonic()
     for name in K3_FAMILIES:
         fam = preset(name)
-        form_id, disc = twist_fit(fam)
-        spec = HECKE_SPECS[form_id]
+        # the stored form and twist, not a fit on the primes checked here
+        spec, disc = HECKE_SPECS[fam.form_id], fam.twist_disc
         for p in good_primes(fam, 5, 97):
             r = k3_point_count(fam, p)
             assert r.B == kronecker_character(disc, p) * form_ap(spec, p), \

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from helpers import legendre_symbol, loop_norm_solutions
+from helpers import (legendre_symbol, loop_norm_solutions,
+                     norm_equation_solutions)
 from modk3 import arith
 from modk3.arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
                          SUPPORTED_D, UnsupportedFieldError,
                          VerificationError,
                          is_fundamental_discriminant, is_prime,
-                         kronecker_character, norm_equation_solutions,
-                         primes_up_to, sqrt_mod)
+                         kronecker_character, primes_up_to, sqrt_mod)
 
 
 def naive_is_prime(n):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import resource
@@ -10,6 +11,7 @@ import pytest
 from modk3 import cli, congruence, counting, lfunctions
 from modk3.arith import InvalidPrimeError
 from modk3.cli import HECKE_SPECS, build_parser, form_ap, run
+from modk3.families import preset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,6 +138,35 @@ def test_surface_verify(capsys):
     rec = records(capsys)[0]
     assert rec["ok"] and rec["first_failure"] is None
     assert rec["form"] == "h8" and rec["twist_disc"] == 1
+    assert all(rec[k] is None for k in ("B_expected", "B_observed",
+                                        "ns_expected", "ns_observed"))
+
+
+def test_surface_verify_reports_evidence_at_the_first_failure(capsys,
+                                                              monkeypatch):
+    # a wrong stored twist: chi_{-4}(5) = 1 passes, chi_{-4}(7) = -1 fails
+    wrong = dataclasses.replace(preset("g62"), twist_disc=-4)
+    monkeypatch.setattr(cli, "_family", lambda name: wrong)
+    assert run(["surface", "verify", "--family", "g62", "--pmax", "30"]) == 1
+    rec = records(capsys)[0]
+    observed = counting.k3_point_count(wrong, 7)
+    ns = counting.ns_trace_prediction(wrong, 7)
+    assert rec == {"suite": "surface", "target": "g62", "form": "h7",
+                   "twist_disc": -4, "primes": [5, 29], "first_failure": 7,
+                   "B_expected": -form_ap(HECKE_SPECS["h7"], 7),
+                   "B_observed": observed.B, "ns_expected": ns,
+                   "ns_observed": observed.ns_trace_used, "ok": False}
+    assert rec["B_expected"] != rec["B_observed"]
+    assert rec["ns_expected"] == rec["ns_observed"]
+
+
+def test_surface_commands_need_an_attached_form(capsys):
+    for action, name in (("count", "e1_7"), ("verify", "x0_12")):
+        assert run(["surface", action, "--family", name]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ('{"ok": false, "error": '
+                                f'"{name} has no attached weight-3 form"}}\n')
 
 
 def test_surface_verify_counts_only_its_primes(capsys, monkeypatch):
@@ -270,7 +301,6 @@ def test_internal_errors_exit_1(capsys):
 
 
 def test_verify_all_smoke(capsys):
-    # pmax must supply enough split primes for every family's twist fit
     assert run(["verify", "all", "--pmax", "60"]) == 0
     recs = records(capsys)
     assert len(recs) > 20

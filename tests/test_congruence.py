@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import psl2z
 from modk3 import congruence
 from modk3.arith import VerificationError
 from modk3.congruence import (ClosureViolationError, CongruenceGroupSpec,
@@ -7,7 +8,7 @@ from modk3.congruence import (ClosureViolationError, CongruenceGroupSpec,
                               cusps_and_widths, elliptic_counts, genus,
                               group_report, has_trace_minus_two,
                               index_in_modular_group, is_torsion_free,
-                              preset_group, preset_lift, psl2z, sl2_elements,
+                              preset_group, preset_lift, sl2_elements,
                               trace_minus_two_classes)
 
 

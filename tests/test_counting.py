@@ -8,14 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import WeierstrassCurve
+from helpers import WeierstrassCurve, twist_fit
 from modk3.arith import VerificationError, kronecker_character
 from modk3.cmforms import HECKE_SPECS, ap as form_ap
 from modk3.counting import (CountReport, ModelMismatchError, ap_elliptic,
                             count_report, curve_count, good_primes, h2_trace,
-                            h3_trace, k3_point_count, ns_trace_prediction,
-                            twist_fit)
-from modk3.families import preset
+                            h3_trace, k3_point_count, ns_trace_prediction)
+from modk3.families import FAMILY_NAMES, preset
 from modk3.kodaira import BadReductionError
 
 E_TEST = (0, 0, 0, -1, 0)  # y^2 = x^3 - x, conductor 32
@@ -119,7 +118,7 @@ def test_count_report_identity_survives_python_O():
             "def forged_cornacchia():\n"
             "    # 0 is no square root of -4 mod 13: the pair is (0, 6)\n"
             "    arith._sqrt_mod = lambda a, p: 0\n"
-            "    arith.norm_equation_solutions(1, 13)\n"
+            "    arith._norm_solutions(1, 13)\n"
             "def forged_field():\n"
             "    # -16 = 4 * (-4) is no field discriminant\n"
             "    cmforms.FIELD_DISC = {**cmforms.FIELD_DISC, 1: -16}\n"
@@ -166,10 +165,17 @@ def test_inert_primes_kill_the_trace():
 
 
 def test_twist_fit_results():
-    assert twist_fit(preset("g4_legendre")) == ("h8", 1)
-    assert twist_fit(preset("g62")) == ("h7", 1)
-    assert twist_fit(preset("g82")) == ("h8", 1)
-    assert twist_fit(preset("g8_412")) == ("h4", 1)
+    # the fit over the good p <= 97 is the oracle of each stored twist
+    stored = {}
+    for name in FAMILY_NAMES:
+        fam = preset(name)
+        if fam.form_id:
+            assert twist_fit(fam) == (fam.form_id, fam.twist_disc), name
+            stored[name] = (fam.form_id, fam.twist_disc)
+        else:
+            assert fam.twist_disc == 0, name
+    assert stored == {"g4_legendre": ("h8", 1), "g62": ("h7", 1),
+                      "g82": ("h8", 1), "g8_412": ("h4", 1)}
 
 
 def test_twist_fit_negative_control():
@@ -195,10 +201,17 @@ def test_twist_fit_needs_separating_primes():
 
 def test_count_report_marks_ok():
     fam = preset("g62")
-    r = count_report(fam, 13, twist_fit(fam))
+    r = count_report(fam, 13)
     assert r.ok and r.matched_form == "h7" and r.twist_disc == 1
-    # the report checks the fit it is given: chi_{-4}(7) = -1, a_7 = 2
-    assert not count_report(fam, 7, ("h7", -4)).ok
+    # the report checks the twist the family stores: chi_{-4}(7) = -1,
+    # a_7 = 2, while chi_{-4}(5) = 1
+    wrong = dataclasses.replace(fam, twist_disc=-4)
+    assert count_report(wrong, 5).ok
+    r = count_report(wrong, 7)
+    assert not r.ok and r.twist_disc == -4 and r.B == 2
+    with pytest.raises(ModelMismatchError,
+                       match="e1_7 has no attached weight-3 form"):
+        count_report(preset("e1_7"), 13)
 
 
 def test_ns_trace_prediction_matches_geometry():

@@ -11,7 +11,7 @@ from helpers import WeierstrassCurve
 from modk3 import counting
 from modk3.arith import InvalidPrimeError, VerificationError, primes_up_to
 from modk3.counting import (count_report, curve_count, good_primes,
-                            k3_point_count, twist_fit)
+                            k3_point_count)
 from modk3.families import FAMILY_NAMES, preset
 from modk3.kodaira import scan
 
@@ -175,12 +175,12 @@ def test_table_path_vs_kernel_to_2200():
 
 @pytest.mark.slow
 def test_k3_twists_hold_on_held_out_primes_to_10000():
-    # each twist fitted on the good p <= 97, checked at every good prime up
-    # to 10^4; primes outside, so that the families share each table
+    # each stored twist (the fit on the good p <= 97, see
+    # test_twist_fit_results) checked at every good prime from 97 up to
+    # 10^4; primes outside, so that the families share each table
     families = [preset(name)
                 for name in ("g4_legendre", "g62", "g82", "g8_412")]
-    fits = {family: twist_fit(family) for family in families}
     bad = [(family.name, p) for p in primes_up_to(10 ** 4)
            for family in families if p > 97 and p not in family.bad_primes
-           and not count_report(family, p, fits[family]).ok]
+           and not count_report(family, p).ok]
     assert bad == []

@@ -4,6 +4,7 @@ import random
 import pytest
 import sympy
 
+from helpers import weight2_factor
 from modk3.arith import primes_up_to
 from modk3.cmforms import (LocalFactor, WeilBoundError, euler_to_dirichlet,
                            weight3_factor)
@@ -11,8 +12,7 @@ from modk3.counting import ap_elliptic, good_primes, h3_trace
 from modk3.families import preset
 from modk3.lfunctions import (_root_product_expansion, assemble_h3,
                               betti_hodge_report, h3_local_factor,
-                              shifted_elliptic_factor, tensor_factor,
-                              weight2_factor)
+                              shifted_elliptic_factor, tensor_factor)
 
 E_TEST = (0, 0, 0, -1, 0)
 
