@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 
 from .arith import primes_up_to
 from .cmforms import HECKE_SPECS, ap as form_ap, verify_against_eta
@@ -201,10 +202,8 @@ def cmd_l3fold_series(args) -> list:
 
 
 def cmd_verify_all(args) -> list:
-    parser = build_parser()
-
     def sub(*argv) -> list:
-        ns = parser.parse_args([str(a) for a in argv])
+        ns = build_parser().parse_args([str(a) for a in argv])
         return ns.func(ns)
 
     # every window is checked before any work; x0_12 is report-only
@@ -235,6 +234,7 @@ def _add_primes(p: argparse.ArgumentParser):
     p.add_argument("--pmax", type=_positive_int, default=97)
 
 
+@cache  # one parser per process: run() and verify all reuse it
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="modk3")
     sub = top.add_subparsers(dest="command", required=True)

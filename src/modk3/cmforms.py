@@ -187,12 +187,11 @@ def euler_to_dirichlet(factors: dict, N: int) -> list:
     a = [0] * (N + 1)
     a[1] = 1
     for p, factor in factors.items():
-        # 1/L_p(T) to T^k for the largest p^k <= N, then a_{m p^k} =
-        # a_m a_{p^k} for every m built from the primes already multiplied in
-        nterms = 2
-        while p ** nterms <= N:
-            nterms += 1
-        inv = series_power(list(factor.coefficients), -1, nterms)
+        # 1/L_p(T) past the largest p^k <= N (1 - c_1 T if p^2 > N), then
+        # a_{m p^k} = a_m a_{p^k} for every m built from the earlier primes
+        inv = (1, -factor.coefficients[1])
+        if p * p <= N:
+            inv = series_power(list(factor.coefficients), -1, N.bit_length())
         for m in [m for m in range(1, N // p + 1) if a[m]]:
             n, k = m * p, 1
             while n <= N:

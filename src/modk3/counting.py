@@ -12,15 +12,16 @@ A surface count at p >= 17 takes each fibre's trace a from the Hasse
 invariant: a = H mod p, H the coefficient of x^(p-1) in
 (x^3 + A x + B)^((p-1)/2), singular fibre or not (Silverman, AEC V.4), and
 2 sqrt(p) < p / 2 makes the lift of H to (-p/2, p/2) exact.  Scaling by
-A/B gives H(A, B) = chi(AB) H(c, c) with c = A^3 / B^2, so one table of
-H(c, c) over c in F_p, built once per prime by Horner, serves every fibre
-of every family; A = 0 and B = 0 are single monomials.  Every lifted trace
-must satisfy the Weil bound a^2 <= 4p.  A single curve, given as its
-integer a-invariants (a1, a2, a3, a4, a6), and every fibre at p < 17, is
-counted by one numpy kernel over y^2 = x^3 + A x + B: blocks of
-BLOCK_CELLS // p fibres, each one int64 array of A x + x^3 + B mod p over
-x in F_p, looked up in an int8 Legendre table.  Intermediates stay below
-p^2 + 2p: exact for p < 2^31, refused above before any array is built.
+A/B gives H(A, B) = chi(AB) H(c, c) with c = A^3 / B^2, and Horner (its
+coefficients cached per prime) evaluates H(c, c) only at the c the fibres
+reach: p/24 to p/8 of F_p, as each J-map is an index-24 cover of X(1).
+A = 0 and B = 0 are single monomials.  Every lifted trace must satisfy the
+Weil bound a^2 <= 4p.  A single curve, given as its integer a-invariants
+(a1, a2, a3, a4, a6), and every fibre at p < 17, is counted by one numpy
+kernel over y^2 = x^3 + A x + B: blocks of BLOCK_CELLS // p fibres, each
+one int64 array of A x + x^3 + B mod p over x in F_p, looked up in an
+int8 Legendre table.  Intermediates stay below p^2 + 2p: exact for
+p < 2^31, refused above before any array is built.
 """
 
 from __future__ import annotations
@@ -110,17 +111,30 @@ def _power(base, e: int, p: int):
     return result
 
 
-#: room for the 19 primes 17 <= p <= 97 that verify all --pmax 97 counts
+def _horner(coefficients, x, p: int):
+    """The integer polynomial (leading coefficient first) mod p < 2^31 at
+    each x in [0, p] of an int64 array, reduced only where the next step
+    could reach 2^63 (at every step once p > 2^21)."""
+    value, bound = np.zeros_like(x), 0
+    for c in coefficients:
+        if (bound + 1) * p >> 63:
+            value, bound = value % p, p - 1
+        value *= x
+        value += c % p
+        bound = (bound + 1) * p
+    return value % p
+
+
+#: room for verify all's 19 primes 17 <= p <= 97; each holds ~p/12 ints
 @lru_cache(maxsize=32)
 def _hasse_table(p: int) -> tuple:
-    """(chi, g, reciprocal, (M_B, e_B), (M_A, e_A)) at p, m = (p - 1) / 2: the
-    Legendre table, g[c] = H(c, c) over c in F_p, the int32 table of 1 / x
-    (0 at x = 0), H(0, B) = M_B B^e_B and H(A, 0) = M_A A^e_A (M = 0 where
-    3 resp. 2 does not divide m).
+    """(coefficients, shift, (M_B, e_B), (M_A, e_A)) at p: H(c, c) =
+    c^shift P(c) for the polynomial P with these coefficients (leading
+    first), H(0, B) = M_B B^e_B and H(A, 0) = M_A A^e_A (M = 0 where 3
+    resp. 2 does not divide m = (p - 1) / 2).
     H(A, B) = sum over i of m! / (i! j! k!) A^j B^k, j = 2m - 3i,
     k = 2i - m: H(c, c) is c^(m - floor(2m/3)) times a polynomial in c with
     the terms floor(2m/3) >= i >= ceil(m/2)."""
-    chi = _legendre_table(p)
     m = (p - 1) // 2
     factorial = 1
     for n in range(2, m + 1):
@@ -133,31 +147,26 @@ def _hasse_table(p: int) -> tuple:
         return (factorial * inverse[i] * inverse[2 * m - 3 * i]
                 * inverse[2 * i - m] % p)
 
-    c = np.arange(p, dtype=np.int64)
-    g = np.zeros(p, dtype=np.int64)
-    for i in range((m + 1) // 2, 2 * m // 3 + 1):
-        g *= c
-        g += multinomial(i)
-        g %= p
-    g = g * _power(c, m - 2 * m // 3, p) % p
-    reciprocal = _power(c, p - 2, p).astype(np.int32)
+    coefficients = [multinomial(i) for i in range((m + 1) // 2, 2 * m // 3 + 1)]
     b_only = (multinomial(2 * m // 3), m // 3) if m % 3 == 0 else (0, 0)
     a_only = (multinomial(m // 2), m // 2) if m % 2 == 0 else (0, 0)
-    for table in (chi, g, reciprocal):
-        table.flags.writeable = False  # shared by the cache
-    return chi, g, reciprocal, b_only, a_only
+    return tuple(coefficients), m - 2 * m // 3, b_only, a_only
 
 
-def _hasse_points(c4, c6, p: int) -> int:
-    """_short_model_points for p >= 17, from the lifted traces H of
-    _hasse_table; each must satisfy the Weil bound."""
-    chi, g, reciprocal, (m_b, e_b), (m_a, e_a) = _hasse_table(p)
+def _hasse_traces(c4, c6, p: int):
+    """The trace p + 1 - #E(F_p) of each fibre of _short_model_points at
+    p >= 17, each within the Weil bound: the lifted Hasse invariant, with
+    H(c, c) evaluated only at the classes c that the fibres reach."""
+    coefficients, shift, (m_b, e_b), (m_a, e_a) = _hasse_table(p)
     A = -27 * np.asarray(c4, dtype=np.int64) % p
     B = -54 * np.asarray(c6, dtype=np.int64) % p
-    # 1 / B widened to int64 before any product; chi(AB) = 0 where A or B is 0
-    b_inverse = reciprocal[B].astype(np.int64)
-    c = A * A % p * A % p * b_inverse % p * b_inverse % p  # A^3 / B^2
-    H = chi[A * B % p] * g[c] % p
+    # c = A^3 / B^2 = A^3 B^(p-3), 0 where B is 0; chi(AB) = 0 there too
+    c = A * A % p * A % p * _power(B, p - 3, p) % p
+    g = np.zeros(p, dtype=np.int64)
+    g[c] = 1  # a mask rather than a sort: then g[c] = H(c, c)
+    values = np.flatnonzero(g)
+    g[values] = _horner(coefficients, values, p) * _power(values, shift, p) % p
+    H = _legendre_table(p)[A * B % p] * g[c] % p
     # with A = B = 0 too: H(0, 0) = M_B 0^e_B = 0, as e_B > 0 or M_B = 0;
     # a polynomial c4 or c6 vanishes at few fibres
     for i in np.flatnonzero(A == 0):
@@ -172,7 +181,7 @@ def _hasse_points(c4, c6, p: int) -> int:
             "a^2 <= 4p for the lifted Hasse invariant of every fibre",
             dict(p=p, A=int(A[worst]), B=int(B[worst])), 4 * p,
             int(squares[worst]))
-    return len(A) * (p + 1) - int(traces.sum())
+    return traces
 
 
 def curve_count(ainvs: tuple, p: int) -> int:
@@ -206,15 +215,12 @@ def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
     # (c4, c6) of every fibre, column t0 < p from the t-chart by Horner,
     # then the minimal values at the zeros of Delta and at infinity (column p)
     t = np.arange(p + 1, dtype=np.int64)
-    c4c6 = np.zeros((2, p + 1), dtype=np.int64)
-    for row, coefficients in enumerate(report.t_chart_c4_c6):
-        for c in coefficients:
-            c4c6[row] = (c4c6[row] * t + c) % p
+    c4c6 = np.array([_horner(f, t, p) for f in report.t_chart_c4_c6])
     for place, values in report.minimal_values.items():
         c4c6[:, p if place == "inf" else place] = values
     # the lift of H is exact once 2 sqrt(p) < p / 2
-    points = _hasse_points if p >= 17 else _short_model_points
-    total = points(c4c6[0], c4c6[1], p)
+    total = (_short_model_points(*c4c6, p) if p < 17
+             else (p + 1) ** 2 - int(_hasse_traces(*c4c6, p).sum()))
     # extra components of the resolved singular fibers
     total += p * sum(f.tau for f in report.fibers)
     ns = report.ns_trace

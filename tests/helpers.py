@@ -3,17 +3,21 @@ holds a curve as its integer a-invariants), the Legendre symbol and the
 O(sqrt p) norm-equation search (oracles of the library's fast paths), the
 twist fit (the oracle of each family's stored twist), the norm-equation
 solutions as field elements, the full modular group and the weight-2
-local factor, conversions between sympy expressions in t and the integer
-data of a family, the printed base-change maps and gluing identity,
-specialisation of a family to one curve, and curve constructions (the
-group law on the long form, torsion orders, closed-form multiples of a
-Tate-normal point, 2-isogenies)."""
+local factor, the Hasse invariant from a table over all of F_p (the
+oracle of its evaluation at the reached classes only), conversions
+between sympy expressions in t and the integer data of a family, the
+printed base-change maps and gluing identity, specialisation of a family
+to one curve, and curve constructions (the group law on the long form,
+torsion orders, closed-form multiples of a Tate-normal point,
+2-isogenies)."""
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import comb, factorial, isqrt
 
+import numpy as np
 import sympy
 from sympy import Poly, Rational, cancel, fraction
 
@@ -93,6 +97,43 @@ def legendre_symbol(a: int, p: int) -> int:
     _check_odd_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
+
+
+@lru_cache(maxsize=None)
+def full_hasse_table(p: int) -> tuple:
+    """H(c, c) for every c in F_p, H(A, B) the coefficient of x^(p-1) in
+    (x^3 + A x + B)^m mod p, m = (p - 1) / 2: one Horner pass over the whole
+    field with the exact multinomials m! / (i! j! k!), j = 2m - 3i,
+    k = 2i - m, and the factor c^(m - floor(2m/3))."""
+    m = (p - 1) // 2
+    c = np.arange(p, dtype=np.int64)
+    g = np.zeros(p, dtype=np.int64)
+    for i in range((m + 1) // 2, 2 * m // 3 + 1):
+        multinomial = factorial(m) // (factorial(i) * factorial(2 * m - 3 * i)
+                                       * factorial(2 * i - m))
+        g = (g * c + multinomial % p) % p
+    shift = m - 2 * m // 3
+    return tuple(int(h) * pow(x, shift, p) % p for x, h in enumerate(g))
+
+
+def full_table_traces(c4, c6, p: int) -> list:
+    """The lifted Hasse invariant H in (-p/2, p/2) of each short model
+    y^2 = x^3 - 27 c4 x - 54 c6 over F_p: chi(AB) H(c, c), c = A^3 / B^2,
+    from full_hasse_table, or a binomial of (x^3 + B)^m resp.
+    x^m (x^2 + A)^m where A or B is 0."""
+    m, traces = (p - 1) // 2, []
+    for a4, a6 in zip(c4, c6):
+        A, B = -27 * int(a4) % p, -54 * int(a6) % p
+        if A == 0:
+            H = comb(m, 2 * m // 3) * pow(B, m // 3, p) if m % 3 == 0 else 0
+        elif B == 0:
+            H = comb(m, m // 2) * pow(A, m // 2, p) if m % 2 == 0 else 0
+        else:
+            c = A ** 3 * pow(B, -2, p) % p
+            H = legendre_symbol(A * B, p) * full_hasse_table(p)[c]
+        H %= p
+        traces.append(H - p if H > p // 2 else H)
+    return traces
 
 
 def loop_norm_solutions(d: int, p: int) -> list:

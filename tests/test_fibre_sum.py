@@ -1,13 +1,14 @@
 """The numpy fibre-sum kernel against the pure-Python point count it
-replaced, which stays here as the oracle, and the Hasse-invariant table
-path against the kernel."""
+replaced, which stays here as the oracle, the Hasse-invariant path against
+the kernel and, fibre by fibre, against a table over all of F_p, and the
+int64 Horner against Python integers."""
 
 import random
 
 import numpy as np
 import pytest
 
-from helpers import WeierstrassCurve
+from helpers import WeierstrassCurve, full_table_traces
 from modk3 import counting
 from modk3.arith import InvalidPrimeError, VerificationError, primes_up_to
 from modk3.counting import (count_report, curve_count, good_primes,
@@ -124,11 +125,26 @@ def test_kernel_refuses_primes_that_could_overflow():
         curve_count((0, 0, 0, -1, 0), 2 ** 31 + 11)
 
 
+def fibre_invariants(family, p):
+    """(c4, c6) mod p of the p + 1 fibres, t0 = 0..p-1 and then infinity, as
+    two int64 arrays: the t-chart by a Horner step per coefficient, then the
+    minimal values at the zeros of Delta and at infinity."""
+    report = scan(family, p)
+    t = np.arange(p + 1, dtype=np.int64)
+    c4c6 = np.zeros((2, p + 1), dtype=np.int64)
+    for row, coefficients in enumerate(report.t_chart_c4_c6):
+        for c in coefficients:
+            c4c6[row] = (c4c6[row] * t + c) % p
+    for place, values in report.minimal_values.items():
+        c4c6[:, p if place == "inf" else place] = values
+    return c4c6
+
+
 def kernel_total(family, p):
     """k3_point_count's total with every fibre counted by the kernel."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_hasse_points", counting._short_model_points)
-        return k3_point_count.__wrapped__(family, p).total
+    tau = sum(f.tau for f in scan(family, p).fibers)
+    return (counting._short_model_points(*fibre_invariants(family, p), p)
+            + p * tau)
 
 
 def test_table_path_vs_kernel():
@@ -149,14 +165,48 @@ def test_monomial_fibres_vs_kernel(p):
     # one fibre at a time: H(0, B) exists iff p = 1 mod 6 and H(A, 0) iff
     # p = 1 mod 4; the list has both residues of each
     for c4, c6 in [(0, v) for v in range(p)] + [(v, 0) for v in range(p)]:
-        assert (counting._hasse_points([c4], [c6], p)
+        assert (p + 1 - counting._hasse_traces([c4], [c6], p)[0]
                 == counting._short_model_points([c4], [c6], p)), (c4, c6)
 
 
+def test_reached_classes_vs_full_table():
+    # the trace of every fibre against the table of H(c, c) over all of
+    # F_p: every family at every good 17 <= p <= 400, g4 past 1500
+    cases = [(name, p) for name in FAMILY_NAMES
+             for p in good_primes(preset(name), 17, 400)]
+    for name, p in cases + [("g4_legendre", p) for p in (1511, 2003, 2417)]:
+        c4, c6 = fibre_invariants(preset(name), p)
+        assert (counting._hasse_traces(c4, c6, p).tolist()
+                == full_table_traces(c4, c6, p)), (name, p)
+
+
+def python_horner(coefficients, x, p):
+    value = 0
+    for c in coefficients:
+        value = value * x + c
+    return value % p
+
+
+@pytest.mark.parametrize("p", [17, 2097143, 2097169, 2 ** 31 - 1])
+def test_horner_vs_python_integers(p):
+    # p on both sides of 2^21, where the reduction comes at every step, and
+    # the largest p the int64 sum allows; x at 0, 1, p - 1 and p, the
+    # coefficients at p - 1, and negative and unreduced ones like the
+    # t-chart's c4 and c6
+    rng = random.Random(p)
+    x = [0, 1, p - 1, p] + [rng.randrange(p) for _ in range(12)]
+    for coefficients in ([p - 1] * 40, [-1] * 40, [-27 * p - 5, 3 * p + 1],
+                         [rng.randrange(-p ** 3, p ** 3) for _ in range(40)],
+                         [], [p - 1]):
+        assert (counting._horner(coefficients, np.array(x, dtype=np.int64),
+                                 p).tolist()
+                == [python_horner(coefficients, v, p) for v in x])
+
+
 def test_forged_table_breaks_the_weil_bound(monkeypatch):
-    # H(c, c) off by one power of c, as a wrong Horner start would give
-    chi, g, reciprocal, b_only, a_only = counting._hasse_table(101)
-    forged = (chi, g * np.arange(101) % 101, reciprocal, b_only, a_only)
+    # H(c, c) off by one power of c
+    coefficients, shift, b_only, a_only = counting._hasse_table(101)
+    forged = (coefficients, shift + 1, b_only, a_only)
     monkeypatch.setattr(counting, "_hasse_table", lambda p: forged)
     with pytest.raises(VerificationError):
         k3_point_count.__wrapped__(preset("g4_legendre"), 101)
