@@ -4,6 +4,11 @@ Every subcommand prints one JSON object per line (machine format), or a
 plain table with --pretty, or CSV with --csv; keys are sorted in every
 format.  Exit code 0 means every emitted record has ok true (or carries no
 ok field); 1 means some check failed; 2 is reserved for usage errors.
+
+`run` reads the command and action, the first two arguments, and builds
+only that command's flat parser (`COMMANDS` holds its options), so a
+process builds the parser of the command it runs and no other; `verify
+all` builds those of the commands it stands for.
 """
 
 from __future__ import annotations
@@ -202,19 +207,24 @@ def cmd_l3fold_series(args) -> list:
 
 
 def cmd_verify_all(args) -> list:
+    def parse(*argv):
+        return _parser(*argv[:2]).parse_args([str(a) for a in argv[2:]])
+
     def sub(*argv) -> list:
-        ns = build_parser().parse_args([str(a) for a in argv])
+        ns = parse(*argv)
         return ns.func(ns)
 
     # every window is checked before any work; x0_12 is report-only
-    scan_primes = {name: _primes(args, _family(name))[0]
-                   for name in FAMILY_NAMES if name != "x0_12"}
+    windows = {name: parse("surface", "verify", "--family", name,
+                           "--pmax", args.pmax)
+               for name in FAMILY_NAMES if name != "x0_12"}
+    scan_primes = {name: _primes(window, _family(name))[0]
+                   for name, window in windows.items()}
     records = sub("groups", "verify") + sub("forms", "check")
     for name, p in scan_primes.items():
         records += sub("surface", "scan", "--family", name, "--p", p)
     for name in ("g4_legendre", "g62", "g82", "g8_412"):
-        records += sub("surface", "verify", "--family", name,
-                       "--pmax", args.pmax)
+        records += windows[name].func(windows[name])
         ns = ns_report(name)
         records.append(dict(ns, suite="eigenspace", ok=ns["counts_match"]))
     records.append(dict(betti_hodge_report(), suite="betti", ok=True))
@@ -223,86 +233,70 @@ def cmd_verify_all(args) -> list:
 
 # ---- argument parsing ------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--csv", action="store_true")
+_FAMILY = ("--family", dict(required=True, choices=sorted(
+    set(FAMILY_NAMES) | set(FAMILY_ALIASES))))
+_CURVE = ("--curve", dict(type=_parse_curve, required=True))
+_FORCE = ("--force", dict(
+    action="store_true", help=f"allow the O(p^2) count at p > {COUNT_PMAX_CEILING}"))
+_PRIMES = (("--p", dict(type=_positive_int, default=None)),
+           ("--pmin", dict(type=_positive_int, default=5)),
+           ("--pmax", dict(type=_positive_int, default=97)))
+_FORMATS = (("--pretty", dict(action="store_true")),
+            ("--csv", dict(action="store_true")))
+
+#: each command's options but _FORMATS, keyed by (command, action); the
+#: command runs cmd_<command>_<action>
+COMMANDS = {
+    ("groups", "verify"): (),
+    ("forms", "qexp"): (("--form", dict(choices=FORM_IDS, required=True)),
+                        ("--prec", dict(type=_positive_int, default=50))),
+    ("forms", "ap"): (("--form", dict(choices=sorted(HECKE_SPECS),
+                                      required=True)), *_PRIMES),
+    ("forms", "check"): (("--form", dict(choices=sorted(HECKE_SPECS),
+                                         default=None)),
+                         ("--prec", dict(type=_positive_int, default=500))),
+    ("surface", "scan"): (_FAMILY, *_PRIMES),
+    ("surface", "count"): (_FAMILY, _FORCE, *_PRIMES),
+    ("surface", "verify"): (_FAMILY, _FORCE, *_PRIMES),
+    ("l3fold", "euler"): (_FAMILY, _CURVE, *_PRIMES),
+    ("l3fold", "series"): (_FAMILY, _CURVE,
+                           ("--n", dict(type=_positive_int, default=100))),
+    ("verify", "all"): (("--pmax", dict(type=_positive_int, default=97)),),
+}
 
 
-def _add_primes(p: argparse.ArgumentParser):
-    p.add_argument("--p", type=_positive_int, default=None)
-    p.add_argument("--pmin", type=_positive_int, default=5)
-    p.add_argument("--pmax", type=_positive_int, default=97)
+@cache  # run() and verify all reuse each command's parser
+def _parser(command: str, action: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"modk3 {command} {action}")
+    for flag, options in COMMANDS[command, action] + _FORMATS:
+        parser.add_argument(flag, **options)
+    # looked up now, not at import, so a rebound cmd_* function is the one run
+    parser.set_defaults(func=globals()[f"cmd_{command}_{action}"])
+    return parser
 
 
-@cache  # one parser per process: run() and verify all reuse it
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="modk3")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    groups = sub.add_parser("groups").add_subparsers(dest="action",
-                                                     required=True)
-    g = groups.add_parser("verify")
-    _add_common(g)
-    g.set_defaults(func=cmd_groups_verify)
-
-    forms = sub.add_parser("forms").add_subparsers(dest="action",
-                                                   required=True)
-    f = forms.add_parser("qexp")
-    f.add_argument("--form", choices=FORM_IDS, required=True)
-    f.add_argument("--prec", type=_positive_int, default=50)
-    _add_common(f)
-    f.set_defaults(func=cmd_forms_qexp)
-    f = forms.add_parser("ap")
-    f.add_argument("--form", choices=sorted(HECKE_SPECS), required=True)
-    _add_primes(f)
-    _add_common(f)
-    f.set_defaults(func=cmd_forms_ap)
-    f = forms.add_parser("check")
-    f.add_argument("--form", choices=sorted(HECKE_SPECS), default=None)
-    f.add_argument("--prec", type=_positive_int, default=500)
-    _add_common(f)
-    f.set_defaults(func=cmd_forms_check)
-
-    fam_choices = sorted(set(FAMILY_NAMES) | set(FAMILY_ALIASES))
-    surface = sub.add_parser("surface").add_subparsers(dest="action",
-                                                       required=True)
-    for action, fn in (("scan", cmd_surface_scan),
-                       ("count", cmd_surface_count),
-                       ("verify", cmd_surface_verify)):
-        s = surface.add_parser(action)
-        s.add_argument("--family", choices=fam_choices, required=True)
-        if action != "scan":
-            s.add_argument("--force", action="store_true",
-                           help=f"allow the O(p^2) count at p > {COUNT_PMAX_CEILING}")
-        _add_primes(s)
-        _add_common(s)
-        s.set_defaults(func=fn)
-
-    l3 = sub.add_parser("l3fold").add_subparsers(dest="action", required=True)
-    le = l3.add_parser("euler")
-    le.add_argument("--family", choices=fam_choices, required=True)
-    le.add_argument("--curve", type=_parse_curve, required=True)
-    _add_primes(le)
-    _add_common(le)
-    le.set_defaults(func=cmd_l3fold_euler)
-    ls = l3.add_parser("series")
-    ls.add_argument("--family", choices=fam_choices, required=True)
-    ls.add_argument("--curve", type=_parse_curve, required=True)
-    ls.add_argument("--n", type=_positive_int, default=100)
-    _add_common(ls)
-    ls.set_defaults(func=cmd_l3fold_series)
-
-    va = sub.add_parser("verify").add_subparsers(dest="action", required=True)
-    v = va.add_parser("all")
-    v.add_argument("--pmax", type=_positive_int, default=97)
-    _add_common(v)
-    v.set_defaults(func=cmd_verify_all, p=None, pmin=5, force=False)
-    return top
+def _usage(argv: list):
+    """--help lists the commands and exits 0; any other argv that does not
+    start with a command is a usage error, exit 2."""
+    pairs = [f"{command} {action}" for command, action in COMMANDS]
+    top = argparse.ArgumentParser(
+        prog="modk3", usage="%(prog)s <command> <action> [options]",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="commands:\n  " + "\n  ".join(pairs) + "\n\n'modk3 <command> "
+        "<action> --help' lists the options of that command")
+    top.parse_known_args(argv)
+    got = " ".join(argv[:2])
+    top.error((f"invalid command {got!r}" if got else "a command is required")
+              + f" (choose from {', '.join(map(repr, pairs))})")
 
 
 def run(argv=None) -> int:
-    """Parse argv, run the command, print its records; the exit code."""
-    args = build_parser().parse_args(argv)
+    """Parse argv with the parser of its command alone, run the command,
+    print its records; the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if tuple(argv[:2]) not in COMMANDS:
+        _usage(argv)
+    args = _parser(*argv[:2]).parse_args(argv[2:])
     try:
         records = args.func(args)
     except UsageError as exc:

@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import argparse
+
 import pytest
 
-from modk3 import cli, congruence, counting, lfunctions
+from modk3 import cli, congruence, counting, kodaira, lfunctions
 from modk3.arith import InvalidPrimeError
-from modk3.cli import HECKE_SPECS, build_parser, form_ap, run
-from modk3.families import preset
+from modk3.cli import COMMANDS, HECKE_SPECS, form_ap, run
+from modk3.families import FAMILY_NAMES, preset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -273,6 +275,74 @@ def test_usage_errors_exit_2(capsys):
         assert captured.out == "", argv
         assert captured.err.startswith("no good prime of "), argv
         assert window in captured.err, argv
+
+
+def test_bad_or_missing_commands_print_usage_and_exit_2(capsys):
+    for argv in ([], ["surface"], ["surface", "bogus"], ["bogus", "verify"],
+                 ["verify"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage: modk3 "), argv
+
+
+def test_help_lists_the_commands_and_their_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(f"  {command} {action}\n" in out for command, action in COMMANDS)
+    with pytest.raises(SystemExit) as exc:
+        run(["surface", "count", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: modk3 surface count ")
+    assert all(flag in out for flag in ("--family", "--force", "--pmax"))
+
+
+def test_each_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert run(["surface", "count", "--family", "g4", "--p", "1511",
+                "--force"]) == 0
+    assert built == ["modk3 surface count"]
+    built.clear()
+    cli._parser.cache_clear()
+    assert run(["verify", "all", "--pmax", "13"]) == 0
+    assert len(built) <= 5, built
+    capsys.readouterr()
+
+
+def test_verify_all_is_the_commands_it_stands_for(capsys):
+    def out(*argv) -> str:
+        assert run([str(a) for a in argv]) == 0, argv
+        return capsys.readouterr().out
+
+    def line(record: dict) -> str:
+        return json.dumps(record, sort_keys=True) + "\n"
+
+    expected = out("groups", "verify") + out("forms", "check")
+    for name in FAMILY_NAMES:
+        if name != "x0_12":
+            p = counting.good_primes(preset(name), 5, 13)[0]
+            expected += out("surface", "scan", "--family", name, "--p", p)
+    for name in ("g4_legendre", "g62", "g82", "g8_412"):
+        expected += out("surface", "verify", "--family", name, "--pmax", 13)
+        ns = kodaira.ns_report(name)
+        expected += line(dict(ns, suite="eigenspace", ok=ns["counts_match"]))
+    expected += line(dict(lfunctions.betti_hodge_report(), suite="betti",
+                          ok=True))
+    assert out("verify", "all", "--pmax", 13).splitlines() == \
+        expected.splitlines()
 
 
 def test_verify_all_refuses_past_the_ceiling_before_any_work(capsys,
