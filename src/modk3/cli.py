@@ -138,8 +138,11 @@ def cmd_forms_check(args) -> list:
     records = []
     for fid in ([args.form] if args.form else ["h3", "h4", "h7", "h8"]):
         mism = verify_against_eta(HECKE_SPECS[fid], args.prec)
+        first, hecke, eta = mism[0] if mism else (None, None, None)
         records.append({"suite": "forms", "target": fid, "n": args.prec,
-                        "mismatches": mism[:5], "ok": not mism})
+                        "mismatches": [n for n, _, _ in mism[:5]],
+                        "first_mismatch": first, "hecke": hecke, "eta": eta,
+                        "ok": not mism})
     return records
 
 

@@ -1,26 +1,25 @@
 """Weight-3 CM newform coefficients from Hecke characters.
 
-The four newforms h8, h7, h3, h4 are attached to Hecke characters of the
-fields Q(sqrt(-d)) for d = 1, 3, 7, 2 with conductors (2), (2), (1), (1).
-At a split prime p, a_p = tr(pi^2) = (u^2 - d v^2)/2 for pi = (u + v
-sqrt(-d))/2 the generator above p (``arith``'s Cornacchia pairs) with
-pi = +-1 mod c*O_K; the eta products of ``qseries`` are the ground truth.
-``coefficient_sequence`` makes one pass over the sieve: one Kronecker symbol
-per prime is the splitting that ``_ap`` (``ap`` without its primality test)
-takes and the nebentypus value eps(p); a spec checks Disc K once.
+The four newforms h8, h7, h3, h4 are attached to Hecke characters psi of
+the fields Q(sqrt(-d)) for d = 1, 3, 7, 2 with conductors c = 2, 2, 1, 1:
+psi((alpha)) = alpha^2 for alpha = (u + v sqrt(-d))/2 = +-1 mod c*O_K.
+``ap`` takes alpha above p from ``arith``'s Cornacchia pairs;
+``coefficient_sequence`` is Hecke's theta series sum psi(a) q^N(a) (Ono,
+The Web of Modularity, ch. 1), one pass over the lattice of normalised
+alpha.  The eta products of ``qseries`` are the ground truth.
 
-Local Euler factors are integer polynomials in T = p^(-s); every Dirichlet
-series here and in ``lfunctions`` is built from them by
-``euler_to_dirichlet``.
+``euler_to_dirichlet`` builds every Dirichlet series of ``lfunctions``
+from local Euler factors, integer polynomials in T = p^(-s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
-                    VerificationError, _is_integral, _kronecker,
+                    VerificationError, _is_integral,
                     _norm_solutions, is_fundamental_discriminant, is_prime,
                     kronecker_character, primes_up_to)
 from .qseries import form_series, series_power
@@ -97,10 +96,7 @@ def _normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
     sols = _norm_solutions(d, p)
     if not sols:
         raise NoGeneratorError(f"p={p} is inert in Q(sqrt(-{d}))")
-    # pi -+ 1 = (u -+ 2 + v sqrt(-d))/2 lies in c*O_K
-    good = [(u, v) for u, v in sols if v % c == 0 and (
-        (u - 2) % c == 0 and _is_integral(d, (u - 2) // c, v // c)
-        or (u + 2) % c == 0 and _is_integral(d, (u + 2) // c, v // c))]
+    good = [(u, v) for u, v in sols if _is_normalized(d, c, u, v)]
     if not good:
         raise NormalizationFailureError(
             f"no unit multiple of a generator above p={p} is +-1 mod {c}")
@@ -113,15 +109,18 @@ def _normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
     return QuadFieldElement(d, *max(good))
 
 
+def _is_normalized(d: int, c: int, u: int, v: int) -> bool:
+    """Whether (u + v sqrt(-d))/2 = +-1 mod c*O_K: (u -+ 2 + v sqrt(-d))/2
+    lies in c*O_K.  The value depends on (u mod 2c, v mod 2c) only."""
+    return v % c == 0 and any((u - s) % c == 0 and _is_integral(
+        d, (u - s) // c, v // c) for s in (2, -2))
+
+
 def ap(spec: HeckeCharSpec, p: int) -> int:
     """p-th coefficient of the newform at a good (or tamely ramified) prime."""
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
-    return _ap(spec, p, splitting(spec, p))
-
-
-def _ap(spec: HeckeCharSpec, p: int, s: int) -> int:
-    # ap for a prime p already checked, s its splitting in K
+    s = splitting(spec, p)
     if s == -1:
         return 0
     if s == 0:
@@ -170,17 +169,6 @@ class LocalFactor:
         return LocalFactor(self.p, max(self.weight, other.weight), tuple(out))
 
 
-def weight3_factor(B: int, eps_p: int, p: int) -> LocalFactor:
-    """1 - B T + eps(p) p^2 T^2 for a weight-3 newform."""
-    if B * B > 4 * p * p:
-        raise WeilBoundError(f"|B|={abs(B)} exceeds 2p for p={p}")
-    if eps_p not in (-1, 0, 1):
-        raise ValueError("nebentypus value must be -1, 0 or 1")
-    if eps_p == 0:
-        return LocalFactor(p, 3, (1, -B))
-    return LocalFactor(p, 3, (1, -B, eps_p * p * p))
-
-
 def euler_to_dirichlet(factors: dict, N: int) -> list:
     """[a_1, ..., a_N] of prod_p L_p(p^-s)^-1; primes without a supplied
     factor contribute the factor 1 (their power coefficients vanish)."""
@@ -201,28 +189,37 @@ def euler_to_dirichlet(factors: dict, N: int) -> list:
 
 
 def coefficient_sequence(spec: HeckeCharSpec, N: int) -> list:
-    """[a_1, ..., a_N] of the product of the weight-3 Euler factors.
-
-    Prime coefficients come from the Hecke character; primes where that is
-    undefined (p | c^2 * d ... the true bad primes) are read off the eta
-    expansion.  The factor at p is 1 - a_p T + eps(p) p^2 T^2 with eps the
-    nebentypus as a character mod the level (0 at bad primes).
-    """
-    factors = {}
+    """[a_1, ..., a_N] of the theta series of psi: a_n sums (u^2 - d v^2)/4
+    over one of each pair +-alpha (v > 0, or v = 0 < u) of the normalised
+    alpha = (u + v sqrt(-d))/2 of norm n.  Ideals not prime to c have no
+    normalised generator, so bad primes need no special case; each total
+    must divide by 4 and keep the Weil bound |a_p| <= 2p."""
+    d, c = spec.d, spec.conductor_gen
+    m = 2 * c  # _is_normalized reads u and v mod m only
+    classes = [[r for r in range(m) if _is_normalized(d, c, r, s)]
+               for s in range(m)]
+    total = [0] * (N + 1)
+    for v in range(isqrt(4 * N // d) + 1):
+        dvv = d * v * v
+        top = isqrt(4 * N - dvv)
+        lo = -top if v else 1
+        for r in classes[v % m]:
+            for u in range(lo + (r - lo) % m, top + 1, m):
+                total[(u * u + dvv) >> 2] += u * u - dvv
+    bad = [n for n in range(1, N + 1) if total[n] & 3]
+    if bad:
+        raise VerificationError("4 | the theta total at n", dict(
+            form=spec.form_id, n=bad[0]), 0, total[bad[0]] & 3)
+    a = [t >> 2 for t in total[1:]]
     for p in primes_up_to(N):
-        s = _kronecker(spec.disc, p)
-        try:
-            app = _ap(spec, p, s)
-        except BadPrimeError:
-            app = _eta_coefficients(spec.form_id, p)[p - 1]
-        eps = 0 if spec.level % p == 0 else s
-        factors[p] = weight3_factor(app, eps, p)
-    return euler_to_dirichlet(factors, N)
+        if a[p - 1] ** 2 > 4 * p * p:
+            raise WeilBoundError(f"|a_p|={abs(a[p - 1])} exceeds 2p for p={p}")
+    return a
 
 
 def verify_against_eta(spec: HeckeCharSpec, N: int) -> list:
-    """Indices n <= N where the Hecke-character coefficients disagree with
-    the eta expansion; empty on success."""
+    """(n, Hecke a_n, eta a_n) for each n <= N where the Hecke-character
+    coefficients disagree with the eta expansion; empty on success."""
     hecke = coefficient_sequence(spec, N)
     eta = _eta_coefficients(spec.form_id, N)
-    return [n for n in range(1, N + 1) if hecke[n - 1] != eta[n - 1]]
+    return [(n, h, e) for n, (h, e) in enumerate(zip(hecke, eta), 1) if h != e]

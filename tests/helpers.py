@@ -2,13 +2,14 @@
 holds a curve as its integer a-invariants), the Legendre symbol and the
 O(sqrt p) norm-equation search (oracles of the library's fast paths), the
 twist fit (the oracle of each family's stored twist), the norm-equation
-solutions as field elements, the full modular group and the weight-2
-local factor, the Hasse invariant from a table over all of F_p (the
-oracle of its evaluation at the reached classes only), conversions
-between sympy expressions in t and the integer data of a family, the
-printed base-change maps and gluing identity, specialisation of a family
-to one curve, and curve constructions (the group law on the long form,
-torsion orders, closed-form multiples of a Tate-normal point,
+solutions as field elements, the full modular group, the weight-2 and
+weight-3 local factors and the Hecke coefficients as an Euler product
+(the oracle of the theta series), the Hasse invariant from a table over
+all of F_p (the oracle of its evaluation at the reached classes only),
+conversions between sympy expressions in t and the integer data of a
+family, the printed base-change maps and gluing identity, specialisation
+of a family to one curve, and curve constructions (the group law on the
+long form, torsion orders, closed-form multiples of a Tate-normal point,
 2-isogenies)."""
 
 import math
@@ -23,8 +24,11 @@ from sympy import Poly, Rational, cancel, fraction
 
 from modk3.arith import (SUPPORTED_D, InvalidPrimeError, QuadFieldElement,
                          UnsupportedFieldError, _check_odd_prime,
-                         _norm_solutions, is_prime, kronecker_character)
-from modk3.cmforms import LocalFactor, WeilBoundError, ap as form_ap
+                         _norm_solutions, is_prime, kronecker_character,
+                         primes_up_to)
+from modk3.cmforms import (BadPrimeError, HeckeCharSpec, LocalFactor,
+                           WeilBoundError, _eta_coefficients, ap as form_ap,
+                           euler_to_dirichlet)
 from modk3.congruence import CongruenceGroupSpec
 from modk3.counting import (ModelMismatchError, attached_form, good_primes,
                             k3_point_count)
@@ -201,6 +205,35 @@ def weight2_factor(A: int, p: int) -> LocalFactor:
     if A * A > 4 * p:
         raise WeilBoundError(f"|A|={abs(A)} exceeds 2 sqrt({p})")
     return LocalFactor(p, 2, (1, -A, p))
+
+
+def weight3_factor(B: int, eps_p: int, p: int) -> LocalFactor:
+    """1 - B T + eps(p) p^2 T^2 for a weight-3 newform."""
+    if B * B > 4 * p * p:
+        raise WeilBoundError(f"|B|={abs(B)} exceeds 2p for p={p}")
+    if eps_p not in (-1, 0, 1):
+        raise ValueError("nebentypus value must be -1, 0 or 1")
+    if eps_p == 0:
+        return LocalFactor(p, 3, (1, -B))
+    return LocalFactor(p, 3, (1, -B, eps_p * p * p))
+
+
+def euler_coefficient_sequence(spec: HeckeCharSpec, N: int) -> list:
+    """[a_1, ..., a_N] of the product of the weight-3 Euler factors
+    1 - a_p T + eps(p) p^2 T^2, eps the nebentypus mod the level (0 at bad
+    primes): a_p from the normalised generator above p by Cornacchia, read
+    off the eta expansion where the character is undefined (p = 2 for
+    h8).  The oracle of the library's theta series."""
+    factors = {}
+    for p in primes_up_to(N):
+        try:
+            app = form_ap(spec, p)
+        except BadPrimeError:
+            app = _eta_coefficients(spec.form_id, p)[p - 1]
+        eps = (0 if spec.level % p == 0
+               else kronecker_character(spec.disc, p))
+        factors[p] = weight3_factor(app, eps, p)
+    return euler_to_dirichlet(factors, N)
 
 
 def _coefficients(poly) -> tuple:

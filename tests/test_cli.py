@@ -47,7 +47,8 @@ def test_forms_check_single(capsys):
     assert run(["forms", "check", "--form", "h8", "--prec", "100"]) == 0
     recs = records(capsys)
     assert recs == [{"suite": "forms", "target": "h8", "n": 100,
-                     "mismatches": [], "ok": True}]
+                     "mismatches": [], "first_mismatch": None, "hecke": None,
+                     "eta": None, "ok": True}]
 
 
 def test_forms_qexp(capsys):

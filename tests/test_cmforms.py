@@ -1,21 +1,28 @@
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import loop_norm_solutions
-from modk3 import arith, cmforms
+from helpers import (euler_coefficient_sequence, loop_norm_solutions,
+                     weight3_factor)
+from modk3 import arith, cli, cmforms
 from modk3.arith import (InvalidPrimeError, QuadFieldElement,
-                         VerificationError,
+                         VerificationError, _is_integral,
                          is_fundamental_discriminant, is_prime,
                          kronecker_character, primes_up_to)
 from modk3.cmforms import (BadPrimeError, HECKE_SPECS, HeckeCharSpec,
-                           LocalFactor, _eta_coefficients, ap,
-                           coefficient_sequence,
+                           LocalFactor, WeilBoundError, _eta_coefficients,
+                           _is_normalized, ap, coefficient_sequence,
                            normalized_generator, splitting,
-                           verify_against_eta, weight3_factor)
+                           verify_against_eta)
 from modk3.qseries import form_series
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def primes_upto(n):
@@ -171,8 +178,8 @@ def test_composite_input_rejected():
 
 
 def test_each_prime_is_tested_once(monkeypatch):
-    # the sequence walks the sieve without Miller-Rabin; the public ap
-    # tests its one prime once
+    # the theta sum runs no primality test (its Weil pass reads the sieve);
+    # the public ap tests its one prime once
     calls = Counter()
 
     def counted(n):
@@ -214,6 +221,86 @@ def test_sequence_against_eta_prefix():
     spec = HECKE_SPECS["h3"]
     eta = form_series("h3", 50)
     assert coefficient_sequence(spec, 50) == eta
+
+
+def test_theta_sum_matches_the_euler_product_oracle():
+    # one lattice pass against Cornacchia at each prime and the Euler
+    # product, bad primes included (the oracle reads those off eta)
+    for N in (500, 6000, 20000):
+        for fid, spec in HECKE_SPECS.items():
+            assert coefficient_sequence(spec, N) == euler_coefficient_sequence(
+                spec, N), (fid, N)
+
+
+def test_normalisation_depends_on_u_and_v_mod_2c():
+    # the theta sum steps u through the classes mod 2c that pass
+    for fid, spec in HECKE_SPECS.items():
+        d, c = spec.d, spec.conductor_gen
+        for u, v in itertools.product(range(-40, 41), repeat=2):
+            assert _is_normalized(d, c, u, v) == _is_normalized(
+                d, c, u % (2 * c), v % (2 * c)), (fid, u, v)
+
+
+def test_accepting_every_alpha_cancels_the_conductor_2_series(monkeypatch,
+                                                              capsys):
+    # the unit multiples of alpha cancel in pairs (i alpha) or triples
+    # (zeta_3 alpha) once the normalisation stops choosing one; with c = 1
+    # every integral alpha is already normalised
+    real = {fid: coefficient_sequence(spec, 300)
+            for fid, spec in HECKE_SPECS.items()}
+    monkeypatch.setattr(cmforms, "_is_normalized",
+                        lambda d, c, u, v: _is_integral(d, u, v))
+    for fid, spec in HECKE_SPECS.items():
+        forged = coefficient_sequence(spec, 300)
+        assert forged == ([0] * 300 if fid in ("h7", "h8") else real[fid])
+    assert cli.run(["forms", "check", "--form", "h8"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ['{"eta": 1, "first_mismatch": 1, "hecke": 0, "mismatches": '
+                   '[1, 5, 9, 13, 17], "n": 500, "ok": false, "suite": '
+                   '"forms", "target": "h8"}']
+
+
+def test_forged_theta_sums_raise():
+    # without integrality, odd terms land at floor((u^2 + d v^2)/4)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cmforms, "_is_normalized", lambda d, c, u, v: True)
+        with pytest.raises(VerificationError, match="theta total at n"):
+            coefficient_sequence(HECKE_SPECS["h3"], 100)
+    # a sieve that lets composites through: a_85 = a_5 a_17 = 180 > 2 * 85
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cmforms, "primes_up_to", lambda N: range(2, N + 1))
+        with pytest.raises(WeilBoundError, match="p=85"):
+            coefficient_sequence(HECKE_SPECS["h8"], 100)
+
+
+def test_forged_theta_sums_raise_under_python_O():
+    code = ("import sys\n"
+            "from modk3 import cmforms\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "h3, h8 = cmforms.HECKE_SPECS['h3'], cmforms.HECKE_SPECS['h8']\n"
+            "normalized, sieve = cmforms._is_normalized, cmforms.primes_up_to\n"
+            "def undivided():\n"
+            "    cmforms._is_normalized = lambda d, c, u, v: True\n"
+            "    cmforms.coefficient_sequence(h3, 100)\n"
+            "def over_weil():\n"
+            "    cmforms.primes_up_to = lambda N: range(2, N + 1)\n"
+            "    cmforms.coefficient_sequence(h8, 100)\n"
+            "for forgery in (undivided, over_weil):\n"
+            "    try:\n"
+            "        forgery()\n"
+            "    except (cmforms.VerificationError,\n"
+            "            cmforms.WeilBoundError) as exc:\n"
+            "        print(type(exc).__name__, getattr(exc, 'identity', exc))\n"
+            "    else:\n"
+            "        sys.exit(4)\n"
+            "    cmforms._is_normalized, cmforms.primes_up_to = normalized, sieve\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "VerificationError 4 | the theta total at n",
+        "WeilBoundError |a_p|=180 exceeds 2p for p=85"]
 
 
 @pytest.mark.slow

@@ -4,10 +4,9 @@ import random
 import pytest
 import sympy
 
-from helpers import weight2_factor
+from helpers import weight2_factor, weight3_factor
 from modk3.arith import primes_up_to
-from modk3.cmforms import (LocalFactor, WeilBoundError, euler_to_dirichlet,
-                           weight3_factor)
+from modk3.cmforms import LocalFactor, WeilBoundError, euler_to_dirichlet
 from modk3.counting import ap_elliptic, good_primes, h3_trace
 from modk3.families import preset
 from modk3.lfunctions import (_root_product_expansion, assemble_h3,

@@ -53,6 +53,18 @@ def test_verify_all_loads_no_sympy():
     assert out.stdout.rstrip().endswith('"suite": "betti"}')
 
 
+def test_the_hecke_side_reads_nothing_from_eta():
+    # forms check compares coefficient_sequence with the eta products, so
+    # the Hecke side may not read a coefficient off that side
+    tree = ast.parse((SRC / "cmforms.py").read_text())
+    func = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "coefficient_sequence")
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert names and not names & {"_eta_coefficients", "form_series"}
+
+
 FLOAT_CALLS = {"sqrt", "log", "exp", "fft", "roots"}
 
 
