@@ -7,9 +7,6 @@ psi((alpha)) = alpha^2 for alpha = (u + v sqrt(-d))/2 = +-1 mod c*O_K.
 ``coefficient_sequence`` is Hecke's theta series sum psi(a) q^N(a) (Ono,
 The Web of Modularity, ch. 1), one pass over the lattice of normalised
 alpha.  The eta products of ``qseries`` are the ground truth.
-
-``euler_to_dirichlet`` builds every Dirichlet series of ``lfunctions``
-from local Euler factors, integer polynomials in T = p^(-s).
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from .arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
                     VerificationError, _is_integral,
                     _norm_solutions, is_fundamental_discriminant, is_prime,
                     kronecker_character, primes_up_to)
-from .qseries import form_series, series_power
+from .qseries import form_series
 
 
 class WeilBoundError(ValueError):
@@ -144,48 +141,6 @@ def ap(spec: HeckeCharSpec, p: int) -> int:
 @lru_cache(maxsize=None)
 def _eta_coefficients(form_id: str, nmax: int) -> tuple:
     return tuple(form_series(form_id, nmax))
-
-
-@dataclass(frozen=True)
-class LocalFactor:
-    p: int
-    weight: int
-    coefficients: tuple  # polynomial in T, constant term first
-
-    def __post_init__(self):
-        if self.coefficients[0] != 1:
-            raise VerificationError("a local factor has constant term 1",
-                                    dict(p=self.p), 1, self.coefficients[0])
-
-    def __mul__(self, other: "LocalFactor") -> "LocalFactor":
-        if self.p != other.p:
-            raise VerificationError("local factors at one prime multiply",
-                                    dict(p=self.p), self.p, other.p)
-        a, b = self.coefficients, other.coefficients
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return LocalFactor(self.p, max(self.weight, other.weight), tuple(out))
-
-
-def euler_to_dirichlet(factors: dict, N: int) -> list:
-    """[a_1, ..., a_N] of prod_p L_p(p^-s)^-1; primes without a supplied
-    factor contribute the factor 1 (their power coefficients vanish)."""
-    a = [0] * (N + 1)
-    a[1] = 1
-    for p, factor in factors.items():
-        # 1/L_p(T) past the largest p^k <= N (1 - c_1 T if p^2 > N), then
-        # a_{m p^k} = a_m a_{p^k} for every m built from the earlier primes
-        inv = (1, -factor.coefficients[1])
-        if p * p <= N:
-            inv = series_power(list(factor.coefficients), -1, N.bit_length())
-        for m in [m for m in range(1, N // p + 1) if a[m]]:
-            n, k = m * p, 1
-            while n <= N:
-                a[n] = a[m] * inv[k]
-                n, k = n * p, k + 1
-    return a[1:]
 
 
 def coefficient_sequence(spec: HeckeCharSpec, N: int) -> list:

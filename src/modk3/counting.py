@@ -8,20 +8,21 @@ equal chi_D(p) a_p of the family's attached weight-3 form, D the
 quadratic twist stored with the family.  The threefold traces use B(p)
 itself and need no twist.
 
-A surface count at p >= 17 takes each fibre's trace a from the Hasse
-invariant: a = H mod p, H the coefficient of x^(p-1) in
-(x^3 + A x + B)^((p-1)/2), singular fibre or not (Silverman, AEC V.4), and
-2 sqrt(p) < p / 2 makes the lift of H to (-p/2, p/2) exact.  Scaling by
-A/B gives H(A, B) = chi(AB) H(c, c) with c = A^3 / B^2, and Horner (its
-coefficients cached per prime) evaluates H(c, c) only at the c the fibres
-reach: p/24 to p/8 of F_p, as each J-map is an index-24 cover of X(1).
-A = 0 and B = 0 are single monomials.  Every lifted trace must satisfy the
-Weil bound a^2 <= 4p.  A single curve, given as its integer a-invariants
-(a1, a2, a3, a4, a6), and every fibre at p < 17, is counted by one numpy
-kernel over y^2 = x^3 + A x + B: blocks of BLOCK_CELLS // p fibres, each
-one int64 array of A x + x^3 + B mod p over x in F_p, looked up in an
-int8 Legendre table.  Intermediates stay below p^2 + 2p: exact for
-p < 2^31, refused above before any array is built.
+Every fibre, and a single curve given as its integer a-invariants
+(a1, a2, a3, a4, a6), takes its trace a from the Hasse invariant of its
+short model y^2 = x^3 + A x + B: a = H mod p, H the coefficient of x^(p-1)
+in (x^3 + A x + B)^((p-1)/2), singular or not (Silverman, AEC V.4).
+Scaling by A/B gives H(A, B) = chi(AB) H(c, c) with c = A^3 / B^2, and
+Horner (its coefficients cached per prime) evaluates H(c, c) only at the c
+the fibres reach: p/24 to p/8 of F_p, as each J-map is an index-24 cover
+of X(1).  A = 0 and B = 0 are single monomials.  From p = 17 on,
+2 sqrt(p) < p / 2 makes the lift of H to (-p/2, p/2) exact.  Below 17 the
+lift is the one of H and H - p with a = 1 + r mod 2, r the number of roots
+of x^3 + A x + B in F_p (a = -sum_x chi(x^3 + A x + B) has p - r odd
+terms).  Every lifted trace must satisfy the Weil bound a^2 <= 4p; at
+p = 5 and 7 a forged H breaks it only as H = 0 (or 1 at p = 7) against the
+parity, so there count_report's B(p) = chi_D(p) a_p is the real check.
+The int64 arrays are exact for p < 2^31; larger p is refused first.
 """
 
 from __future__ import annotations
@@ -33,12 +34,9 @@ import numpy as np
 
 from .arith import (InvalidPrimeError, VerificationError, is_prime,
                     kronecker_character, primes_up_to)
-from .cmforms import HECKE_SPECS, HeckeCharSpec, WeilBoundError, ap as form_ap
+from .cmforms import HECKE_SPECS, HeckeCharSpec, ap as form_ap
 from .families import WeierstrassFamily, weierstrass_invariants
 from .kodaira import BadReductionError, scan
-
-#: int64 cells per block of the fibre sum (512 KB)
-BLOCK_CELLS = 1 << 16
 
 
 class ModelMismatchError(ValueError):
@@ -79,27 +77,6 @@ def _legendre_table(p: int):
     return chi
 
 
-def _short_model_points(c4, c6, p: int) -> int:
-    """Projective F_p points of y^2 = x^3 - 27 c4 x - 54 c6, summed over
-    the fibres whose invariants mod p fill the arrays c4 and c6."""
-    _check_int64(p)
-    chi = _legendre_table(p)
-    x = np.arange(p, dtype=np.int64)
-    cube = x * x % p * x % p
-    a = (-27 * np.asarray(c4, dtype=np.int64) % p)[:, None]
-    b = (-54 * np.asarray(c6, dtype=np.int64) % p)[:, None]
-    step = max(1, BLOCK_CELLS // p)
-    total = len(a) * (p + 1)
-    for i in range(0, len(a), step):
-        # in place, so that a block holds one int64 temporary
-        values = a[i:i + step] * x
-        values += cube
-        values += b[i:i + step]
-        values %= p
-        total += int(chi[values].sum(dtype=np.int64))
-    return total
-
-
 def _power(base, e: int, p: int):
     """base^e mod p elementwise over an int64 array of residues."""
     result = np.ones_like(base)
@@ -125,7 +102,7 @@ def _horner(coefficients, x, p: int):
     return value % p
 
 
-#: room for verify all's 19 primes 17 <= p <= 97; each holds ~p/12 ints
+#: room for verify all's 23 primes 5 <= p <= 97; each holds ~p/12 ints
 @lru_cache(maxsize=32)
 def _hasse_table(p: int) -> tuple:
     """(coefficients, shift, (M_B, e_B), (M_A, e_A)) at p: H(c, c) =
@@ -154,9 +131,10 @@ def _hasse_table(p: int) -> tuple:
 
 
 def _hasse_traces(c4, c6, p: int):
-    """The trace p + 1 - #E(F_p) of each fibre of _short_model_points at
-    p >= 17, each within the Weil bound: the lifted Hasse invariant, with
-    H(c, c) evaluated only at the classes c that the fibres reach."""
+    """The trace p + 1 - #E(F_p) of each short model
+    y^2 = x^3 - 27 c4 x - 54 c6 over F_p, p >= 5, each within the Weil
+    bound: the lifted Hasse invariant, with H(c, c) evaluated only at the
+    classes c that the fibres reach."""
     coefficients, shift, (m_b, e_b), (m_a, e_a) = _hasse_table(p)
     A = -27 * np.asarray(c4, dtype=np.int64) % p
     B = -54 * np.asarray(c6, dtype=np.int64) % p
@@ -173,7 +151,14 @@ def _hasse_traces(c4, c6, p: int):
         H[i] = m_b * pow(int(B[i]), e_b, p) % p
     for i in np.flatnonzero((B == 0) & (A != 0)):
         H[i] = m_a * pow(int(A[i]), e_a, p) % p
-    traces = np.where(H > p // 2, H - p, H)
+    if p < 17:
+        # 2 sqrt(p) >= p / 2, so H and H - p may both keep the Weil bound;
+        # a = 1 + r mod 2 for the r roots of x^3 + A x + B picks one
+        x = np.arange(p, dtype=np.int64)
+        r = ((x * x * x + A[:, None] * x + B[:, None]) % p == 0).sum(axis=1)
+        traces = np.where((H - 1 - r) % 2 == 0, H, H - p)
+    else:
+        traces = np.where(H > p // 2, H - p, H)
     squares = traces * traces
     if squares.max() > 4 * p:
         worst = int(squares.argmax())
@@ -184,27 +169,19 @@ def _hasse_traces(c4, c6, p: int):
     return traces
 
 
-def curve_count(ainvs: tuple, p: int) -> int:
-    """Projective F_p points of the (possibly singular) Weierstrass cubic
-    with integer a-invariants ainvs, at a prime p >= 5."""
-    if not is_prime(p) or p < 5:
-        raise BadReductionError(f"need a prime p >= 5, got {p}")
-    # (x, y) -> (36x + 3b2, 108(2y + a1 x + a3)) is an affine bijection of
-    # F_p^2 onto the short model, singular or not
-    c4, c6 = weierstrass_invariants(*ainvs)[4:6]
-    return _short_model_points([c4 % p], [c6 % p], p)
-
-
 @lru_cache(maxsize=None)
 def ap_elliptic(ainvs: tuple, p: int) -> int:
-    """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime of good reduction;
-    memoized on the tuple (a1, a2, a3, a4, a6) and p."""
-    a = p + 1 - curve_count(ainvs, p)  # refuses all but primes p >= 5
-    if weierstrass_invariants(*ainvs)[6] % p == 0:
+    """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime p >= 5 of good
+    reduction; memoized on the tuple (a1, a2, a3, a4, a6) and p."""
+    if not is_prime(p) or p < 5:
+        raise BadReductionError(f"need a prime p >= 5, got {p}")
+    _check_int64(p)  # before the O(p) table build
+    c4, c6, disc = weierstrass_invariants(*ainvs)[4:7]
+    if disc % p == 0:
         raise BadReductionError(f"bad reduction at p={p}")
-    if a * a > 4 * p:
-        raise WeilBoundError(f"|A|={abs(a)} exceeds 2 sqrt({p})")
-    return a
+    # (x, y) -> (36x + 3b2, 108(2y + a1 x + a3)) is an affine bijection of
+    # F_p^2 onto the short model
+    return int(_hasse_traces([c4 % p], [c6 % p], p)[0])
 
 
 @lru_cache(maxsize=None)
@@ -218,9 +195,7 @@ def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
     c4c6 = np.array([_horner(f, t, p) for f in report.t_chart_c4_c6])
     for place, values in report.minimal_values.items():
         c4c6[:, p if place == "inf" else place] = values
-    # the lift of H is exact once 2 sqrt(p) < p / 2
-    total = (_short_model_points(*c4c6, p) if p < 17
-             else (p + 1) ** 2 - int(_hasse_traces(*c4c6, p).sum()))
+    total = (p + 1) ** 2 - int(_hasse_traces(*c4c6, p).sum())
     # extra components of the resolved singular fibers
     total += p * sum(f.tau for f in report.fibers)
     ns = report.ns_trace

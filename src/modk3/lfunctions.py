@@ -1,19 +1,65 @@
 """The degree-4 tensor factor and the L-series of the threefold's H^3.
 
-Factors are ``cmforms.LocalFactor`` polynomials in T = p^(-s).  The tensor
-factor is checked against an exact root-product expansion in integers
+Factors are ``LocalFactor`` polynomials in T = p^(-s), and
+``euler_to_dirichlet`` turns them into every Dirichlet series here.  The
+tensor factor is checked against an exact root-product expansion in integers
 (power sums and Newton's identities), and every constructor checks its
 Weil bound exactly, so no floating point enters any factor.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .arith import VerificationError, kronecker_character
-from .cmforms import LocalFactor, WeilBoundError, euler_to_dirichlet
+from .cmforms import WeilBoundError
 from .counting import (ap_elliptic, attached_form, good_primes, h3_trace,
                        k3_point_count)
 from .families import (SingularCurveError, WeierstrassFamily,
                        weierstrass_invariants)
+from .qseries import series_power
+
+
+@dataclass(frozen=True)
+class LocalFactor:
+    p: int
+    weight: int
+    coefficients: tuple  # polynomial in T, constant term first
+
+    def __post_init__(self):
+        if self.coefficients[0] != 1:
+            raise VerificationError("a local factor has constant term 1",
+                                    dict(p=self.p), 1, self.coefficients[0])
+
+    def __mul__(self, other: "LocalFactor") -> "LocalFactor":
+        if self.p != other.p:
+            raise VerificationError("local factors at one prime multiply",
+                                    dict(p=self.p), self.p, other.p)
+        a, b = self.coefficients, other.coefficients
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return LocalFactor(self.p, max(self.weight, other.weight), tuple(out))
+
+
+def euler_to_dirichlet(factors: dict, N: int) -> list:
+    """[a_1, ..., a_N] of prod_p L_p(p^-s)^-1; primes without a supplied
+    factor contribute the factor 1 (their power coefficients vanish)."""
+    a = [0] * (N + 1)
+    a[1] = 1
+    for p, factor in factors.items():
+        # 1/L_p(T) past the largest p^k <= N (1 - c_1 T if p^2 > N), then
+        # a_{m p^k} = a_m a_{p^k} for every m built from the earlier primes
+        inv = (1, -factor.coefficients[1])
+        if p * p <= N:
+            inv = series_power(list(factor.coefficients), -1, N.bit_length())
+        for m in [m for m in range(1, N // p + 1) if a[m]]:
+            n, k = m * p, 1
+            while n <= N:
+                a[n] = a[m] * inv[k]
+                n, k = n * p, k + 1
+    return a[1:]
 
 
 def _root_product_expansion(A: int, B: int, eps_p: int, p: int) -> tuple:

@@ -5,7 +5,8 @@ twist fit (the oracle of each family's stored twist), the norm-equation
 solutions as field elements, the full modular group, the weight-2 and
 weight-3 local factors and the Hecke coefficients as an Euler product
 (the oracle of the theta series), the Hasse invariant from a table over
-all of F_p (the oracle of its evaluation at the reached classes only),
+all of F_p (the oracle of its evaluation at the reached classes only), the
+numpy point-count kernel (the oracle of the lifted Hasse traces),
 conversions between sympy expressions in t and the integer data of a
 family, the printed base-change maps and gluing identity, specialisation
 of a family to one curve, and curve constructions (the group law on the
@@ -26,18 +27,22 @@ from modk3.arith import (SUPPORTED_D, InvalidPrimeError, QuadFieldElement,
                          UnsupportedFieldError, _check_odd_prime,
                          _norm_solutions, is_prime, kronecker_character,
                          primes_up_to)
-from modk3.cmforms import (BadPrimeError, HeckeCharSpec, LocalFactor,
-                           WeilBoundError, _eta_coefficients, ap as form_ap,
-                           euler_to_dirichlet)
+from modk3.cmforms import (BadPrimeError, HeckeCharSpec, WeilBoundError,
+                           _eta_coefficients, ap as form_ap)
 from modk3.congruence import CongruenceGroupSpec
-from modk3.counting import (ModelMismatchError, attached_form, good_primes,
+from modk3.counting import (ModelMismatchError, _check_int64, _hasse_traces,
+                            _legendre_table, attached_form, good_primes,
                             k3_point_count)
 from modk3.families import (SingularCurveError, WeierstrassFamily,
                             weierstrass_invariants)
-from modk3.kodaira import integral_model
+from modk3.kodaira import BadReductionError, integral_model
+from modk3.lfunctions import LocalFactor, euler_to_dirichlet
 
 #: fundamental discriminants D with |D| dividing 48
 TWIST_DISCS = (1, -3, -4, 8, -8, 12, -24, 24)
+
+#: int64 cells per block of the kernel's fibre sum (512 KB)
+BLOCK_CELLS = 1 << 16
 
 t = sympy.symbols("t")
 
@@ -138,6 +143,47 @@ def full_table_traces(c4, c6, p: int) -> list:
         H %= p
         traces.append(H - p if H > p // 2 else H)
     return traces
+
+
+def short_model_points(c4, c6, p: int) -> int:
+    """Projective F_p points of y^2 = x^3 - 27 c4 x - 54 c6, summed over
+    the fibres whose invariants mod p fill the arrays c4 and c6: blocks of
+    BLOCK_CELLS // p fibres, each one int64 array of A x + x^3 + B mod p
+    over x in F_p, looked up in an int8 Legendre table."""
+    _check_int64(p)
+    chi = _legendre_table(p)
+    x = np.arange(p, dtype=np.int64)
+    cube = x * x % p * x % p
+    a = (-27 * np.asarray(c4, dtype=np.int64) % p)[:, None]
+    b = (-54 * np.asarray(c6, dtype=np.int64) % p)[:, None]
+    step = max(1, BLOCK_CELLS // p)
+    total = len(a) * (p + 1)
+    for i in range(0, len(a), step):
+        # in place, so that a block holds one int64 temporary
+        values = a[i:i + step] * x
+        values += cube
+        values += b[i:i + step]
+        values %= p
+        total += int(chi[values].sum(dtype=np.int64))
+    return total
+
+
+def curve_count(ainvs: tuple, p: int) -> int:
+    """Projective F_p points of the (possibly singular) Weierstrass cubic
+    with integer a-invariants ainvs, at a prime p >= 5, by the kernel."""
+    if not is_prime(p) or p < 5:
+        raise BadReductionError(f"need a prime p >= 5, got {p}")
+    # (x, y) -> (36x + 3b2, 108(2y + a1 x + a3)) is an affine bijection of
+    # F_p^2 onto the short model, singular or not
+    c4, c6 = weierstrass_invariants(*ainvs)[4:6]
+    return short_model_points([c4 % p], [c6 % p], p)
+
+
+def hasse_count(ainvs: tuple, p: int) -> int:
+    """curve_count through the library instead: p + 1 minus the lifted
+    Hasse trace of the one short model, singular or not."""
+    c4, c6 = weierstrass_invariants(*ainvs)[4:6]
+    return p + 1 - int(_hasse_traces([c4 % p], [c6 % p], p)[0])
 
 
 def loop_norm_solutions(d: int, p: int) -> list:

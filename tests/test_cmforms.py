@@ -16,10 +16,11 @@ from modk3.arith import (InvalidPrimeError, QuadFieldElement,
                          is_fundamental_discriminant, is_prime,
                          kronecker_character, primes_up_to)
 from modk3.cmforms import (BadPrimeError, HECKE_SPECS, HeckeCharSpec,
-                           LocalFactor, WeilBoundError, _eta_coefficients,
+                           WeilBoundError, _eta_coefficients,
                            _is_normalized, ap, coefficient_sequence,
                            normalized_generator, splitting,
                            verify_against_eta)
+from modk3.lfunctions import LocalFactor
 from modk3.qseries import form_series
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import WeierstrassCurve, twist_fit
-from modk3.arith import VerificationError, kronecker_character
+from helpers import WeierstrassCurve, curve_count, hasse_count, twist_fit
+from modk3 import counting
+from modk3.arith import (InvalidPrimeError, VerificationError,
+                         kronecker_character)
 from modk3.cmforms import HECKE_SPECS, ap as form_ap
 from modk3.counting import (CountReport, ModelMismatchError, ap_elliptic,
-                            count_report, curve_count, good_primes, h2_trace,
-                            h3_trace, k3_point_count, ns_trace_prediction)
+                            count_report, good_primes, h2_trace, h3_trace,
+                            k3_point_count, ns_trace_prediction)
 from modk3.families import FAMILY_NAMES, preset
 from modk3.kodaira import BadReductionError
 
@@ -32,14 +34,15 @@ def exhaustive_count(E):
 
 
 def test_curve_count_examples():
-    assert curve_count((0, 0, 0, -1, 0), 7) == 8
+    assert 7 + 1 - ap_elliptic((0, 0, 0, -1, 0), 7) == 8
     # split node: y^2 = x^2 (x + 1) over F_5
-    assert curve_count((0, 1, 0, 0, 0), 5) == 5
+    assert hasse_count((0, 1, 0, 0, 0), 5) == 5
     # cusp: y^2 = x^3 over F_5
-    assert curve_count((0, 0, 0, 0, 0), 5) == 6
+    assert hasse_count((0, 0, 0, 0, 0), 5) == 6
 
 
 def test_curve_count_vs_enumeration_random():
+    # the numpy kernel, the oracle of the Hasse traces, by enumeration
     rng = random.Random(31)
     for _ in range(20):
         p = rng.choice([5, 7, 11, 13, 17, 101])
@@ -82,7 +85,7 @@ def test_count_report_identity_survives_python_O():
             "                   lfunctions)\n"
             "from modk3.families import WeierstrassFamily, preset\n"
             "from modk3.arith import VerificationError\n"
-            "from modk3.cmforms import LocalFactor\n"
+            "from modk3.lfunctions import LocalFactor\n"
             "from modk3.counting import CountReport\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
             "def forged_report(): CountReport('x', 5, 0, 0, 1)\n"
@@ -224,8 +227,8 @@ def test_ns_trace_prediction_matches_geometry():
 def test_kummer_against_twisted_quotient_oracle():
     # #(A/-1)(F_p) = (#E1 #E2 + #E1' #E2')/2 with E' the quadratic twist
     p = 13
-    n = curve_count(E_TEST, p)
-    a = p + 1 - n
+    a = ap_elliptic(E_TEST, p)
+    n = p + 1 - a
     # y^2 = x^3 - x is its own twist statistics carrier: twist trace is -a
     n_tw = p + 1 + a
     r2 = 4 * 4  # full rational 2-torsion on both factors
@@ -258,9 +261,21 @@ def test_bad_primes_rejected():
     with pytest.raises(BadReductionError):
         k3_point_count(preset("g62"), 3)
     with pytest.raises(BadReductionError):
-        curve_count((0, 0, 0, 1, 1), 3)
+        ap_elliptic((0, 0, 0, 1, 1), 3)
     # y^2 = x^3 - x over Z/nZ: no field, whatever the count would give
     for n in (1, 4, 9, 15):
         with pytest.raises(BadReductionError,
                            match=f"need a prime p >= 5, got {n}$"):
-            curve_count(E_TEST, n)
+            ap_elliptic(E_TEST, n)
+
+
+def test_ap_elliptic_refuses_primes_that_could_overflow(monkeypatch):
+    # before the O(p) Python loop of the table build, and before Delta
+    def unreachable(p):
+        raise AssertionError(f"_hasse_table({p}) was built")
+
+    monkeypatch.setattr(counting, "_hasse_table", unreachable)
+    with pytest.raises(InvalidPrimeError):
+        ap_elliptic((0, 0, 0, -1, 0), 2 ** 31 + 11)
+    with pytest.raises(InvalidPrimeError):
+        ap_elliptic((0, 0, 0, 0, 2 ** 31 + 11), 2 ** 31 + 11)

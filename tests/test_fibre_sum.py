@@ -1,17 +1,18 @@
-"""The numpy fibre-sum kernel against the pure-Python point count it
-replaced, which stays here as the oracle, the Hasse-invariant path against
-the kernel and, fibre by fibre, against a table over all of F_p, and the
-int64 Horner against Python integers."""
+"""The lifted Hasse traces against the pure-Python point count, against
+the numpy point-count kernel that left the library (``helpers``, the
+oracle) and, fibre by fibre, against a table over all of F_p, and the int64
+Horner against Python integers."""
 
 import random
 
 import numpy as np
 import pytest
 
-from helpers import WeierstrassCurve, full_table_traces
+from helpers import (WeierstrassCurve, full_table_traces, hasse_count,
+                     short_model_points)
 from modk3 import counting
-from modk3.arith import InvalidPrimeError, VerificationError, primes_up_to
-from modk3.counting import (count_report, curve_count, good_primes,
+from modk3.arith import VerificationError, primes_up_to
+from modk3.counting import (ap_elliptic, count_report, good_primes,
                             k3_point_count)
 from modk3.families import FAMILY_NAMES, preset
 from modk3.kodaira import scan
@@ -102,27 +103,34 @@ def test_curve_count_vs_loop_random():
         r, s = rng.sample(range(p), 2)
         curves += [_node(r, s, p), _cusp(r, p)]
         for curve in curves:
-            c4, c6 = curve._invariants()[4:6]
-            count = curve_count(curve.ainvs, curve.p)
-            assert type(count) is int
+            c4, c6, disc = curve._invariants()[4:7]
+            count = hasse_count(curve.ainvs, p)
             assert count == short_count(c4, c6, p, chi), curve
+            if disc:
+                a = ap_elliptic(curve.ainvs, p)
+                assert type(a) is int and a == p + 1 - count, curve
 
 
 def test_singular_curve_counts():
     # a node has p points over F_p when split, p + 2 when not; a cusp p + 1
     for p in (5, 7, 11, 13):
         for r in range(p):
-            assert curve_count(_cusp(r, p).ainvs, p) == p + 1
+            assert hasse_count(_cusp(r, p).ainvs, p) == p + 1
             for s in range(p):
                 if s != r:
                     split = chi_table(p)[(r - s) % p] == 1
-                    assert (curve_count(_node(r, s, p).ainvs, p)
+                    assert (hasse_count(_node(r, s, p).ainvs, p)
                             == (p if split else p + 2))
 
 
-def test_kernel_refuses_primes_that_could_overflow():
-    with pytest.raises(InvalidPrimeError):
-        curve_count((0, 0, 0, -1, 0), 2 ** 31 + 11)
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_small_prime_traces_vs_kernel(p):
+    # every short model over F_p, singular ones included: below 17 the
+    # lift of H is decided by the parity of the roots, not by (-p/2, p/2)
+    c4, c6 = np.divmod(np.arange(p * p), p)
+    traces = counting._hasse_traces(c4, c6, p)
+    for a, v4, v6 in zip(traces.tolist(), c4.tolist(), c6.tolist()):
+        assert p + 1 - a == short_model_points([v4], [v6], p), (v4, v6)
 
 
 def fibre_invariants(family, p):
@@ -143,30 +151,30 @@ def fibre_invariants(family, p):
 def kernel_total(family, p):
     """k3_point_count's total with every fibre counted by the kernel."""
     tau = sum(f.tau for f in scan(family, p).fibers)
-    return (counting._short_model_points(*fibre_invariants(family, p), p)
-            + p * tau)
+    return short_model_points(*fibre_invariants(family, p), p) + p * tau
 
 
 def test_table_path_vs_kernel():
-    # every family at every good 17 <= p <= 97 and three random good p in
+    # every family at every good 5 <= p <= 97 and three random good p in
     # 101-2200
     rng = random.Random(1017)
     for name in FAMILY_NAMES:
         family = preset(name)
         large = rng.sample(good_primes(family, 101, 2200), 3)
-        for p in good_primes(family, 17, 97) + large:
+        for p in good_primes(family, 5, 97) + large:
             assert (k3_point_count(family, p).total
                     == kernel_total(family, p)), (name, p)
 
 
-@pytest.mark.parametrize("p", [19, 31, 37, 43, 97, 17, 23, 29, 41, 101])
+@pytest.mark.parametrize("p", [19, 31, 37, 43, 97, 17, 23, 29, 41, 101,
+                               5, 7, 11, 13])
 def test_monomial_fibres_vs_kernel(p):
     # y^2 = x^3 + B (A = -27 c4 = 0) and y^2 = x^3 + A x (B = -54 c6 = 0),
     # one fibre at a time: H(0, B) exists iff p = 1 mod 6 and H(A, 0) iff
-    # p = 1 mod 4; the list has both residues of each
+    # p = 1 mod 4; the list has both residues of each, above and below 17
     for c4, c6 in [(0, v) for v in range(p)] + [(v, 0) for v in range(p)]:
         assert (p + 1 - counting._hasse_traces([c4], [c6], p)[0]
-                == counting._short_model_points([c4], [c6], p)), (c4, c6)
+                == short_model_points([c4], [c6], p)), (c4, c6)
 
 
 def test_reached_classes_vs_full_table():
@@ -212,13 +220,36 @@ def test_forged_table_breaks_the_weil_bound(monkeypatch):
         k3_point_count.__wrapped__(preset("g4_legendre"), 101)
 
 
+def test_forged_table_at_small_primes(monkeypatch):
+    # every Horner coefficient off by one, counted without the cache
+    forged = {}
+    for p in (5, 13):
+        coefficients, shift, b_only, a_only = counting._hasse_table(p)
+        forged[p] = (tuple(c + 1 for c in coefficients), shift, b_only,
+                     a_only)
+    monkeypatch.setattr(counting, "_hasse_table", forged.get)
+    monkeypatch.setattr(counting, "k3_point_count",
+                        k3_point_count.__wrapped__)
+    # at p = 13 the parity lift puts some forged trace outside the Weil
+    # bound for every K3 preset
+    for name in ("g4_legendre", "g62", "g82", "g8_412"):
+        with pytest.raises(VerificationError):
+            counting.k3_point_count(preset(name), 13)
+    # at p = 5 and 7 the Weil check is nearly blind: with the parity fixed,
+    # only H = 0 (and H = 1 at p = 7) lifts outside 2 sqrt(p).  The same
+    # forgery passes it at p = 5, and only count_report's
+    # B(p) = chi_D(p) a_p comparison catches it (B = 6, not -6)
+    report = count_report(preset("g4_legendre"), 5)
+    assert report.B == 6 and not report.ok
+
+
 @pytest.mark.slow
 def test_table_path_vs_kernel_to_2200():
     # primes outside, so that the families share each table
     families = [preset(name) for name in FAMILY_NAMES]
     for p in primes_up_to(2200):
         for family in families:
-            if p >= 17 and p not in family.bad_primes:
+            if p >= 5 and p not in family.bad_primes:
                 assert (k3_point_count(family, p).total
                         == kernel_total(family, p)), (family.name, p)
 

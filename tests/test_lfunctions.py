@@ -6,11 +6,12 @@ import sympy
 
 from helpers import weight2_factor, weight3_factor
 from modk3.arith import primes_up_to
-from modk3.cmforms import LocalFactor, WeilBoundError, euler_to_dirichlet
+from modk3.cmforms import WeilBoundError
 from modk3.counting import ap_elliptic, good_primes, h3_trace
 from modk3.families import preset
-from modk3.lfunctions import (_root_product_expansion, assemble_h3,
-                              betti_hodge_report, h3_local_factor,
+from modk3.lfunctions import (LocalFactor, _root_product_expansion,
+                              assemble_h3, betti_hodge_report,
+                              euler_to_dirichlet, h3_local_factor,
                               shifted_elliptic_factor, tensor_factor)
 
 E_TEST = (0, 0, 0, -1, 0)
