@@ -7,8 +7,8 @@ the two must agree coefficient by coefficient.
 
 from modk3.arith import primes_up_to
 from modk3.cmforms import (HECKE_SPECS, _eta_coefficients,
-                           _generator_candidates, ap, coefficient_sequence,
-                           normalized_generator, splitting, verify_against_eta)
+                           _generator_candidates, _normalized_generator, ap,
+                           coefficient_sequence, splitting, verify_against_eta)
 
 N = 100
 
@@ -23,7 +23,7 @@ for fid in ("h8", "h7", "h3", "h4"):
 
 print()
 print("A sample normalized generator: p = 5 above Q(i) is")
-g = normalized_generator(HECKE_SPECS["h8"], 5)
+g = _normalized_generator(HECKE_SPECS["h8"], 5)
 print(f"  pi = ({g.u} + {g.v} i)/2 normalized mod 2, "
       f"tr(pi^2) = {g.trace_of_square()} = a_5 = {ap(HECKE_SPECS['h8'], 5)}")
 print()

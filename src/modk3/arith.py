@@ -74,11 +74,6 @@ def primes_up_to(n: int) -> list:
     return [i for i, f in enumerate(flags) if f]
 
 
-def _check_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise InvalidPrimeError(f"need an odd prime, got {p}")
-
-
 def is_fundamental_discriminant(D: int) -> bool:
     if D == 1:
         return True
@@ -139,14 +134,9 @@ def _kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def sqrt_mod(a: int, p: int):
-    """Tonelli-Shanks; returns the smaller root, or None for a non-residue."""
-    _check_odd_prime(p)
-    return _sqrt_mod(a, p)
-
-
 def _sqrt_mod(a: int, p: int):
-    # sqrt_mod for an odd prime p already checked
+    """Tonelli-Shanks for an odd prime p already checked; returns the
+    smaller root, or None for a non-residue."""
     a %= p
     if a == 0:
         return 0
@@ -197,18 +187,6 @@ class QuadFieldElement:
                                                    v=self.v), 0, n % m)
         return n // m
 
-    @property
-    def norm(self) -> int:
-        return self._halve(self.u * self.u + self.d * self.v * self.v, 4,
-                           "4 | u^2 + d v^2")
-
-    @property
-    def trace(self) -> int:
-        return self.u
-
-    def conjugate(self) -> "QuadFieldElement":
-        return QuadFieldElement(self.d, self.u, -self.v)
-
     def __mul__(self, other: "QuadFieldElement") -> "QuadFieldElement":
         if self.d != other.d:
             raise ValueError("field mismatch")
@@ -217,17 +195,9 @@ class QuadFieldElement:
         return QuadFieldElement(self.d, self._halve(uu, 2, "2 | u u' - d v v'"),
                                 self._halve(vv, 2, "2 | u v' + v u'"))
 
-    def square(self) -> "QuadFieldElement":
-        return self * self
-
     def trace_of_square(self) -> int:
         return self._halve(self.u * self.u - self.d * self.v * self.v, 2,
                            "2 | u^2 - d v^2")
-
-    def unit_orbit(self) -> list:
-        """All unit multiples of self (4 for d=1, 6 for d=3, 2 otherwise)."""
-        return [QuadFieldElement(self.d, u, v)
-                for u, v in unit_pairs(self.d, self.u, self.v)]
 
 
 def _is_integral(d: int, u: int, v: int) -> bool:

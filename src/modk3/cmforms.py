@@ -81,14 +81,9 @@ def _generator_candidates(spec: HeckeCharSpec, p: int) -> list:
             for u, v in _norm_solutions(spec.d, p)]
 
 
-def normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
-    """A generator pi of a prime above p with pi = +-1 mod c*O_K."""
-    if not is_prime(p):
-        raise InvalidPrimeError(f"{p} is not prime")
-    return _normalized_generator(spec, p)
-
-
 def _normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
+    """A generator pi of a prime above p with pi = +-1 mod c*O_K, for a
+    prime p already checked."""
     d, c = spec.d, spec.conductor_gen
     sols = _norm_solutions(d, p)
     if not sols:

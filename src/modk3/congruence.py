@@ -2,13 +2,14 @@
 
 Every check is an exhaustive enumeration inside SL(2, Z/N) (at most 3072
 elements, N = 16).  A group H is given by a membership predicate on
-matrices (a, b, c, d) mod N; the projective version is closed under -Id.
-One pass over SL(2, Z/N) in lexicographic order labels the right cosets:
-an element without a label opens the coset Hg, represented by its least
-element g, and labels all of it.  S, T and ST act on the labels as
-permutations: the index is the S, T orbit of the identity coset, the cusps
-are the cycles of T (widths their lengths), and e2, e3 count the fixed
-points of S and of ST.
+matrices (a, b, c, d) mod N.  One pass over SL(2, Z/N) in lexicographic
+order labels the right cosets of H, once per (N, predicate), so a preset
+and its lift share it: an element without a label opens the coset Hg,
+represented by its least element g, and labels all of it.  S, T and ST
+act on the labels as permutations: the index is the S, T orbit of the
+identity coset, the cusps are the cycles of T (widths their lengths), and
+e2, e3 count the fixed points of S and of ST.  The projective group +-H
+pairs the coset of g with that of -g and keeps the smaller label.
 """
 
 from __future__ import annotations
@@ -70,21 +71,17 @@ class CongruenceGroupSpec:
     """Subgroup of SL(2, Z/N) by membership predicate.
 
     ``projective=True`` means the spec describes a subgroup of PSL: the
-    predicate is closed under -Id (it is symmetrized on construction).
+    group is taken together with -Id.  Specs compare (and are cached) by
+    modulus, predicate and ``projective``; the name is only a label.
     """
 
-    name: str
+    name: str = field(compare=False)
     modulus: int
-    predicate: object = field(compare=False)
+    predicate: object
     projective: bool = True
 
     def members(self) -> frozenset:
-        return _members(self)
-
-    def members_pm(self) -> frozenset:
-        """Members together with their negatives (the +-Id closure)."""
-        H = self.members()
-        return frozenset(H | {_neg(g, self.modulus) for g in H})
+        return _members(self.modulus, self.predicate)
 
     @property
     def contains_minus_id(self) -> bool:
@@ -93,9 +90,8 @@ class CongruenceGroupSpec:
 
 
 @lru_cache(maxsize=None)
-def _members(spec: CongruenceGroupSpec) -> frozenset:
-    N = spec.modulus
-    H = frozenset(g for g in sl2_elements(N) if spec.predicate(g))
+def _members(N: int, predicate) -> frozenset:
+    H = frozenset(g for g in sl2_elements(N) if predicate(g))
     # H is a subgroup iff H = <S>, S taken greedily from H, grown from Id
     group, gens, todo = {(1 % N, 0, 0, 1 % N)}, [], []
     for h in H:
@@ -106,29 +102,32 @@ def _members(spec: CongruenceGroupSpec) -> frozenset:
             x, by = todo.pop()
             for y in (_mul(x, g, N) for g in by):
                 if y not in H:
-                    raise ClosureViolationError(f"{spec.name}: not closed")
+                    raise ClosureViolationError(f"{predicate!r} mod {N}: "
+                                                "not closed")
                 if y not in group:
                     group.add(y)
                     todo.append((y, gens))
     if group != H:
-        raise ClosureViolationError(f"{spec.name}: not a subgroup")
+        raise ClosureViolationError(f"{predicate!r} mod {N}: not a subgroup")
     return H
 
 
 @lru_cache(maxsize=None)
-def _coset_action(spec: CongruenceGroupSpec) -> tuple:
-    """(reps, S, T, ST): the least element of each right coset of H in
-    increasing order, and the generators as permutations of the labels:
-    S[i] is the label of the coset reps[i] * S."""
-    N = spec.modulus
-    G = sl2_elements(N)
-    H = spec.members_pm() if spec.projective else spec.members()
+def _sl_action(N: int, predicate) -> tuple:
+    """(reps, S, T, ST, neg) for the right cosets of H: the least element
+    of each in increasing order, the generators as permutations of the
+    labels (S[i] is the label of the coset reps[i] * S), and neg[i] the
+    label of the coset of -reps[i]."""
+    G, H = sl2_elements(N), _members(N, predicate)
     label, reps = {}, []
-    for g in G:
-        if g not in label:
-            for h in H:
-                label[_mul(h, g, N)] = len(reps)
-            reps.append(g)
+    for x in G:
+        if x not in label:
+            e, f, g, h = x
+            i = len(reps)
+            for a, b, c, d in H:  # label[h x] = i, the product written out
+                label[(a * e + b * g) % N, (a * f + b * h) % N,
+                      (c * e + d * g) % N, (c * f + d * h) % N] = i
+            reps.append(x)
     S = (0, -1 % N, 1 % N, 0)
     T = (1 % N, 1 % N, 0, 1 % N)
     S_, T_, ST_ = (tuple(label[_mul(g, w, N)] for g in reps)
@@ -137,14 +136,30 @@ def _coset_action(spec: CongruenceGroupSpec) -> tuple:
     while size < len(orbit):
         size = len(orbit)
         orbit |= {w[i] for w in (S_, T_) for i in orbit}
-    inputs = dict(group=spec.name, N=N)
+    inputs = dict(N=N, predicate=predicate)
     if len(G) != len(H) * len(orbit):
         raise VerificationError("|SL2(Z/N)| = |H| [SL2 : H]", inputs,
                                 len(G), len(H) * len(orbit))
     if len(orbit) != len(reps):
         raise VerificationError("the S, T orbit holds every coset", inputs,
                                 len(reps), len(orbit))
-    return tuple(reps), S_, T_, ST_
+    neg = tuple(label[_neg(g, N)] for g in reps)
+    return tuple(reps), S_, T_, ST_, neg
+
+
+@lru_cache(maxsize=None)
+def _coset_action(spec: CongruenceGroupSpec) -> tuple:
+    """(reps, S, T, ST) on the cosets of H, or for a projective spec on
+    those of +-H: +-Hg = Hg u H(-g) takes the smaller of the two labels,
+    whose rep is the least element of +-Hg."""
+    reps, S, T, ST, neg = _sl_action(spec.modulus, spec.predicate)
+    if not spec.projective:
+        return reps, S, T, ST
+    keep = [i for i, j in enumerate(neg) if i <= j]
+    new = {i: k for k, i in enumerate(keep)}
+    merged = [new[min(i, j)] for i, j in enumerate(neg)]
+    return (tuple(reps[i] for i in keep),
+            *(tuple(merged[w[i]] for i in keep) for w in (S, T, ST)))
 
 
 def index_in_modular_group(spec: CongruenceGroupSpec) -> int:
@@ -199,10 +214,13 @@ def has_trace_minus_two(spec: CongruenceGroupSpec) -> bool:
     """Whether the preimage in SL(2, Z) contains an element of trace -2.
 
     ``spec`` must describe a lift (a subgroup of SL(2, Z/N), -Id not
-    quotiented).  Exact by surjectivity of SL(2,Z) -> SL(2, Z/N).
+    quotiented).  Exact by surjectivity of SL(2,Z) -> SL(2, Z/N); only
+    members of trace -2 mod N can lie in a class.
     """
-    return not trace_minus_two_classes(spec.modulus).isdisjoint(
-        spec.members())
+    N = spec.modulus
+    candidates = [g for g in spec.members() if (g[0] + g[3] + 2) % N == 0]
+    return bool(candidates) and not trace_minus_two_classes(N).isdisjoint(
+        candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Test-only helpers: one Weierstrass curve over Q or F_p (the library
 holds a curve as its integer a-invariants), the Legendre symbol and the
 O(sqrt p) norm-equation search (oracles of the library's fast paths), the
-twist fit (the oracle of each family's stored twist), the norm-equation
-solutions as field elements, the full modular group, the weight-2 and
+twist fit (the oracle of each family's stored twist), the checked entry
+points and field-element operations the commands never call (the square
+root mod p, norm, conjugate and unit orbit of a field element, the
+normalised generator above p), the norm-equation solutions as field
+elements, the full modular group, a group's +-Id closure, the weight-2 and
 weight-3 local factors and the Hecke coefficients as an Euler product
 (the oracle of the theta series), the Hasse invariant from a table over
 all of F_p (the oracle of its evaluation at the reached classes only), the
@@ -23,13 +26,14 @@ import numpy as np
 import sympy
 from sympy import Poly, Rational, cancel, fraction
 
+from modk3 import arith
 from modk3.arith import (SUPPORTED_D, InvalidPrimeError, QuadFieldElement,
-                         UnsupportedFieldError, _check_odd_prime,
-                         _norm_solutions, is_prime, kronecker_character,
-                         primes_up_to)
+                         UnsupportedFieldError, _norm_solutions, is_prime,
+                         kronecker_character, primes_up_to, unit_pairs)
 from modk3.cmforms import (BadPrimeError, HeckeCharSpec, WeilBoundError,
-                           _eta_coefficients, ap as form_ap)
-from modk3.congruence import CongruenceGroupSpec
+                           _eta_coefficients, _normalized_generator,
+                           ap as form_ap)
+from modk3.congruence import CongruenceGroupSpec, _neg
 from modk3.counting import (ModelMismatchError, _check_int64, _hasse_traces,
                             _legendre_table, attached_form, good_primes,
                             k3_point_count)
@@ -100,10 +104,42 @@ class WeierstrassCurve:
         return self._eq(lhs, rhs)
 
 
+def check_odd_prime(p: int) -> None:
+    # arith.is_prime looked up at the call, so a test can count the calls
+    if p < 3 or p % 2 == 0 or not arith.is_prime(p):
+        raise InvalidPrimeError(f"need an odd prime, got {p}")
+
+
+def sqrt_mod(a: int, p: int):
+    """Tonelli-Shanks; returns the smaller root, or None for a non-residue."""
+    check_odd_prime(p)
+    return arith._sqrt_mod(a, p)
+
+
+def norm(x: QuadFieldElement) -> int:
+    return x._halve(x.u * x.u + x.d * x.v * x.v, 4, "4 | u^2 + d v^2")
+
+
+def conjugate(x: QuadFieldElement) -> QuadFieldElement:
+    return QuadFieldElement(x.d, x.u, -x.v)
+
+
+def unit_orbit(x: QuadFieldElement) -> list:
+    """All unit multiples of x (4 for d=1, 6 for d=3, 2 otherwise)."""
+    return [QuadFieldElement(x.d, u, v) for u, v in unit_pairs(x.d, x.u, x.v)]
+
+
+def normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
+    """A generator pi of a prime above p with pi = +-1 mod c*O_K."""
+    if not is_prime(p):
+        raise InvalidPrimeError(f"{p} is not prime")
+    return _normalized_generator(spec, p)
+
+
 def legendre_symbol(a: int, p: int) -> int:
     """(a|p) in {-1, 0, 1} for an odd prime p by Euler's criterion: the
     oracle of sqrt_mod, of the Kronecker character and of split tests."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     r = pow(a % p, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
@@ -244,6 +280,13 @@ def twist_fit(family: WeierstrassFamily, primes=None) -> tuple:
 def psl2z() -> CongruenceGroupSpec:
     """The full modular group (modulus-1 convention)."""
     return CongruenceGroupSpec("PSL(2,Z)", 1, lambda m: True, projective=True)
+
+
+def members_pm(spec: CongruenceGroupSpec) -> frozenset:
+    """The members of spec together with their negatives (the +-Id
+    closure)."""
+    H = spec.members()
+    return H | {_neg(g, spec.modulus) for g in H}
 
 
 def weight2_factor(A: int, p: int) -> LocalFactor:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import (euler_coefficient_sequence, loop_norm_solutions,
-                     weight3_factor)
+                     normalized_generator, weight3_factor)
 from modk3 import arith, cli, cmforms
 from modk3.arith import (InvalidPrimeError, QuadFieldElement,
                          VerificationError, _is_integral,
@@ -18,8 +18,7 @@ from modk3.arith import (InvalidPrimeError, QuadFieldElement,
 from modk3.cmforms import (BadPrimeError, HECKE_SPECS, HeckeCharSpec,
                            WeilBoundError, _eta_coefficients,
                            _is_normalized, ap, coefficient_sequence,
-                           normalized_generator, splitting,
-                           verify_against_eta)
+                           splitting, verify_against_eta)
 from modk3.lfunctions import LocalFactor
 from modk3.qseries import form_series
 

@@ -1,6 +1,9 @@
+import itertools
+from functools import lru_cache
+
 import pytest
 
-from helpers import psl2z
+from helpers import members_pm, psl2z
 from modk3 import congruence
 from modk3.arith import VerificationError
 from modk3.congruence import (ClosureViolationError, CongruenceGroupSpec,
@@ -51,12 +54,14 @@ def test_full_group_baseline():
 
 def test_closure_violation_detected():
     # not inverse-closed; inverse-closed but not product-closed
-    # ((1, 1; 0, 1)^2 has b = 2); without the identity
-    for predicate in (lambda m: m[1] % 8 in (0, 1, 3),
-                      lambda m: m[1] % 8 in (0, 1, 7),
-                      lambda m: m[0] == 3):
+    # ((1, 1; 0, 1)^2 has b = 2); without the identity; empty, which is
+    # closed but holds no identity
+    for predicate, reason in ((lambda m: m[1] % 8 in (0, 1, 3), "not closed"),
+                              (lambda m: m[1] % 8 in (0, 1, 7), "not closed"),
+                              (lambda m: m[0] == 3, "not closed"),
+                              (lambda m: False, "not a subgroup")):
         bad = CongruenceGroupSpec("broken", 8, predicate)
-        with pytest.raises(ClosureViolationError):
+        with pytest.raises(ClosureViolationError, match=f"mod 8: {reason}"):
             bad.members()
 
 
@@ -78,7 +83,7 @@ def test_all_lifts_are_honest():
         assert not lift.contains_minus_id, k
         assert not has_trace_minus_two(lift), k
         # the lift projects onto the projective preset
-        assert lift.members_pm() == preset_group(k).members_pm(), k
+        assert members_pm(lift) == members_pm(preset_group(k)), k
 
 
 def test_lift_cusp_widths_double_without_changing():
@@ -122,7 +127,7 @@ def _oracle_action(spec):
     """(cosets, key): right cosets H\\G found by BFS under S, T and T^-1,
     each named by its least element."""
     N = spec.modulus
-    H = spec.members_pm() if spec.projective else spec.members()
+    H = members_pm(spec) if spec.projective else spec.members()
     S, T = (0, -1 % N, 1 % N, 0), (1 % N, 1 % N, 0, 1 % N)
     seen = {_oracle_coset((1, 0, 0, 1), H, N)}
     queue = list(seen)
@@ -157,8 +162,7 @@ def _oracle_invariants(spec):
 
 def _classical_groups():
     """Gamma_0(N), Gamma_1(N) and Gamma(N) for N <= 12, in PSL and in SL."""
-    # entries are reduced mod N >= 2, so 1 mod N is 1; the names differ
-    # from the presets', since specs are compared (and cached) by name
+    # entries are reduced mod N >= 2, so 1 mod N is 1
     predicates = {"Gamma_0": lambda m: m[2] == 0,
                   "Gamma_1": lambda m: m[2] == 0 and m[0] == 1,
                   "Gamma": lambda m: m[1] == m[2] == 0 and m[0] == 1}
@@ -200,3 +204,68 @@ def test_orbit_missing_a_coset_raises(monkeypatch):
                                lambda m: m == (1, 0, 0, 1))
     with pytest.raises(VerificationError, match=r"\[SL2 : H\]"):
         index_in_modular_group(spec)
+
+
+def test_coset_outside_the_orbit_raises(monkeypatch):
+    # a forged ambient of |SL(2, Z/3)| = 24 matrices for H = {T^k}: H, one
+    # matrix of each of the 8 + 8 cosets H g of determinant 1 and -1, and
+    # six more of determinant 1.  |G| = |H| [SL2 : H] = 3 * 8 holds, but S
+    # and T never reach the cosets of determinant -1
+    H = [(1, 0, 0, 1), (1, 1, 0, 1), (1, 2, 0, 1)]
+    gl2 = [m for m in itertools.product(range(3), repeat=4)
+           if (m[0] * m[3] - m[1] * m[2]) % 3]
+    forged = sorted({min(_mul(h, m, 3) for h in H) for m in gl2} | set(H))
+    forged += [m for m in sl2_elements(3) if m not in forged][:6]
+    monkeypatch.setattr(congruence, "sl2_elements", lambda N: forged)
+    spec = CongruenceGroupSpec("forged unipotent", 3, lambda m: m in H)
+    with pytest.raises(VerificationError, match="holds every coset"):
+        index_in_modular_group(spec)
+
+
+def test_specs_of_one_name_keep_their_own_groups():
+    # a spec is its modulus, predicate and projectivity, and the caches
+    # are keyed so; the name is a label two groups may share
+    gamma0 = CongruenceGroupSpec("G", 8, lambda m: m[2] == 0)
+    gamma1 = CongruenceGroupSpec("G", 8, lambda m: m[2] == 0 and m[0] == 1)
+    assert (len(gamma0.members()), len(gamma1.members())) == (32, 8)
+    assert index_in_modular_group(gamma0) == 12
+    assert index_in_modular_group(gamma1) == 24
+    assert len(cusps_and_widths(gamma0)) == 4
+    assert len(cusps_and_widths(gamma1)) == 6
+    assert gamma0 != gamma1
+    assert gamma0 == CongruenceGroupSpec("Gamma_0(8)", 8, gamma0.predicate)
+
+
+def test_one_labelling_pass_per_preset(monkeypatch):
+    # the preset and its lift share one pass over SL(2, Z/N) and one
+    # closure check; fresh caches, so earlier tests do not count
+    for name in ("_members", "_sl_action", "_coset_action"):
+        fresh = lru_cache(maxsize=None)(getattr(congruence, name).__wrapped__)
+        monkeypatch.setattr(congruence, name, fresh)
+    for k in range(1, 10):
+        group_report(k)
+    assert congruence._sl_action.cache_info().misses == 9
+    assert congruence._members.cache_info().misses == 9
+    assert congruence._coset_action.cache_info().misses == 18
+
+
+def test_trace_minus_two_prefilter_matches_the_class_set(monkeypatch):
+    specs = [preset_lift(k) for k in range(1, 10)]
+    specs += list(_classical_groups())
+    found = []
+    for spec in specs:
+        N = spec.modulus
+        expected = not trace_minus_two_classes(N).isdisjoint(spec.members())
+        assert has_trace_minus_two(spec) == expected, spec.name
+        found.append(expected)
+    assert True in found and False in found
+    # Gamma(4)'s lift: its identity has trace 2 = -2 mod 4 but is no -U^k
+    lift = preset_lift(1)
+    assert (1, 0, 0, 1) in lift.members() and not has_trace_minus_two(lift)
+    # the other eight lifts hold no member of trace -2 mod N, so the class
+    # set is never built for them
+    built = []
+    monkeypatch.setattr(congruence, "trace_minus_two_classes", built.append)
+    for k in range(2, 10):
+        assert not has_trace_minus_two(preset_lift(k)), k
+    assert built == []

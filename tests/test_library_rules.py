@@ -125,3 +125,101 @@ def test_the_float_rule_catches_each_kind_of_site():
                  "x = a / b", "x = Fraction(a) / b",
                  "x = Fraction(a) / Fraction(b)", "x /= 2", "x = 1j"):
         assert _float_sites(ast.parse(line)), line
+
+
+def _unreached(sources: dict, roots: list) -> list:
+    """Public functions and methods of the modules in ``sources`` (name ->
+    text) that no walk from ``roots`` ((module, name) pairs) reaches.
+
+    A walk reads every name in a reached node: a module-level name is
+    followed to its definition, through ``from .module import`` lines; an
+    attribute reaches every method of that name; a reached class reaches
+    its bases, decorators, class-level statements and dunder methods."""
+    nodes, imports, methods = {}, {}, {}  # nodes[module, "Class.method"] too
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports[module, alias.asname or alias.name] = (
+                        node.module, alias.name)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                nodes[module, node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                for name in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(name, ast.Name):
+                        nodes[module, name.id] = node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        qual = f"{node.name}.{item.name}"
+                        nodes[module, qual] = item
+                        methods.setdefault(item.name, []).append((module, qual))
+    reached, todo = set(), list(roots)
+
+    def reach(module, name):
+        while (module, name) in imports:
+            module, name = imports[module, name]
+        if (module, name) in nodes:
+            todo.append((module, name))
+
+    while todo:
+        module, name = todo.pop()
+        if (module, name) in reached:
+            continue
+        reached.add((module, name))
+        node = nodes[module, name]
+        parts = [node]
+        if isinstance(node, ast.ClassDef):
+            parts = node.bases + node.decorator_list + [
+                item for item in node.body
+                if not isinstance(item, ast.FunctionDef)]
+            todo += [(module, f"{node.name}.{item.name}") for item in node.body
+                     if isinstance(item, ast.FunctionDef)
+                     and item.name.startswith("__")]
+        for sub in (n for part in parts for n in ast.walk(part)):
+            if isinstance(sub, ast.Name):
+                reach(module, sub.id)
+            elif isinstance(sub, ast.Attribute):
+                todo += methods.get(sub.attr, [])
+            elif isinstance(sub, ast.ImportFrom) and sub.level == 1:
+                for alias in sub.names:
+                    reach(sub.module, alias.name)
+    public = [(module, name) for (module, name), node in nodes.items()
+              if isinstance(node, ast.FunctionDef) and name[0] != "_"
+              and "._" not in name]
+    return sorted(f"{m}.{n}" for m, n in set(public) - reached)
+
+
+def test_the_cli_reaches_every_public_function():
+    # the library holds what a command runs: the walk starts at the
+    # console script (cli.main) and at the cmd_* function of each
+    # cli.COMMANDS entry, which run() looks up by name.  counting.h2_trace
+    # is the one exception: it waits for a caller that passes the curve E,
+    # on which the exceptional classes depend
+    from modk3 import cli
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    roots = [("cli", "main")] + [("cli", f"cmd_{command}_{action}")
+                                 for command, action in cli.COMMANDS]
+    assert _unreached(sources, roots) == ["counting.h2_trace"]
+
+
+def test_the_reachability_walk_follows_each_kind_of_reference():
+    sources = {
+        "a": ("from .b import Box, f as g\n"
+              "TABLE = {1: g}\n"
+              "def cmd_x(args): return TABLE, Box(1).get()\n"
+              "def unused(): return dead_end()\n"),
+        "b": ("def f(): return _helper()\n"
+              "def _helper(): from .c import late; return late()\n"
+              "def dead_end(): pass\n"
+              "class Box:\n"
+              "    def __post_init__(self): return k()\n"
+              "    def get(self): pass\n"
+              "    def put(self): pass\n"
+              "def k(): pass\n"),
+        "c": "def late(): pass\ndef never(): pass\n",
+    }
+    assert _unreached(sources, [("a", "cmd_x")]) == [
+        "a.unused", "b.Box.put", "b.dead_end", "c.never"]
