@@ -187,14 +187,6 @@ class QuadFieldElement:
                                                    v=self.v), 0, n % m)
         return n // m
 
-    def __mul__(self, other: "QuadFieldElement") -> "QuadFieldElement":
-        if self.d != other.d:
-            raise ValueError("field mismatch")
-        uu = self.u * other.u - self.d * self.v * other.v
-        vv = self.u * other.v + self.v * other.u
-        return QuadFieldElement(self.d, self._halve(uu, 2, "2 | u u' - d v v'"),
-                                self._halve(vv, 2, "2 | u v' + v u'"))
-
     def trace_of_square(self) -> int:
         return self._halve(self.u * self.u - self.d * self.v * self.v, 2,
                            "2 | u^2 - d v^2")

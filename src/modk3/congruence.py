@@ -40,9 +40,10 @@ def _neg(x: Mat, N: int) -> Mat:
 @lru_cache(maxsize=None)
 def sl2_elements(N: int) -> tuple:
     """All of SL(2, Z/N), in lexicographic order."""
-    # ds[a][r]: the d in [0, N) with a d = r mod N, in increasing order
-    ds = [[[d for d in range(N) if a * d % N == r] for r in range(N)]
-          for a in range(N)]
+    ds = [[[] for _ in range(N)] for _ in range(N)]  # ds[a][a d % N] has d
+    for a in range(N):
+        for d in range(N):
+            ds[a][a * d % N].append(d)
     return tuple((a, b, c, d) for a in range(N) for b in range(N)
                  for c in range(N) for d in ds[a][(1 + b * c) % N])
 

@@ -3,11 +3,9 @@
 An eta product prod_i eta(q^(m_i))^(r_i) is q^(sum_i m_i r_i / 24) times
 prod_i P(q^(m_i))^(r_i), where P(x) = prod_{k>=1} (1 - x^k) comes from
 Euler's pentagonal theorem, P^3 from Jacobi's identity and P(x)^2 / P(x^2)
-from Gauss's.  ``eta_product`` multiplies those factors into one integer
-list: up the strides m, P(x^m)^r is r // 3 Jacobi cubes and one P if
-r % 3 == 1, or one phi(-x^m) and one more P at stride 2m if r % 3 == 2.
-Every product is one exact big-int multiply (Kronecker substitution,
-``_product``) and ``series_power`` (Miller's recurrence) does r < 1.
+from Gauss's.  Up the strides m, ``eta_product`` rewrites P(x^m)^r as r // 3
+Jacobi cubes and one P if r % 3 == 1, or one phi(-x^m) and one more P at
+stride 2m if r % 3 == 2: lacunary factors, with O(sqrt(n)) terms each.
 ``form_series`` shifts the list by the leading exponent and returns the
 coefficients at integral exponents.
 """
@@ -113,10 +111,10 @@ def _gauss_phi(nterms: int) -> list:
 
 def eta_product(factors, n: int) -> list:
     """First n >= 0 coefficients of prod P(x^m)^r over the nonempty (m, r)
-    factors, rewritten up the strides, then multiplied largest stride first
-    in x^g for g the gcd of the strides so far: sparse factors multiply at
-    their own short length."""
-    exponents, powers = Counter(), []
+    factors.  The lacunary factors multiply two at a time, term by term;
+    only the pair results, an unpaired factor and the dense powers r < 1
+    (``series_power``) go through the Kronecker kernel ``_product``."""
+    exponents, sparse, powers = Counter(), [], []
     for m, r in factors:
         exponents[m] += r
     while exponents:
@@ -126,17 +124,26 @@ def eta_product(factors, n: int) -> list:
             powers.append((m, series_power(_pentagonal_coeffs(nterms), r,
                                            nterms)))
             continue
-        powers += [(m, _jacobi_cube(nterms))] * (r // 3)
+        sparse += [(m, _jacobi_cube(nterms))] * (r // 3)
         if r % 3 == 1:
-            powers.append((m, _pentagonal_coeffs(nterms)))
+            sparse.append((m, _pentagonal_coeffs(nterms)))
         elif r % 3 == 2:  # P(x^m)^2 = phi(-x^m) P(x^(2m))
-            powers.append((m, _gauss_phi(nterms)))
+            sparse.append((m, _gauss_phi(nterms)))
             exponents[2 * m] += 1
-    powers.sort(key=lambda power: power[0], reverse=True)
+    powers += sparse[len(sparse) // 2 * 2:]  # the unpaired factor, if any
+    for (ma, a), (mb, b) in zip(sparse[::2], sparse[1::2]):
+        g = math.gcd(ma, mb)  # a(x^ma) b(x^mb) term by term, in x^g
+        out = [0] * -(-n // g)
+        terms = [(j * mb // g, d) for j, d in enumerate(b) if d]
+        for e, c in [(i * ma // g, c) for i, c in enumerate(a) if c]:
+            for f, d in terms:
+                if e + f >= len(out):
+                    break
+                out[e + f] += c * d
+        powers.append((g, out))
     (g, out), *rest = powers
     for m, coeffs in rest:
-        h = math.gcd(g, m)
-        out, g = _product(out, g // h, coeffs, m // h, -(-n // h)), h
+        out, g = _product(out, g, coeffs, m, n), 1
     spread = [0] * n
     spread[::g] = out
     return spread

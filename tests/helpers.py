@@ -116,6 +116,15 @@ def sqrt_mod(a: int, p: int):
     return arith._sqrt_mod(a, p)
 
 
+def mul(x: QuadFieldElement, y: QuadFieldElement) -> QuadFieldElement:
+    """The product x y in the field of x and y."""
+    if x.d != y.d:
+        raise ValueError("field mismatch")
+    uu, vv = x.u * y.u - x.d * x.v * y.v, x.u * y.v + x.v * y.u
+    return QuadFieldElement(x.d, x._halve(uu, 2, "2 | u u' - d v v'"),
+                            x._halve(vv, 2, "2 | u v' + v u'"))
+
+
 def norm(x: QuadFieldElement) -> int:
     return x._halve(x.u * x.u + x.d * x.v * x.v, 4, "4 | u^2 + d v^2")
 

@@ -303,7 +303,6 @@ def test_forged_theta_sums_raise_under_python_O():
         "WeilBoundError |a_p|=180 exceeds 2p for p=85"]
 
 
-@pytest.mark.slow
 def test_eta_agreement_to_20000():
     # the Hecke-character coefficients against the eta products to q^20000
     for fid in ("h3", "h4", "h7", "h8"):

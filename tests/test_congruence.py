@@ -35,12 +35,15 @@ def sl2_order(N):
 
 
 def test_sl2_enumeration_sizes():
-    for N in (2, 3, 4, 5, 6, 7, 8, 12, 16):
+    # every N from 1 (one matrix, all entries 0) to 16
+    for N in range(1, 17):
         assert len(sl2_elements(N)) == sl2_order(N)
-        # the lexicographic order fixes the coset representatives
+        # the lexicographic order fixes the coset representatives: all N^4
+        # matrices with ad - bc = 1 mod N, filtered in that order
         assert sl2_elements(N) == tuple(
             (a, b, c, d) for a in range(N) for b in range(N)
-            for c in range(N) for d in range(N) if (a * d - b * c) % N == 1)
+            for c in range(N) for d in range(N)
+            if (a * d - b * c - 1) % N == 0), N
 
 
 def test_full_group_baseline():

@@ -1,9 +1,11 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from modk3 import qseries
 from modk3.qseries import (ETA_FORMS, FORM_IDS, NonUnitLeadingCoefficientError,
                            _gauss_phi, _jacobi_cube, _pentagonal_coeffs,
                            _product, eta_product, form_series, series_power)
@@ -220,6 +222,76 @@ def test_gauss_rewrite_vs_naive():
     for factors in cases:
         assert (eta_product(factors, n)
                 == naive_eta_product(factors, n)), factors
+
+
+def test_paired_eta_forms_vs_naive():
+    # every eta form through the pairing, at lengths that cut the pairs'
+    # double loops right at, before and after a term
+    for fid, factors in ETA_FORMS.items():
+        assert eta_product(factors, 0) == [], fid
+        for n in (1, 2, 7, 8, 9, 97, 1000):
+            assert (eta_product(factors, n)
+                    == naive_eta_product(factors, n)), (fid, n)
+
+
+def lacunary_and_dense_counts(factors):
+    """How many lacunary factors (cubes, P, phi) and dense powers (r < 1)
+    the rewrite up the strides makes, worked out apart from the library."""
+    exps, lacunary, dense = Counter(), 0, 0
+    for m, r in factors:
+        exps[m] += r
+    while exps:
+        m = min(exps)
+        r = exps.pop(m)
+        dense += r < 1
+        lacunary += r // 3 + (r % 3 > 0) if r > 0 else 0
+        if r > 0 and r % 3 == 2:
+            exps[2 * m] += 1
+    return lacunary, dense
+
+
+def test_random_factor_multisets_vs_naive():
+    # odd and even counts of lacunary factors, with and without dense
+    # (r <= 0) factors beside them
+    rng = random.Random(23)
+    counts = Counter()
+    for trial in range(50):
+        factors = tuple((rng.randint(1, 12), rng.randint(-3, 6))
+                        for _ in range(rng.randint(1, 4)))
+        n = rng.randint(1, 150)
+        assert (eta_product(factors, n)
+                == naive_eta_product(factors, n)), (trial, factors, n)
+        lacunary, dense = lacunary_and_dense_counts(factors)
+        counts[dense > 0, lacunary % 2] += 1
+    # every mix of dense factors and an odd or even lacunary count was drawn
+    assert len(counts) == 4, counts
+
+
+def test_lacunary_pairs_skip_the_kronecker_kernel(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _product(*args)
+
+    monkeypatch.setattr(qseries, "_product", counted)
+    for fid, expected in (("h1", 0), ("h2", 0), ("h3", 0), ("h4", 1),
+                          ("h5", 0), ("h7", 0), ("h8", 0)):
+        calls.clear()
+        out = eta_product(ETA_FORMS[fid], 500)
+        assert len(calls) == expected, fid
+        assert out == naive_eta_product(ETA_FORMS[fid], 500), fid
+    # a dense factor stays on the kernel, even beside a lone cube it could
+    # pair with: one product
+    calls.clear()
+    assert eta_product(((1, -1), (2, 3)), 200) == naive_eta_product(
+        ((1, -1), (2, 3)), 200)
+    assert len(calls) == 1
+    # so does an unpaired lacunary factor, here P(x^5) beside one pair
+    calls.clear()
+    assert eta_product(((2, 6), (5, 1)), 200) == naive_eta_product(
+        ((2, 6), (5, 1)), 200)
+    assert len(calls) == 1
 
 
 def test_eta_power_matches_naive_multiplication():
