@@ -74,6 +74,22 @@ def primes_up_to(n: int) -> list:
     return [i for i, f in enumerate(flags) if f]
 
 
+def prime_factors(n: int, outside=()) -> set:
+    """The prime factors of n outside ``outside``: none when n is +-1 once
+    those are divided out, else by trial division (a cofactor with no factor
+    below 10^6 is named as it stands)."""
+    for q in outside:
+        while n and n % q == 0:
+            n //= q
+    n, d, out = abs(n), 2, set()
+    while n > 1 and d * d <= n and d < 10 ** 6:
+        if n % d:
+            d += 1
+        else:
+            n, out = n // d, out | {d}
+    return out if n == 1 else out | {n}  # {0} for n = 0
+
+
 def is_fundamental_discriminant(D: int) -> bool:
     if D == 1:
         return True

@@ -11,29 +11,35 @@ itself and need no twist.
 Every fibre, and a single curve given as its integer a-invariants
 (a1, a2, a3, a4, a6), takes its trace a from the Hasse invariant of its
 short model y^2 = x^3 + A x + B: a = H mod p, H the coefficient of x^(p-1)
-in (x^3 + A x + B)^((p-1)/2), singular or not (Silverman, AEC V.4).
-Scaling by A/B gives H(A, B) = chi(AB) H(c, c) with c = A^3 / B^2, and
-Horner (its coefficients cached per prime) evaluates H(c, c) only at the c
+in (x^3 + A x + B)^((p-1)/2), singular or not (Silverman, AEC V.4).  Per
+prime, a cached table of logs (16p bytes) to the least generator g of
+F_p^* makes every character, inverse and power a gather:
+H(A, B) = chi(AB) H(c, c) with c = A^3 / B^2 = g^(3 log A - 2 log B) and
+chi(AB) the parity of log A + log B.  H(c, c) is evaluated only at the c
 the fibres reach: p/24 to p/8 of F_p, as each J-map is an index-24 cover
-of X(1).  A = 0 and B = 0 are single monomials.  From p = 17 on,
-2 sqrt(p) < p / 2 makes the lift of H to (-p/2, p/2) exact.  Below 17 the
-lift is the one of H and H - p with a = 1 + r mod 2, r the number of roots
-of x^3 + A x + B in F_p (a = -sum_x chi(x^3 + A x + B) has p - r odd
-terms).  Every lifted trace must satisfy the Weil bound a^2 <= 4p; at
-p = 5 and 7 a forged H breaks it only as H = 0 (or 1 at p = 7) against the
-parity, so there count_report's B(p) = chi_D(p) a_p is the real check.
-The int64 arrays are exact for p < 2^31; larger p is refused first.
+of X(1); its polynomial (cached per prime) by baby and giant steps
+(Paterson and Stockmeyer): one int64 matmul, exact while
+s (p // 2 + 1)^2 < 2^63 for s ~ sqrt(p/12) baby steps, then ~s Horner steps.
+A = 0 and B = 0 are single monomials.  From p = 17 on, 2 sqrt(p) < p / 2
+makes the lift of H to (-p/2, p/2) exact.  Below 17 the lift is the one of
+H and H - p with a = 1 + r mod 2, r the number of roots of x^3 + A x + B
+in F_p (a = -sum_x chi(x^3 + A x + B) has p - r odd terms).  Every lifted
+trace must satisfy the Weil bound a^2 <= 4p; at p = 5 and 7 a forged H
+breaks it only as H = 0 (or 1 at p = 7) against the parity, so there
+count_report's B(p) = chi_D(p) a_p is the real check.  The int64 arrays
+are exact for p < 2^31; larger p is refused first.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
 from .arith import (InvalidPrimeError, VerificationError, is_prime,
-                    kronecker_character, primes_up_to)
+                    kronecker_character, prime_factors, primes_up_to)
 from .cmforms import HECKE_SPECS, HeckeCharSpec, ap as form_ap
 from .families import WeierstrassFamily, weierstrass_invariants
 from .kodaira import BadReductionError, scan
@@ -68,30 +74,10 @@ def _check_int64(p: int):
             f"p={p} >= 2^31 would overflow the int64 fibre sum")
 
 
-def _legendre_table(p: int):
-    """chi[v] = (v / p) for v in F_p as an int8 array; p < 2^31."""
-    x = np.arange(p, dtype=np.int64)
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[x * x % p] = 1
-    chi[0] = 0
-    return chi
-
-
-def _power(base, e: int, p: int):
-    """base^e mod p elementwise over an int64 array of residues."""
-    result = np.ones_like(base)
-    while e:
-        if e & 1:
-            result = result * base % p
-        base = base * base % p
-        e >>= 1
-    return result
-
-
 def _horner(coefficients, x, p: int):
-    """The integer polynomial (leading coefficient first) mod p < 2^31 at
-    each x in [0, p] of an int64 array, reduced only where the next step
-    could reach 2^63 (at every step once p > 2^21)."""
+    """The polynomial (leading coefficient first, integers or rows of them)
+    mod p < 2^31 at each x in [0, p] of an int64 array, reduced only where
+    the next step could reach 2^63 (at every step once p > 2^21)."""
     value, bound = np.zeros_like(x), 0
     for c in coefficients:
         if (bound + 1) * p >> 63:
@@ -102,55 +88,112 @@ def _horner(coefficients, x, p: int):
     return value % p
 
 
+def _generator(p: int) -> int:
+    """The least g with g^((p - 1) / q) != 1 for each prime q | p - 1."""
+    exponents = [(p - 1) // q for q in prime_factors(p - 1)]
+    return next(g for g in range(2, p)
+                if all(pow(g, e, p) != 1 for e in exponents))
+
+
+#: 16p bytes a prime, as many primes as _hasse_table
+@lru_cache(maxsize=32)
+def _log_table(p: int) -> tuple:
+    """(pw, log) with pw[k] = g^k, k < p - 1, and log[pw[k]] = k (log[0] = 0)
+    for g = _generator(p): the giant steps g^(s i) times the baby steps
+    g^j, i, j < s = isqrt(p - 1) + 1, each product below p^2 < 2^62."""
+    g, s = _generator(p), isqrt(p - 1) + 1
+    baby, giant = [1], [1]
+    for _ in range(s):
+        baby.append(baby[-1] * g % p)
+    for _ in range(s - 1):
+        giant.append(giant[-1] * baby[s] % p)
+    pw = (np.array(giant)[:, None] * np.array(baby[:s]) % p).ravel()[:p - 1]
+    k, log = np.arange(p - 1), np.zeros(p, dtype=np.int64)
+    log[pw] = k
+    if np.count_nonzero(log[pw] != k):
+        raise VerificationError("g generates F_p^*", dict(p=p, g=g), p - 1,
+                                len(np.unique(pw)))
+    return pw, log
+
+
+def _block_width(n: int, p: int) -> int:
+    """ceil(sqrt(n)) baby steps (1 for n = 0), capped so that s terms of
+    absolute value (p // 2)^2 stay below 2^63: 7 at p = 2^31 - 1."""
+    return min(isqrt(max(n, 1) - 1) + 1, ((1 << 63) - 1) // (p // 2 + 1) ** 2)
+
+
+def _evaluate(coefficients, x, p: int):
+    """_horner at x in [0, p) by baby steps and giant steps: the blocks of
+    s = _block_width coefficients of x^(s q + r) times the baby powers x^r,
+    r < s (a gather), in one int64 matmul of signed residues; then _horner
+    in x^s over the block values."""
+    pw, log = _log_table(p)
+    n, half = len(coefficients), p // 2
+    s = _block_width(n, p)
+    blocks = np.zeros(-(-n // s) * s, dtype=np.int64)
+    blocks[:n] = coefficients[::-1]
+    blocks = (blocks + half) % p - half
+    powers = np.arange(s)[:, None] * log[x]
+    powers %= p - 1
+    powers = pw[powers]
+    powers[1:] *= x != 0
+    giant = powers[-1] * x % p
+    powers -= (powers > half) * p  # in place: s x N int64 is the peak
+    return _horner((blocks.reshape(-1, s) @ powers)[::-1], giant, p)
+
+
 #: room for verify all's 23 primes 5 <= p <= 97; each holds ~p/12 ints
 @lru_cache(maxsize=32)
 def _hasse_table(p: int) -> tuple:
     """(coefficients, shift, (M_B, e_B), (M_A, e_A)) at p: H(c, c) =
     c^shift P(c) for the polynomial P with these coefficients (leading
-    first), H(0, B) = M_B B^e_B and H(A, 0) = M_A A^e_A (M = 0 where 3
-    resp. 2 does not divide m = (p - 1) / 2).
+    first; read-only int64), H(0, B) = M_B B^e_B and H(A, 0) = M_A A^e_A
+    (M = 0 where 3 resp. 2 does not divide m = (p - 1) / 2).
     H(A, B) = sum over i of m! / (i! j! k!) A^j B^k, j = 2m - 3i,
     k = 2i - m: H(c, c) is c^(m - floor(2m/3)) times a polynomial in c with
-    the terms floor(2m/3) >= i >= ceil(m/2)."""
+    the terms floor(2m/3) >= i >= ceil(m/2), g^(LF m - LF i - LF j - LF k)
+    for the log-factorials LF n = log 1 + ... + log n."""
+    pw, log = _log_table(p)
     m = (p - 1) // 2
-    factorial = 1
-    for n in range(2, m + 1):
-        factorial = factorial * n % p
-    inverse = [pow(factorial, -1, p)] * (m + 1)  # inverse[n] = 1 / n!
-    for n in range(m, 0, -1):
-        inverse[n - 1] = inverse[n] * n % p
-
-    def multinomial(i):
-        return (factorial * inverse[i] * inverse[2 * m - 3 * i]
-                * inverse[2 * i - m] % p)
-
-    coefficients = [multinomial(i) for i in range((m + 1) // 2, 2 * m // 3 + 1)]
-    b_only = (multinomial(2 * m // 3), m // 3) if m % 3 == 0 else (0, 0)
-    a_only = (multinomial(m // 2), m // 2) if m % 2 == 0 else (0, 0)
-    return tuple(coefficients), m - 2 * m // 3, b_only, a_only
+    i, n = (m + 1) // 2, 2 * m // 3 - (m + 1) // 2 + 1
+    lf = np.add.accumulate(log[:m + 1])
+    # as i steps by 1, j steps by -3 and k by 2
+    coefficients = pw[(lf[m] - lf[i:i + n] - lf[2 * m - 3 * i::-3][:n]
+                       - lf[2 * i - m::2][:n]) % (p - 1)]
+    coefficients.flags.writeable = False
+    # the last term is B^(m/3) when 3 | m, the first A^(m/2) when 2 | m
+    b_only = (int(coefficients[-1]), m // 3) if m % 3 == 0 else (0, 0)
+    a_only = (int(coefficients[0]), m // 2) if m % 2 == 0 else (0, 0)
+    return coefficients, m - 2 * m // 3, b_only, a_only
 
 
 def _hasse_traces(c4, c6, p: int):
     """The trace p + 1 - #E(F_p) of each short model
     y^2 = x^3 - 27 c4 x - 54 c6 over F_p, p >= 5, each within the Weil
     bound: the lifted Hasse invariant, with H(c, c) evaluated only at the
-    classes c that the fibres reach."""
+    classes c that the fibres reach, and every power a gather:
+    c = g^(3 log A - 2 log B), c^shift = g^(shift log c), and chi(AB) = -1
+    exactly where log A + log B is odd."""
     coefficients, shift, (m_b, e_b), (m_a, e_a) = _hasse_table(p)
+    pw, log = _log_table(p)
     A = -27 * np.asarray(c4, dtype=np.int64) % p
     B = -54 * np.asarray(c6, dtype=np.int64) % p
-    # c = A^3 / B^2 = A^3 B^(p-3), 0 where B is 0; chi(AB) = 0 there too
-    c = A * A % p * A % p * _power(B, p - 3, p) % p
+    log_a, log_b = log[A], log[B]  # H is overwritten where A or B is 0
+    c = pw[(3 * log_a - 2 * log_b) % (p - 1)]
     g = np.zeros(p, dtype=np.int64)
     g[c] = 1  # a mask rather than a sort: then g[c] = H(c, c)
     values = np.flatnonzero(g)
-    g[values] = _horner(coefficients, values, p) * _power(values, shift, p) % p
-    H = _legendre_table(p)[A * B % p] * g[c] % p
-    # with A = B = 0 too: H(0, 0) = M_B 0^e_B = 0, as e_B > 0 or M_B = 0;
-    # a polynomial c4 or c6 vanishes at few fibres
+    g[values] = (_evaluate(coefficients, values, p)
+                 * pw[shift * log[values] % (p - 1)] % p)
+    H = g[c]
+    # -0 is p here: it lifts as 0 does, to 0 or (failing the Weil bound) +-p
+    H = np.where((log_a + log_b) & 1, p - H, H)
+    # H(A, 0) = M_A A^e_A, H(0, B) = M_B B^e_B and H(0, 0) = 0; a
+    # polynomial c4 or c6 vanishes at few fibres
+    for i in np.flatnonzero(B == 0):
+        H[i] = m_a * pw[e_a * log_a[i] % (p - 1)] % p
     for i in np.flatnonzero(A == 0):
-        H[i] = m_b * pow(int(B[i]), e_b, p) % p
-    for i in np.flatnonzero((B == 0) & (A != 0)):
-        H[i] = m_a * pow(int(A[i]), e_a, p) % p
+        H[i] = m_b * pw[e_b * log_b[i] % (p - 1)] % p if B[i] else 0
     if p < 17:
         # 2 sqrt(p) >= p / 2, so H and H - p may both keep the Weil bound;
         # a = 1 + r mod 2 for the r roots of x^3 + A x + B picks one

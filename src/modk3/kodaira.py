@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import count, islice
 
-from .arith import VerificationError, _sqrt_mod, is_prime
+from .arith import VerificationError, _sqrt_mod, is_prime, prime_factors
 from .families import WeierstrassFamily, preset, weierstrass_invariants
 from .zpoly import ZPoly
 
@@ -64,22 +64,6 @@ def _valuation_classes(g: ZPoly, f: ZPoly) -> list:
     return out
 
 
-def _primes_outside(n: int, primes) -> set:
-    """The prime factors of n outside ``primes``: none when n is +-1 once
-    they are divided out, else by trial division (a cofactor with no factor
-    below 10^6 is named as it stands)."""
-    for q in primes:
-        while n and n % q == 0:
-            n //= q
-    n, d, out = abs(n), 2, set()
-    while n > 1 and d * d <= n and d < 10 ** 6:
-        if n % d:
-            d += 1
-        else:
-            n, out = n // d, out | {d}
-    return out if n == 1 else out | {n}  # 0 only for a degenerate family
-
-
 @lru_cache(maxsize=None)
 def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralModel:
     if chart not in ("zero", "inf"):
@@ -113,7 +97,7 @@ def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralMo
                     (c4, v4), (c6, v6), (disc, vd))
                 numbers += [g[0], g.discriminant()] + [
                     g.resultant(f.exquo(g ** v)) for f, v in rest if f]
-    exceptional = set().union(*(_primes_outside(n, family.bad_primes)
+    exceptional = set().union(*(prime_factors(n, family.bad_primes)
                                 for n in numbers))
     if exceptional:
         raise VerificationError(

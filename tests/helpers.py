@@ -7,9 +7,11 @@ root mod p, norm, conjugate and unit orbit of a field element, the
 normalised generator above p), the norm-equation solutions as field
 elements, the full modular group, a group's +-Id closure, the weight-2 and
 weight-3 local factors and the Hecke coefficients as an Euler product
-(the oracle of the theta series), the Hasse invariant from a table over
-all of F_p (the oracle of its evaluation at the reached classes only), the
-numpy point-count kernel (the oracle of the lifted Hasse traces),
+(the oracle of the theta series), the exact Hasse multinomials (the
+oracle of their log-factorial table) and the Hasse invariant from a table
+over all of F_p (the oracle of its evaluation at the reached classes only),
+the numpy point-count kernel with its Legendre table (the oracle of the
+lifted Hasse traces),
 conversions between sympy expressions in t and the integer data of a
 family, the printed base-change maps and gluing identity, specialisation
 of a family to one curve, and curve constructions (the group law on the
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 
 import numpy as np
 import sympy
@@ -35,8 +37,7 @@ from modk3.cmforms import (BadPrimeError, HeckeCharSpec, WeilBoundError,
                            ap as form_ap)
 from modk3.congruence import CongruenceGroupSpec, _neg
 from modk3.counting import (ModelMismatchError, _check_int64, _hasse_traces,
-                            _legendre_table, attached_form, good_primes,
-                            k3_point_count)
+                            attached_form, good_primes, k3_point_count)
 from modk3.families import (SingularCurveError, WeierstrassFamily,
                             weierstrass_invariants)
 from modk3.kodaira import BadReductionError, integral_model
@@ -153,19 +154,26 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
+def hasse_multinomials(p: int) -> list:
+    """The exact multinomials m! / (i! j! k!) = C(m, i) C(m - i, j) mod p,
+    j = 2m - 3i, k = 2i - m, for floor(2m/3) >= i >= ceil(m/2),
+    m = (p - 1) / 2: the coefficients of H(c, c) / c^(m - floor(2m/3)),
+    leading first."""
+    m = (p - 1) // 2
+    return [comb(m, i) * comb(m - i, 2 * m - 3 * i) % p
+            for i in range((m + 1) // 2, 2 * m // 3 + 1)]
+
+
 @lru_cache(maxsize=None)
 def full_hasse_table(p: int) -> tuple:
     """H(c, c) for every c in F_p, H(A, B) the coefficient of x^(p-1) in
     (x^3 + A x + B)^m mod p, m = (p - 1) / 2: one Horner pass over the whole
-    field with the exact multinomials m! / (i! j! k!), j = 2m - 3i,
-    k = 2i - m, and the factor c^(m - floor(2m/3))."""
+    field with the exact multinomials, and the factor c^(m - floor(2m/3))."""
     m = (p - 1) // 2
     c = np.arange(p, dtype=np.int64)
     g = np.zeros(p, dtype=np.int64)
-    for i in range((m + 1) // 2, 2 * m // 3 + 1):
-        multinomial = factorial(m) // (factorial(i) * factorial(2 * m - 3 * i)
-                                       * factorial(2 * i - m))
-        g = (g * c + multinomial % p) % p
+    for multinomial in hasse_multinomials(p):
+        g = (g * c + multinomial) % p
     shift = m - 2 * m // 3
     return tuple(int(h) * pow(x, shift, p) % p for x, h in enumerate(g))
 
@@ -190,13 +198,22 @@ def full_table_traces(c4, c6, p: int) -> list:
     return traces
 
 
+def legendre_table(p: int):
+    """chi[v] = (v / p) for v in F_p as an int8 array; p < 2^31."""
+    x = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[x * x % p] = 1
+    chi[0] = 0
+    return chi
+
+
 def short_model_points(c4, c6, p: int) -> int:
     """Projective F_p points of y^2 = x^3 - 27 c4 x - 54 c6, summed over
     the fibres whose invariants mod p fill the arrays c4 and c6: blocks of
     BLOCK_CELLS // p fibres, each one int64 array of A x + x^3 + B mod p
     over x in F_p, looked up in an int8 Legendre table."""
     _check_int64(p)
-    chi = _legendre_table(p)
+    chi = legendre_table(p)
     x = np.arange(p, dtype=np.int64)
     cube = x * x % p * x % p
     a = (-27 * np.asarray(c4, dtype=np.int64) % p)[:, None]

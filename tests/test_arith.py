@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 from helpers import (conjugate, legendre_symbol, loop_norm_solutions, mul,
                      norm, norm_equation_solutions, sqrt_mod, unit_orbit)
@@ -9,7 +10,7 @@ from modk3.arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
                          SUPPORTED_D, UnsupportedFieldError,
                          VerificationError,
                          is_fundamental_discriminant, is_prime,
-                         kronecker_character, primes_up_to)
+                         kronecker_character, prime_factors, primes_up_to)
 
 
 def naive_is_prime(n):
@@ -32,6 +33,17 @@ def test_is_prime_large_values():
     assert not is_prime(2 ** 61 + 1)
     # strong-pseudoprime classic
     assert not is_prime(3215031751)
+
+
+def test_prime_factors_vs_sympy():
+    # p - 1 for the generator search, and the resultants of kodaira with
+    # the family's bad primes divided out
+    for n in list(range(1, 3000)) + [2 ** 31 - 2, 100048, 2 * 3 * 10007 ** 2]:
+        assert prime_factors(n) == set(sympy.primefactors(n)), n
+        assert prime_factors(-n) == prime_factors(n), n
+    assert prime_factors(-2 ** 5 * 3 * 5 ** 2 * 7, (2, 3)) == {5, 7}
+    assert prime_factors(2 ** 9 * 3, (2, 3)) == set()
+    assert prime_factors(0, (2, 3)) == {0}
 
 
 def test_legendre_vs_euler():

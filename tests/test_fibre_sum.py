@@ -1,15 +1,19 @@
 """The lifted Hasse traces against the pure-Python point count, against
 the numpy point-count kernel that left the library (``helpers``, the
-oracle) and, fibre by fibre, against a table over all of F_p, and the int64
-Horner against Python integers."""
+oracle) and, fibre by fibre, against a table over all of F_p; the
+discrete-log tables and the Hasse coefficients against exact integers; and
+the int64 Horner and the baby-step/giant-step evaluator against Python
+integers."""
 
 import random
+from math import comb, isqrt
 
 import numpy as np
 import pytest
+import sympy
 
 from helpers import (WeierstrassCurve, full_table_traces, hasse_count,
-                     short_model_points)
+                     hasse_multinomials, short_model_points)
 from modk3 import counting
 from modk3.arith import VerificationError, primes_up_to
 from modk3.counting import (ap_elliptic, count_report, good_primes,
@@ -209,6 +213,76 @@ def test_horner_vs_python_integers(p):
         assert (counting._horner(coefficients, np.array(x, dtype=np.int64),
                                  p).tolist()
                 == [python_horner(coefficients, v, p) for v in x])
+
+
+LOG_PRIMES = [p for p in primes_up_to(2000) if p >= 5] + [10007, 100049]
+
+
+def test_log_tables_invert_on_all_of_the_field():
+    # pw[k] = g^k for the least generator g (sympy's primitive_root), a
+    # permutation of 1..p-1 that log inverts
+    for p in LOG_PRIMES:
+        pw, log = counting._log_table(p)
+        k = np.arange(p - 1)
+        assert pw.dtype == log.dtype == np.int64, p
+        assert np.array_equal(np.sort(pw), k + 1), p
+        assert np.array_equal(log[pw], k), p
+        g = sympy.ntheory.primitive_root(p)
+        assert pw[0] == 1 and pw[1] == g, p
+        assert np.array_equal(pw[1:], pw[:-1] * g % p), p
+
+
+def test_a_non_generator_fails_the_table_check(monkeypatch):
+    # 4 is a square, so its powers cover at most half of F_p^*
+    monkeypatch.setattr(counting, "_generator", lambda p: 4)
+    for p in (5, 13, 101, 2003):
+        with pytest.raises(VerificationError, match="g generates F_p"):
+            counting._log_table.__wrapped__(p)
+
+
+@pytest.mark.parametrize("p", [p for p in primes_up_to(400) if p >= 5]
+                         + [1511, 2003, 10007])
+def test_hasse_table_vs_exact_multinomials(p):
+    coefficients, shift, b_only, a_only = counting._hasse_table(p)
+    m = (p - 1) // 2
+    assert coefficients.dtype == np.int64
+    assert coefficients.tolist() == hasse_multinomials(p)
+    assert shift == m - 2 * m // 3
+    # (x^3 + B)^m and x^m (x^2 + A)^m
+    assert b_only == ((comb(m, m // 3) % p, m // 3) if m % 3 == 0 else (0, 0))
+    assert a_only == ((comb(m, m // 2) % p, m // 2) if m % 2 == 0 else (0, 0))
+
+
+@pytest.mark.parametrize("p", [17, 101, 2003, 100049])
+def test_evaluate_vs_python_integers(p):
+    # lengths around s^2 for the s of the Hasse polynomial at p, where the
+    # last block is one short, full and one over; x at 0, 1 and p - 1
+    rng = random.Random(p)
+    s = counting._block_width(len(counting._hasse_table(p)[0]), p)
+    x = [0, 1, p - 1] + [rng.randrange(p) for _ in range(5)]
+    for n in (0, 1, 2, s * s - 1, s * s, s * s + 1):
+        for coefficients in ([p - 1] * n,
+                             [rng.randrange(p) for _ in range(n)]):
+            assert (counting._evaluate(coefficients, np.array(x), p).tolist()
+                    == [python_horner(coefficients, v, p) for v in x]), n
+
+
+def test_block_width_keeps_the_matmul_exact(monkeypatch):
+    # arithmetic only: no table is built at p = 2^31 - 1
+    monkeypatch.setattr(counting, "_log_table", None)
+    p, n = 2 ** 31 - 1, 10 ** 8
+    s = counting._block_width(n, p)
+    assert s * (p // 2 + 1) ** 2 < 2 ** 63 <= (s + 1) * (p // 2 + 1) ** 2
+    assert s == 7 and counting._block_width(48, p) == 7
+    # a row of s products of signed residues in [-(p // 2), p // 2]
+    assert -(2 ** 63) < -s * (p // 2) ** 2 and s * (p // 2) ** 2 < 2 ** 63
+    # below 10^8 the cap never binds on the ~p/12 Hasse coefficients
+    p = 99999989
+    m = (p - 1) // 2
+    n = 2 * m // 3 - (m + 1) // 2 + 1
+    assert counting._block_width(n, p) == isqrt(n - 1) + 1
+    assert [counting._block_width(n, 17) for n in (0, 1, 2, 4, 5, 9, 10)] == [
+        1, 1, 2, 2, 3, 3, 4]
 
 
 def test_forged_table_breaks_the_weil_bound(monkeypatch):
