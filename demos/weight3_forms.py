@@ -5,10 +5,9 @@ formula and once from the normalized Hecke character of its CM field;
 the two must agree coefficient by coefficient.
 """
 
-from modk3.arith import primes_up_to
-from modk3.cmforms import (HECKE_SPECS, _eta_coefficients,
-                           _generator_candidates, _normalized_generator, ap,
-                           coefficient_sequence, splitting, verify_against_eta)
+from modk3.arith import _norm_solutions, kronecker_character, primes_up_to
+from modk3.cmforms import (HECKE_SPECS, _eta_coefficients, _is_normalized, ap,
+                           coefficient_sequence, verify_against_eta)
 
 N = 100
 
@@ -22,14 +21,21 @@ for fid in ("h8", "h7", "h3", "h4"):
           f"{'exact' if not mism else f'FAILS at {mism[:3]}'}")
 
 print()
-print("A sample normalized generator: p = 5 above Q(i) is")
-g = _normalized_generator(HECKE_SPECS["h8"], 5)
-print(f"  pi = ({g.u} + {g.v} i)/2 normalized mod 2, "
-      f"tr(pi^2) = {g.trace_of_square()} = a_5 = {ap(HECKE_SPECS['h8'], 5)}")
+print("A sample normalized pair: p = 5 above Q(i) has")
+h8 = HECKE_SPECS["h8"]
+u, v = next((u, v) for u, v in _norm_solutions(1, 5)
+            if v > 0 and _is_normalized(1, h8.conductor_gen, u, v))
+print(f"  alpha = ({u} + {v} i)/2 normalized mod 2, "
+      f"tr(alpha^2) = (u^2 - v^2)/2 = {(u * u - v * v) // 2} = "
+      f"a_5 = {ap(h8, 5)}")
 print()
 print("Negative control: dropping the normalization breaks the match:")
 h7 = HECKE_SPECS["h7"]
 eta = _eta_coefficients("h7", 60)
-bad = [p for p in primes_up_to(60) if splitting(h7, p) == 1
-       and _generator_candidates(h7, p)[0].trace_of_square() != eta[p - 1]]
-print(f"  h7 unnormalized tr(pi^2) differs from a_p at p = {bad[:5]}")
+bad = []
+for p in primes_up_to(60):
+    if kronecker_character(h7.disc, p) == 1:
+        u, v = _norm_solutions(h7.d, p)[0]
+        if (u * u - 3 * v * v) // 2 != eta[p - 1]:
+            bad.append(p)
+print(f"  h7 unnormalized (u^2 - 3 v^2)/2 differs from a_p at p = {bad[:5]}")

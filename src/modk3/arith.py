@@ -1,16 +1,13 @@
 """Exact modular and imaginary-quadratic arithmetic primitives.
 
 Everything here works on plain Python integers.  An element of a
-class-number-one field Q(sqrt(-d)), d in {1, 2, 3, 7}, is (u + v*sqrt(-d))/2:
-a ``QuadFieldElement``, or a plain (u, v) pair on the hot paths.
+class-number-one field Q(sqrt(-d)), d in {1, 2, 3, 7}, is (u + v*sqrt(-d))/2,
+held as the integer pair (u, v).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-SUPPORTED_D = (1, 2, 3, 7)
 
 #: field discriminant of Q(sqrt(-d)) for the supported d
 FIELD_DISC = {1: -4, 2: -8, 3: -3, 7: -7}
@@ -21,10 +18,6 @@ class InvalidPrimeError(ValueError):
 
 
 class InvalidDiscriminantError(ValueError):
-    pass
-
-
-class UnsupportedFieldError(ValueError):
     pass
 
 
@@ -181,31 +174,6 @@ def _sqrt_mod(a: int, p: int):
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return min(r, p - r)
-
-
-@dataclass(frozen=True)
-class QuadFieldElement:
-    """(u + v*sqrt(-d))/2 with the integrality condition of O_{Q(sqrt(-d))}."""
-
-    d: int
-    u: int
-    v: int
-
-    def __post_init__(self):
-        if self.d not in SUPPORTED_D:
-            raise UnsupportedFieldError(f"unsupported field parameter d={self.d}")
-        if not _is_integral(self.d, self.u, self.v):
-            raise ValueError(f"({self.u}, {self.v}) not integral, d={self.d}")
-
-    def _halve(self, n: int, m: int, identity: str) -> int:
-        if n % m:  # the encoding's parity conditions make it exact
-            raise VerificationError(identity, dict(d=self.d, u=self.u,
-                                                   v=self.v), 0, n % m)
-        return n // m
-
-    def trace_of_square(self) -> int:
-        return self._halve(self.u * self.u - self.d * self.v * self.v, 2,
-                           "2 | u^2 - d v^2")
 
 
 def _is_integral(d: int, u: int, v: int) -> bool:

@@ -3,10 +3,11 @@
 The four newforms h8, h7, h3, h4 are attached to Hecke characters psi of
 the fields Q(sqrt(-d)) for d = 1, 3, 7, 2 with conductors c = 2, 2, 1, 1:
 psi((alpha)) = alpha^2 for alpha = (u + v sqrt(-d))/2 = +-1 mod c*O_K.
-``ap`` takes alpha above p from ``arith``'s Cornacchia pairs;
-``coefficient_sequence`` is Hecke's theta series sum psi(a) q^N(a) (Ono,
-The Web of Modularity, ch. 1), one pass over the lattice of normalised
-alpha.  The eta products of ``qseries`` are the ground truth.
+Hecke's theta series sum psi(a) q^N(a) (Ono, The Web of Modularity, ch. 1)
+gives a_n as the sum of (u^2 - d v^2)/4 over one of each +-alpha of the
+normalised alpha of norm n: ``coefficient_sequence`` in one pass over the
+lattice, ``ap`` at n = p over ``arith``'s Cornacchia pairs.  The eta
+products of ``qseries`` are the ground truth.
 """
 
 from __future__ import annotations
@@ -15,26 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .arith import (FIELD_DISC, InvalidPrimeError, QuadFieldElement,
-                    VerificationError, _is_integral,
-                    _norm_solutions, is_fundamental_discriminant, is_prime,
-                    kronecker_character, primes_up_to)
+from .arith import (FIELD_DISC, InvalidPrimeError, VerificationError,
+                    _is_integral, _norm_solutions, is_fundamental_discriminant,
+                    is_prime, primes_up_to)
 from .qseries import form_series
 
 
 class WeilBoundError(ValueError):
-    pass
-
-
-class BadPrimeError(ValueError):
-    pass
-
-
-class NoGeneratorError(ValueError):
-    pass
-
-
-class NormalizationFailureError(RuntimeError):
     pass
 
 
@@ -70,37 +58,6 @@ HECKE_SPECS = {
 }
 
 
-def splitting(spec: HeckeCharSpec, p: int) -> int:
-    """kronecker(Disc K, p): 1 split, -1 inert, 0 ramified."""
-    return kronecker_character(spec.disc, p)
-
-
-def _generator_candidates(spec: HeckeCharSpec, p: int) -> list:
-    # p is a prime checked by the caller; spec.d has a FIELD_DISC entry
-    return [QuadFieldElement(spec.d, u, v)
-            for u, v in _norm_solutions(spec.d, p)]
-
-
-def _normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
-    """A generator pi of a prime above p with pi = +-1 mod c*O_K, for a
-    prime p already checked."""
-    d, c = spec.d, spec.conductor_gen
-    sols = _norm_solutions(d, p)
-    if not sols:
-        raise NoGeneratorError(f"p={p} is inert in Q(sqrt(-{d}))")
-    good = [(u, v) for u, v in sols if _is_normalized(d, c, u, v)]
-    if not good:
-        raise NormalizationFailureError(
-            f"no unit multiple of a generator above p={p} is +-1 mod {c}")
-    # normalized candidates all share tr(pi^2); pick a deterministic one
-    traces = {(u * u - d * v * v) // 2 for u, v in good}
-    if len(traces) != 1:
-        raise VerificationError("the normalized tr(pi^2) is unique",
-                                dict(form=spec.form_id, p=p), "one value",
-                                sorted(traces))
-    return QuadFieldElement(d, *max(good))
-
-
 def _is_normalized(d: int, c: int, u: int, v: int) -> bool:
     """Whether (u + v sqrt(-d))/2 = +-1 mod c*O_K: (u -+ 2 + v sqrt(-d))/2
     lies in c*O_K.  The value depends on (u mod 2c, v mod 2c) only."""
@@ -109,28 +66,19 @@ def _is_normalized(d: int, c: int, u: int, v: int) -> bool:
 
 
 def ap(spec: HeckeCharSpec, p: int) -> int:
-    """p-th coefficient of the newform at a good (or tamely ramified) prime."""
+    """The p-th coefficient of the newform: the theta series' sum of
+    (u^2 - d v^2)/4 at n = p, over Cornacchia's pairs that are normalised,
+    one of each +-alpha.  Inert primes and primes dividing c have no such
+    pair, so give 0; a ramified prime keeps one."""
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
-    s = splitting(spec, p)
-    if s == -1:
-        return 0
-    if s == 0:
-        if p == 2 and spec.conductor_gen % 2 == 0:
-            raise BadPrimeError(f"p={p} divides the conductor of chi")
-        # ramified: the generator with rational square
-        cands = [g for g in _generator_candidates(spec, p) if g.u * g.v == 0]
-        if not cands:
-            raise BadPrimeError(f"no rational-square generator above p={p}")
-        g = cands[0]
-        n = g.u * g.u - spec.d * g.v * g.v
-        if n % 4:
-            raise VerificationError("the ramified pi^2 is a rational integer",
-                                    dict(form=spec.form_id, p=p), "4 | n", n)
-        return n // 4
-    if spec.level % p == 0:
-        raise BadPrimeError(f"p={p} is bad for level {spec.level}")
-    return _normalized_generator(spec, p).trace_of_square()
+    d, c = spec.d, spec.conductor_gen
+    total = sum(u * u - d * v * v for u, v in _norm_solutions(d, p)
+                if (v > 0 or v == 0 < u) and _is_normalized(d, c, u, v))
+    if total & 3:
+        raise VerificationError("4 | the theta total at n", dict(
+            form=spec.form_id, n=p), 0, total & 3)
+    return total >> 2
 
 
 @lru_cache(maxsize=None)

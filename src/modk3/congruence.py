@@ -133,7 +133,7 @@ def _sl_action(N: int, predicate) -> tuple:
     T = (1 % N, 1 % N, 0, 1 % N)
     S_, T_, ST_ = (tuple(label[_mul(g, w, N)] for g in reps)
                    for w in (S, T, _mul(S, T, N)))
-    orbit, size = {label[(1, 0, 0, 1)]}, 0
+    orbit, size = {label[(1 % N, 0, 0, 1 % N)]}, 0
     while size < len(orbit):
         size = len(orbit)
         orbit |= {w[i] for w in (S_, T_) for i in orbit}
@@ -165,15 +165,11 @@ def _coset_action(spec: CongruenceGroupSpec) -> tuple:
 
 def index_in_modular_group(spec: CongruenceGroupSpec) -> int:
     """Index of the group (mod +-Id) in PSL(2, Z)."""
-    if spec.modulus == 1:
-        return 1
     return len(_coset_action(replace(spec, projective=True))[0])
 
 
 def cusps_and_widths(spec: CongruenceGroupSpec) -> list:
     """Cusps as the cycles of T on the cosets, widths as their lengths."""
-    if spec.modulus == 1:
-        return [CuspData((1, 0), 1)]
     reps, _, T, _ = _coset_action(spec)
     seen, out = set(), []
     for i, g in enumerate(reps):
@@ -190,8 +186,6 @@ def cusps_and_widths(spec: CongruenceGroupSpec) -> list:
 def elliptic_counts(spec: CongruenceGroupSpec):
     """(e2, e3): numbers of elliptic points of order 2 and 3, the cosets
     fixed by S and by ST."""
-    if spec.modulus == 1:
-        return 1, 1
     _, S, _, ST = _coset_action(spec)
     return (sum(i == j for i, j in enumerate(S)),
             sum(i == j for i, j in enumerate(ST)))

@@ -3,10 +3,11 @@ holds a curve as its integer a-invariants), the Legendre symbol and the
 O(sqrt p) norm-equation search (oracles of the library's fast paths), the
 twist fit (the oracle of each family's stored twist), the checked entry
 points and field-element operations the commands never call (the square
-root mod p, norm, conjugate and unit orbit of a field element, the
-normalised generator above p), the norm-equation solutions as field
-elements, the full modular group, a group's +-Id closure, the weight-2 and
-weight-3 local factors and the Hecke coefficients as an Euler product
+root mod p, a field element of Q(sqrt(-d)) with its product, norm,
+conjugate, trace of the square and unit orbit, the normalised generator
+above p), the norm-equation solutions as field elements, the full
+modular group, a group's +-Id closure, the weight-2 and weight-3 local
+factors and the Hecke coefficients as an Euler product
 (the oracle of the theta series), the exact Hasse multinomials (the
 oracle of their log-factorial table) and the Hasse invariant from a table
 over all of F_p (the oracle of its evaluation at the reached classes only),
@@ -29,11 +30,10 @@ import sympy
 from sympy import Poly, Rational, cancel, fraction
 
 from modk3 import arith
-from modk3.arith import (SUPPORTED_D, InvalidPrimeError, QuadFieldElement,
-                         UnsupportedFieldError, _norm_solutions, is_prime,
+from modk3.arith import (FIELD_DISC, InvalidPrimeError, VerificationError,
+                         _is_integral, _norm_solutions, is_prime,
                          kronecker_character, primes_up_to, unit_pairs)
-from modk3.cmforms import (BadPrimeError, HeckeCharSpec, WeilBoundError,
-                           _eta_coefficients, _normalized_generator,
+from modk3.cmforms import (HeckeCharSpec, WeilBoundError, _is_normalized,
                            ap as form_ap)
 from modk3.congruence import CongruenceGroupSpec, _neg
 from modk3.counting import (ModelMismatchError, _check_int64, _hasse_traces,
@@ -117,6 +117,32 @@ def sqrt_mod(a: int, p: int):
     return arith._sqrt_mod(a, p)
 
 
+@dataclass(frozen=True)
+class QuadFieldElement:
+    """(u + v*sqrt(-d))/2 with the integrality condition of O_{Q(sqrt(-d))}:
+    the field element of the oracles, where the library keeps (u, v)."""
+
+    d: int
+    u: int
+    v: int
+
+    def __post_init__(self):
+        if self.d not in FIELD_DISC:
+            raise ValueError(f"unsupported field parameter d={self.d}")
+        if not _is_integral(self.d, self.u, self.v):
+            raise ValueError(f"({self.u}, {self.v}) not integral, d={self.d}")
+
+    def _halve(self, n: int, m: int, identity: str) -> int:
+        if n % m:  # the encoding's parity conditions make it exact
+            raise VerificationError(identity, dict(d=self.d, u=self.u,
+                                                   v=self.v), 0, n % m)
+        return n // m
+
+    def trace_of_square(self) -> int:
+        return self._halve(self.u * self.u - self.d * self.v * self.v, 2,
+                           "2 | u^2 - d v^2")
+
+
 def mul(x: QuadFieldElement, y: QuadFieldElement) -> QuadFieldElement:
     """The product x y in the field of x and y."""
     if x.d != y.d:
@@ -140,10 +166,16 @@ def unit_orbit(x: QuadFieldElement) -> list:
 
 
 def normalized_generator(spec: HeckeCharSpec, p: int) -> QuadFieldElement:
-    """A generator pi of a prime above p with pi = +-1 mod c*O_K."""
+    """A generator pi of a prime above p with pi = +-1 mod c*O_K: the
+    largest normalised Cornacchia pair."""
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
-    return _normalized_generator(spec, p)
+    d, c = spec.d, spec.conductor_gen
+    good = [(u, v) for u, v in _norm_solutions(d, p)
+            if _is_normalized(d, c, u, v)]
+    if not good:
+        raise ValueError(f"no normalised generator above p={p}")
+    return QuadFieldElement(d, *max(good))
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -265,8 +297,8 @@ def norm_equation_solutions(d: int, p: int) -> list:
 
     Both (u, v) and (u, -v) are listed when v != 0.  Empty iff p is inert.
     """
-    if d not in SUPPORTED_D:
-        raise UnsupportedFieldError(f"unsupported field parameter d={d}")
+    if d not in FIELD_DISC:
+        raise ValueError(f"unsupported field parameter d={d}")
     if not is_prime(p):
         raise InvalidPrimeError(f"{p} is not prime")
     return [QuadFieldElement(d, u, v) for u, v in _norm_solutions(d, p)
@@ -336,18 +368,13 @@ def weight3_factor(B: int, eps_p: int, p: int) -> LocalFactor:
 def euler_coefficient_sequence(spec: HeckeCharSpec, N: int) -> list:
     """[a_1, ..., a_N] of the product of the weight-3 Euler factors
     1 - a_p T + eps(p) p^2 T^2, eps the nebentypus mod the level (0 at bad
-    primes): a_p from the normalised generator above p by Cornacchia, read
-    off the eta expansion where the character is undefined (p = 2 for
-    h8).  The oracle of the library's theta series."""
+    primes), a_p from the normalised Cornacchia pairs above p.  The oracle
+    of the library's theta series at the prime powers and products."""
     factors = {}
     for p in primes_up_to(N):
-        try:
-            app = form_ap(spec, p)
-        except BadPrimeError:
-            app = _eta_coefficients(spec.form_id, p)[p - 1]
         eps = (0 if spec.level % p == 0
                else kronecker_character(spec.disc, p))
-        factors[p] = weight3_factor(app, eps, p)
+        factors[p] = weight3_factor(form_ap(spec, p), eps, p)
     return euler_to_dirichlet(factors, N)
 
 

@@ -6,8 +6,8 @@ import random
 import sys
 import time
 
-from modk3.arith import SUPPORTED_D, kronecker_character
-from modk3.cmforms import HECKE_SPECS, ap as form_ap, splitting, verify_against_eta
+from modk3.arith import FIELD_DISC, kronecker_character
+from modk3.cmforms import HECKE_SPECS, ap as form_ap, verify_against_eta
 from modk3.congruence import (PRESET_CUSP_WIDTHS, cusps_and_widths, genus,
                               group_report, index_in_modular_group,
                               is_torsion_free, preset_group)
@@ -58,7 +58,7 @@ def test_criterion_2_form_suite():
                 continue
             a = form_ap(spec, p)
             assert abs(a) <= 2 * p, (fid, p)
-            if splitting(spec, p) == -1:
+            if kronecker_character(spec.disc, p) == -1:
                 assert a == 0, (fid, p)
     # h8(tau) = h5(2 tau) = h1(4 tau) and h7(tau) = h2(2 tau): equal
     # leading exponents, and each eta product is the smaller scale's spread
@@ -180,7 +180,7 @@ def test_criterion_7_oracle_equivalence():
     # norm equations vs brute force
     primes = [p for p in range(2, 501)
               if all(p % k for k in range(2, int(p ** 0.5) + 1))]
-    for d in SUPPORTED_D:
+    for d in tuple(FIELD_DISC):
         for p in primes:
             sols = {(s.u, s.v) for s in norm_equation_solutions(d, p)}
             brute = set()

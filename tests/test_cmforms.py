@@ -4,21 +4,19 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from helpers import (euler_coefficient_sequence, loop_norm_solutions,
-                     normalized_generator, weight3_factor)
+from helpers import (QuadFieldElement, euler_coefficient_sequence,
+                     loop_norm_solutions, normalized_generator,
+                     weight3_factor)
 from modk3 import arith, cli, cmforms
-from modk3.arith import (InvalidPrimeError, QuadFieldElement,
-                         VerificationError, _is_integral,
-                         is_fundamental_discriminant, is_prime,
-                         kronecker_character, primes_up_to)
-from modk3.cmforms import (BadPrimeError, HECKE_SPECS, HeckeCharSpec,
-                           WeilBoundError, _eta_coefficients,
-                           _is_normalized, ap, coefficient_sequence,
-                           splitting, verify_against_eta)
+from modk3.arith import (InvalidPrimeError, VerificationError, _is_integral,
+                         _norm_solutions, is_fundamental_discriminant,
+                         is_prime, kronecker_character, primes_up_to)
+from modk3.cmforms import (HECKE_SPECS, HeckeCharSpec, WeilBoundError,
+                           _eta_coefficients, _is_normalized, ap,
+                           coefficient_sequence, verify_against_eta)
 from modk3.lfunctions import LocalFactor
 from modk3.qseries import form_series
 
@@ -86,26 +84,27 @@ def test_inert_primes_vanish():
         for p in primes_upto(60):
             if spec.level % p == 0:
                 continue
-            if splitting(spec, p) == -1:
+            if kronecker_character(spec.disc, p) == -1:
                 assert ap(spec, p) == 0, (fid, p)
 
 
 def test_ramified_primes():
-    # the odd ramified primes carry the coefficient of a rational square
+    # the odd ramified primes carry the coefficient of a rational square;
+    # 2 divides the conductor of h8's character, so no pair is normalised
+    # and a_2 = 0, the coefficient of q^2 in eta(4 tau)^6
     assert ap(HECKE_SPECS["h7"], 3) == -3
     assert ap(HECKE_SPECS["h3"], 7) == -7
-    with pytest.raises(BadPrimeError):
-        ap(HECKE_SPECS["h8"], 2)
+    assert ap(HECKE_SPECS["h8"], 2) == 0 == _eta_coefficients("h8", 2)[1]
 
 
 def test_even_split_prime():
-    # 2 splits in Q(sqrt(-7)) and does not divide the level 7 of h3; the
-    # ramified (h4, h8) and inert (h7) branches at 2 are unchanged
+    # 2 splits in Q(sqrt(-7)) and does not divide the level 7 of h3; it
+    # ramifies in Q(sqrt(-2)) (h4) and Q(i) (h8) and is inert in
+    # Q(sqrt(-3)) (h7)
     assert ap(HECKE_SPECS["h3"], 2) == _eta_coefficients("h3", 2)[1] == -3
     assert ap(HECKE_SPECS["h4"], 2) == -2
     assert ap(HECKE_SPECS["h7"], 2) == 0
-    with pytest.raises(BadPrimeError):
-        ap(HECKE_SPECS["h8"], 2)
+    assert ap(HECKE_SPECS["h8"], 2) == 0 == _eta_coefficients("h8", 2)[1]
 
 
 def test_forged_table_and_factors_raise(monkeypatch):
@@ -115,11 +114,10 @@ def test_forged_table_and_factors_raise(monkeypatch):
         LocalFactor(5, 3, (2, 1))
     with pytest.raises(VerificationError, match="one prime"):
         weight3_factor(2, 1, 5) * weight3_factor(2, 1, 13)
-    # a ramified generator whose square is not a rational integer
-    monkeypatch.setattr(cmforms, "_generator_candidates",
-                        lambda spec, p: [SimpleNamespace(u=1, v=0)])
-    with pytest.raises(VerificationError, match="rational integer"):
-        ap(HECKE_SPECS["h7"], 3)
+    # a forged pair whose theta total 3^2 - 7 * 1^2 = 2 is not 0 mod 4
+    monkeypatch.setattr(cmforms, "_norm_solutions", lambda d, p: [(3, 1)])
+    with pytest.raises(VerificationError, match=r"4 \| the theta total at n"):
+        ap(HECKE_SPECS["h3"], 11)
 
 
 def test_weil_bound():
@@ -136,15 +134,19 @@ def test_eta_agreement_everywhere():
 
 
 def test_negative_control_unnormalized_generators_fail():
-    # tr(pi^2) of the first generator candidate, skipping the congruence
+    # (u^2 - d v^2)/2 of the first Cornacchia pair, skipping the congruence
     # normalization, must break the eta match at some split prime for the
     # two conductor-2 characters, but cannot when the conductor is trivial
     def unnormalized_mismatches(fid):
         spec = HECKE_SPECS[fid]
         eta = cmforms._eta_coefficients(fid, 60)
-        return [p for p in primes_up_to(60) if splitting(spec, p) == 1
-                and cmforms._generator_candidates(spec, p)[0]
-                .trace_of_square() != eta[p - 1]]
+        mismatches = []
+        for p in primes_up_to(60):
+            if kronecker_character(spec.disc, p) == 1:
+                u, v = _norm_solutions(spec.d, p)[0]
+                if (u * u - spec.d * v * v) // 2 != eta[p - 1]:
+                    mismatches.append(p)
+        return mismatches
 
     assert unnormalized_mismatches("h7") != []
     assert unnormalized_mismatches("h8") != []
@@ -194,22 +196,19 @@ def test_each_prime_is_tested_once(monkeypatch):
         assert not calls, spec.form_id
         for p in primes_up_to(400):
             calls.clear()
-            try:
-                ap(spec, p)
-            except BadPrimeError:
-                pass
+            ap(spec, p)
             assert calls == Counter({p: 1}), (spec.form_id, p)
 
 
 def test_sequence_matches_ap_to_20000():
-    # the sieve pass against the public ap at every good prime, and the
-    # Hecke recursion a_(p^2) = a_p^2 - eps(p) p^2 with eps(p) = 0 at p | level
+    # the sieve pass against the public ap at every prime, bad ones and 2
+    # included, and the Hecke recursion a_(p^2) = a_p^2 - eps(p) p^2 with
+    # eps(p) = 0 at p | level
     N = 20000
     for fid, spec in HECKE_SPECS.items():
         seq = coefficient_sequence(spec, N)
         for p in primes_up_to(N):
-            if spec.level % p:
-                assert seq[p - 1] == ap(spec, p), (fid, p)
+            assert seq[p - 1] == ap(spec, p), (fid, p)
             if p * p <= N:
                 eps = (0 if spec.level % p == 0
                        else kronecker_character(spec.disc, p))
@@ -336,7 +335,8 @@ def test_ap_at_large_primes():
         primes = (q for q in itertools.count(10 ** k) if is_prime(q))
         sample = [next(primes), next(primes)]
         sample.append(next(q for q in primes if all(
-            splitting(spec, q) == 1 for spec in HECKE_SPECS.values())))
+            kronecker_character(spec.disc, q) == 1
+            for spec in HECKE_SPECS.values())))
         for p in sample:
             for fid, spec in HECKE_SPECS.items():
                 a = ap(spec, p)

@@ -65,6 +65,23 @@ def test_the_hecke_side_reads_nothing_from_eta():
     assert names and not names & {"_eta_coefficients", "form_series"}
 
 
+def test_every_library_exception_is_a_value_error():
+    # cli.run prints a ValueError as an ok: false record, so no other
+    # exception may escape a command as a traceback; cli.UsageError is the
+    # one exception, which run reports itself
+    import importlib
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"modk3.{path.stem}")
+        found += [f"{module.__name__}.{name}"
+                  for name, obj in vars(module).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__
+                  and not issubclass(obj, ValueError)]
+    assert len(found) < len(list(SRC.glob("*.py")))  # the walk saw modules
+    assert found == ["modk3.cli.UsageError"]
+
+
 FLOAT_CALLS = {"sqrt", "log", "exp", "fft", "roots"}
 
 
