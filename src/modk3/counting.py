@@ -42,7 +42,7 @@ from .arith import (InvalidPrimeError, VerificationError, is_prime,
                     kronecker_character, prime_factors, primes_up_to)
 from .cmforms import HECKE_SPECS, HeckeCharSpec, ap as form_ap
 from .families import WeierstrassFamily, weierstrass_invariants
-from .kodaira import BadReductionError, scan
+from .kodaira import BadReductionError, integral_model, scan
 
 
 class ModelMismatchError(ValueError):
@@ -235,7 +235,8 @@ def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
     # (c4, c6) of every fibre, column t0 < p from the t-chart by Horner,
     # then the minimal values at the zeros of Delta and at infinity (column p)
     t = np.arange(p + 1, dtype=np.int64)
-    c4c6 = np.array([_horner(f, t, p) for f in report.t_chart_c4_c6])
+    c4c6 = np.array([_horner(f, t, p)
+                     for f in integral_model(family, "zero").invariants[:2]])
     for place, values in report.minimal_values.items():
         c4c6[:, p if place == "inf" else place] = values
     total = (p + 1) ** 2 - int(_hasse_traces(*c4c6, p).sum())

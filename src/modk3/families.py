@@ -46,12 +46,10 @@ class NSDecomposition:
         return self.plus_trace_terms(p) + self.minus_trace_terms(p)
 
     def minus_trace_terms(self, p: int) -> int:
-        return sum(m * (1 if d == 1 else kronecker_character(d, p))
-                   for d, m in self.minus_part)
+        return sum(m * kronecker_character(d, p) for d, m in self.minus_part)
 
     def plus_trace_terms(self, p: int) -> int:
-        return sum(m * (1 if d == 1 else kronecker_character(d, p))
-                   for d, m in self.plus_part)
+        return sum(m * kronecker_character(d, p) for d, m in self.plus_part)
 
 
 @dataclass(frozen=True)

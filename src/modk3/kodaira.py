@@ -5,16 +5,18 @@ numerator and denominator of a_i(t)), to Z[var] by an admissible
 (x, y) -> (u^2 x, u^3 y), u the lcm of the denominators, and classifies its
 places over Q once per family (Tate in residue characteristic >= 5) with
 no factoring over Z: gcds split the squarefree part of Delta (s on the
-s-chart) into classes g of equal (v(c4), v(c6), v(Delta)), each with its
-type, k shifts by (4, 6, 12) and c4 / g^(4k), c6 / g^(6k).  A prime >= 5
-dividing lc(g), disc(g) or the resultant of g with the part of c4, c6 or
-Delta prime to g must be bad; at every other p the classes stay squarefree
-and coprime, so each root keeps its class's valuations.  Per prime,
-``scan`` only splits each class into irreducibles mod p (gcds with
-t^p - t and u^((p^d - 1)/2) - 1 for u = t, t + 1, ...: no randomness),
-takes the minimal (c4, c6) at each root by Horner and split or non-split
-from the Legendre symbol of -c6.  The Euler audit
-sum(v(Delta_min) * deg) = 24 (resp. 12) pins the expected configuration.
+s-chart) into classes g of equal (v(c4), v(Delta)), each with its type,
+k shifts by (4, 6, 12) and c4 / g^(4k), c6 / g^(6k).  Those two
+valuations name the type, since 1728 Delta = c4^3 - c6^2 forces
+2 v(c6) >= min(3 v(c4), v(Delta)).  A prime >= 5 dividing lc(g), disc(g)
+or the resultant of g with the part of c4 or Delta prime to g must be bad;
+at every other p the classes stay squarefree and coprime, so each root
+keeps its class's valuations.  Per prime, ``scan`` only splits each class
+into irreducibles mod p (gcds with t^p - t and u^((p^d - 1)/2) - 1 for
+u = t, t + 1, ...: no randomness), takes the minimal (c4, c6) at each root
+by Horner and split or non-split from the Legendre symbol of -c6.  The
+Euler audit checks Noether's sum(v(Delta_min) * deg) = 12 chi(O): 24 for
+a K3 family, 12 for a rational one.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ class IntegralModel:
     var: str  # "t" or "s"
     #: (a1, a2, a3, a4, a6) over Z[var] as ZPoly integer coefficient tuples
     a_polys: tuple
-    chart: str
     #: (c4, c6, Delta) over Z[var] as ZPoly integer coefficient tuples
     invariants: tuple
     #: (g, label, euler, k, c4 / g^(4k), c6 / g^(6k)) over Z for each class g
-    #: of zeros of Delta with equal valuations (t-chart), or g = s (s-chart)
+    #: of zeros of Delta with equal (v(c4), v(Delta)) (t-chart), or g = s
+    #: (s-chart)
     places: tuple
 
 
@@ -86,17 +88,15 @@ def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralMo
         zeros = ZPoly((1, 0))
     places, numbers = [], []
     for h, vd in _valuation_classes(zeros, disc):
-        for h4, v4 in _valuation_classes(h, c4):
-            for g, v6 in _valuation_classes(h4, c6):
-                label, euler, k = _classify(v4, v6, vd)
-                places.append((g, label, euler, k, *(
-                    f.exquo(g ** (w * k)) for f, w in ((c4, 4), (c6, 6)))))
-                # a collision of c4 or c6 with g mod p changes nothing at a
-                # place that is good after the shifts: only Delta's is asked
-                rest = ((disc, vd),) if label == "good" else (
-                    (c4, v4), (c6, v6), (disc, vd))
-                numbers += [g[0], g.discriminant()] + [
-                    g.resultant(f.exquo(g ** v)) for f, v in rest if f]
+        for g, v4 in _valuation_classes(h, c4):
+            label, euler, k = _classify(v4, vd)
+            places.append((g, label, euler, k, *(
+                f.exquo(g ** (w * k)) for f, w in ((c4, 4), (c6, 6)))))
+            # the type reads v(c4) and v(Delta) alone, so c6 may meet g mod
+            # p; so may c4 at a place that is good after the shifts
+            rest = ((disc, vd),) if label == "good" else ((c4, v4), (disc, vd))
+            numbers += [g[0], g.discriminant()] + [
+                g.resultant(f.exquo(g ** v)) for f, v in rest if f]
     exceptional = set().union(*(prime_factors(n, family.bad_primes)
                                 for n in numbers))
     if exceptional:
@@ -105,33 +105,37 @@ def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralMo
             dict(family=family.name, chart=chart), sorted(family.bad_primes),
             sorted(exceptional))
     return IntegralModel("t" if chart == "zero" else "s", tuple(polys),
-                         chart, (c4, c6, disc), tuple(places))
+                         (c4, c6, disc), tuple(places))
 
 
-def _classify(v4: int, v6: int, vd: int):
-    """Kodaira type from minimal valuations (residue char >= 5).
+#: the additive types that v(Delta) at a minimal place names, with it
+_ADDITIVE = {"II": 2, "III": 3, "IV": 4, "I0*": 6, "IV*": 8, "III*": 9,
+             "II*": 10}
+
+
+def _classify(v4: int, vd: int):
+    """Kodaira type from the valuations of c4 and Delta (residue char >= 5;
+    2 v(c6) >= min(3 v(c4), v(Delta)) leaves v(c6) nothing to decide).
 
     Returns (label, vd_min, k) where k is the number of (4, 6, 12) shifts
     needed to minimalize; vd_min is also the Euler contribution.
     """
-    k = min(v4 // 4, v6 // 6, vd // 12)
-    v4, v6, vd = v4 - 4 * k, v6 - 6 * k, vd - 12 * k
+    k = min(v4 // 4, vd // 12)
+    v4, vd = v4 - 4 * k, vd - 12 * k
     if vd == 0:
         return "good", 0, k
     if v4 == 0:
         return f"I{vd}", vd, k
     if 3 * v4 < vd:
         return f"I{vd - 6}*", vd, k
-    label = {2: "II", 3: "III", 4: "IV", 6: "I0*",
-             8: "IV*", 9: "III*", 10: "II*"}[vd]
-    return label, vd, k
+    return next(name for name, e in _ADDITIVE.items() if e == vd), vd, k
 
 
 def fiber_euler(label: str) -> int:
-    fixed = {"good": 0, "II": 2, "III": 3, "IV": 4,
-             "IV*": 8, "III*": 9, "II*": 10}
-    if label in fixed:
-        return fixed[label]
+    if label == "good":
+        return 0
+    if label in _ADDITIVE:
+        return _ADDITIVE[label]
     if label.endswith("*"):  # I_n*
         return int(label[1:-1]) + 6
     return int(label[1:])
@@ -147,16 +151,14 @@ class FiberReport:
     tau: int         # Frobenius trace on the non-identity components
 
 
-def _tau(label: str, split, degree: int) -> int:
-    """Trace of Frobenius on the non-identity fiber components."""
-    if degree > 1 or not label.startswith("I") or label.endswith("*"):
+def _tau(n: int, split) -> int:
+    """Trace of Frobenius on the non-identity components of an I_n fiber at
+    a rational place, split or not; 0 for every other fiber (split None)."""
+    if split is None:
         return 0
-    n = int(label[1:])
-    if split:
-        return n - 1
-    # nonsplit: the involution on the I_n chain fixes one component
-    # iff the chain length n-1 is odd
-    return 1 if n % 2 == 0 else 0
+    # nonsplit: the involution on the I_n chain fixes one component iff the
+    # chain length n - 1 is odd
+    return n - 1 if split else 1 - n % 2
 
 
 def _place_name(coeffs: list, var: str) -> str:
@@ -322,8 +324,7 @@ def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
                     split = pow(-c6 % p, (p - 1) // 2, p) == 1  # Euler
             if label != "good":
                 fibers.append(((degree, coeffs), FiberReport(
-                    name, degree, label, euler, split,
-                    _tau(label, split, degree))))
+                    name, degree, label, euler, split, _tau(euler, split))))
     return [f for _, f in sorted(fibers, key=lambda x: x[0])], minimal
 
 
@@ -333,17 +334,14 @@ class ScanReport:
     p: int
     fibers: tuple
     euler_total: int
-    euler_expected: int
-    #: (c4, c6) of the t-chart model as coefficient tuples mod p, leading
-    #: coefficient first
-    t_chart_c4_c6: tuple = field(compare=False, repr=False)
     #: (c4, c6) mod p of the minimal model at every rational zero t0 of the
     #: discriminant (key t0), good or bad, and at infinity (key "inf")
     minimal_values: dict = field(compare=False, repr=False)
 
     @property
     def euler_ok(self) -> bool:
-        return self.euler_total == self.euler_expected
+        """Noether's e = 12 chi(O): chi = 1 (rational) or 2 (K3)."""
+        return self.euler_total in (12, 24)
 
     @property
     def config(self) -> tuple:
@@ -362,10 +360,6 @@ def _label_sort_key(label: str):
     return (label.endswith("*"), -fiber_euler(label), label)
 
 
-def expected_euler(family: WeierstrassFamily) -> int:
-    return sum(fiber_euler(lab) for lab in family.expected_config)
-
-
 def scan(family: WeierstrassFamily, p: int) -> ScanReport:
     """Classify every singular fiber of the family over F_p."""
     if not is_prime(p) or p < 5:
@@ -376,10 +370,7 @@ def scan(family: WeierstrassFamily, p: int) -> ScanReport:
     fibers_inf, minimal_inf = _classify_chart(family, p, "inf")
     fibers += fibers_inf
     total = sum(f.euler * f.degree for f in fibers)
-    c4_c6 = tuple(_reduce(f, p)
-                  for f in integral_model(family, "zero").invariants[:2])
     return ScanReport(family.name, p, tuple(fibers), total,
-                      expected_euler(family), c4_c6,
                       {**minimal, **minimal_inf})
 
 

@@ -115,7 +115,7 @@ def h3_local_factor(family: WeierstrassFamily, e_ainvs, p: int) -> LocalFactor:
     B = k3_point_count(family, p).B
     factor = tensor_factor(A, B, eps, p)
     for d, mult in family.ns_data.minus_part:
-        chi_p = 1 if d == 1 else kronecker_character(d, p)
+        chi_p = kronecker_character(d, p)
         for _ in range(mult):
             factor = factor * shifted_elliptic_factor(A, p, chi_p)
     return factor

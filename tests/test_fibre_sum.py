@@ -19,7 +19,7 @@ from modk3.arith import VerificationError, primes_up_to
 from modk3.counting import (ap_elliptic, count_report, good_primes,
                             k3_point_count)
 from modk3.families import FAMILY_NAMES, preset
-from modk3.kodaira import scan
+from modk3.kodaira import integral_model, scan
 
 #: the families `verify all` scans
 SCANNED = [name for name in FAMILY_NAMES if name != "x0_12"]
@@ -56,7 +56,7 @@ def loop_total(family, p):
     """The surface total by one Python loop per (t, x)."""
     report = scan(family, p)
     chi = chi_table(p)
-    c4, c6 = report.t_chart_c4_c6
+    c4, c6 = integral_model(family, "zero").invariants[:2]
     minimal = report.minimal_values
     total = 0
     for t0 in range(p):
@@ -144,9 +144,10 @@ def fibre_invariants(family, p):
     report = scan(family, p)
     t = np.arange(p + 1, dtype=np.int64)
     c4c6 = np.zeros((2, p + 1), dtype=np.int64)
-    for row, coefficients in enumerate(report.t_chart_c4_c6):
+    for row, coefficients in enumerate(
+            integral_model(family, "zero").invariants[:2]):
         for c in coefficients:
-            c4c6[row] = (c4c6[row] * t + c) % p
+            c4c6[row] = (c4c6[row] * t + c % p) % p
     for place, values in report.minimal_values.items():
         c4c6[:, p if place == "inf" else place] = values
     return c4c6

@@ -10,9 +10,9 @@ from helpers import as_sympy, legendre_symbol, sympy_family, t
 from modk3.arith import VerificationError
 from modk3.counting import good_primes
 from modk3.families import FAMILY_NAMES, preset, weierstrass_invariants
-from modk3.kodaira import (BadReductionError, FiberReport, _classify,
-                           _irreducible_factors, _tau, config_vs_expected,
-                           expected_euler, fiber_euler, integral_model,
+from modk3.kodaira import (BadReductionError, FiberReport, ScanReport,
+                           _classify, _irreducible_factors, _tau,
+                           config_vs_expected, fiber_euler, integral_model,
                            eigenspace_counts, ns_report, scan)
 from modk3.zpoly import ZPoly
 
@@ -41,18 +41,88 @@ def good_primes_for(name, count=3):
 
 
 def test_classification_table():
-    assert _classify(0, 0, 5)[:2] == ("I5", 5)
-    assert _classify(2, 3, 7)[:2] == ("I1*", 7)
-    assert _classify(1, 1, 2)[:2] == ("II", 2)
-    assert _classify(1, 2, 3)[:2] == ("III", 3)
-    assert _classify(2, 2, 4)[:2] == ("IV", 4)
-    assert _classify(2, 3, 6)[:2] == ("I0*", 6)
-    assert _classify(3, 4, 8)[:2] == ("IV*", 8)
-    assert _classify(3, 5, 9)[:2] == ("III*", 9)
-    assert _classify(4, 5, 10)[:2] == ("II*", 10)
+    assert _classify(0, 5)[:2] == ("I5", 5)
+    assert _classify(2, 7)[:2] == ("I1*", 7)
+    assert _classify(1, 2)[:2] == ("II", 2)
+    assert _classify(1, 3)[:2] == ("III", 3)
+    assert _classify(2, 4)[:2] == ("IV", 4)
+    assert _classify(2, 6)[:2] == ("I0*", 6)
+    assert _classify(10 ** 9, 6)[:2] == ("I0*", 6)  # c4 = 0
+    assert _classify(3, 8)[:2] == ("IV*", 8)
+    assert _classify(3, 9)[:2] == ("III*", 9)
+    assert _classify(4, 10)[:2] == ("II*", 10)
     # non-minimal input is shifted before classification
-    assert _classify(4, 6, 12)[:2] == ("good", 0)
-    assert _classify(4, 6, 17)[:2] == ("I5", 5)
+    assert _classify(4, 12) == ("good", 0, 1)
+    assert _classify(4, 17) == ("I5", 5, 1)
+    assert _classify(9, 30) == ("I0*", 6, 2)
+
+
+def test_shift_count_needs_no_c6_valuation():
+    # 1728 Delta = c4^3 - c6^2 allows exactly the v6 with
+    # 2 v6 >= min(3 v4, vd), equal when 3 v4 != vd; for each of them the
+    # Tate shift count min(v4 // 4, v6 // 6, vd // 12) is _classify's k
+    cases = 0
+    for v4 in range(41):
+        for vd in range(81):
+            for v6 in range(121):
+                low = min(3 * v4, vd)
+                if 2 * v6 < low or (3 * v4 != vd and 2 * v6 != low):
+                    continue
+                assert (min(v4 // 4, v6 // 6, vd // 12)
+                        == _classify(v4, vd)[2]), (v4, v6, vd)
+                cases += 1
+    assert cases > 1000
+
+
+def test_tau_table():
+    # n - 1 components fixed when split; when not, the involution on the
+    # chain fixes one component iff n is even; nothing for other fibers
+    for n in range(1, 13):
+        assert _tau(n, True) == n - 1
+        assert _tau(n, False) == (1 if n % 2 == 0 else 0)
+        assert _tau(n, None) == 0
+
+
+#: (class g, label, Euler number, k) of every place of each chart's model
+PLACES = {
+    ("g4_legendre", "zero"): [((1, 0, 0, 0, -1), "I4", 4, 0),
+                              ((1, 0), "I4", 4, 1)],
+    ("g4_legendre", "inf"): [((1, 0), "I4", 4, 1)],
+    ("e1_4", "zero"): [((16, -1), "I1", 1, 0), ((1, 0), "I4", 4, 0)],
+    ("e1_4", "inf"): [((1, 0), "I1*", 7, 0)],
+    ("e1_6", "zero"): [((9, -10), "I1", 1, 0), ((1, -2), "I3", 3, 0),
+                       ((1, -1), "I6", 6, 0)],
+    ("e1_6", "inf"): [((1, 0), "I2", 2, 1)],
+    ("e1_7", "zero"): [((1, -8, 5, 1), "I1", 1, 0), ((1, -1, 0), "I7", 7, 0)],
+    ("e1_7", "inf"): [((1, 0), "I7", 7, 1)],
+    ("e1_8", "zero"): [((8, -8, 1), "I1", 1, 0), ((2, -1), "I4", 4, 0),
+                       ((1, -1, 0), "I8", 8, 0)],
+    ("e1_8", "inf"): [((1, 0), "I2", 2, 1)],
+    ("g62", "zero"): [((1, 0), "I2", 2, 0), ((1, 0, -1), "I6", 6, 0),
+                      ((1, 0, -9), "I2", 2, 1)],
+    ("g62", "inf"): [((1, 0), "I6", 6, 0)],
+    ("g82", "zero"): [((1, 0, 1), "I2", 2, 0), ((1, 0, -1), "I8", 8, 0),
+                      ((1, 0), "I2", 2, 3)],
+    ("g82", "inf"): [((1, 0), "I2", 2, 3)],
+    ("g8_412", "zero"): [((8, -8, 1), "I2", 2, 0), ((1, -1, 0), "I4", 4, 0),
+                         ((2, -1), "I8", 8, 0)],
+    ("g8_412", "inf"): [((1, 0), "I4", 4, 4)],
+    ("x0_12", "zero"): [((9, 0, -1), "I1", 1, 0), ((1, 0, -1), "I3", 3, 0),
+                        ((1, 0), "I12", 12, 0)],
+    ("x0_12", "inf"): [((1, 0), "I4", 4, 2)],
+}
+
+
+def test_places_of_every_chart():
+    for (name, chart), places in PLACES.items():
+        model = integral_model(preset(name), chart)
+        assert [(tuple(g), label, euler, k)
+                for g, label, euler, k, _, _ in model.places] == places, (
+            name, chart)
+        for g, _, _, k, q4, q6 in model.places:
+            c4, c6 = (ZPoly(f) for f in model.invariants[:2])
+            assert q4 * g ** (4 * k) == c4 and q6 * g ** (6 * k) == c6
+    assert len(PLACES) == 2 * len(FAMILY_NAMES)
 
 
 def test_fiber_euler_numbers():
@@ -188,10 +258,9 @@ def _oracle_minimal_value(poly, pi, shift, root, p):
 
 def _oracle_classify_place(pi, c4, c6, vd, p, place_name):
     v4 = _oracle_valuation(c4, pi) if not c4.is_zero else 10 ** 9
-    v6 = _oracle_valuation(c6, pi) if not c6.is_zero else 10 ** 9
-    label, vdm, k = _classify(v4, v6, vd)
+    label, vdm, k = _classify(v4, vd)
     degree = pi.degree()
-    split, minimal = None, None
+    split, minimal, tau = None, None, 0
     if degree == 1:
         lead = int(pi.LC()) % p
         root = (-int(pi.all_coeffs()[-1]) * pow(lead, -1, p)) % p
@@ -201,9 +270,8 @@ def _oracle_classify_place(pi, c4, c6, vd, p, place_name):
         if label.startswith("I") and not label.endswith("*"):
             assert c6_val != 0
             split = legendre_symbol(-c6_val % p, p) == 1
-    fiber = FiberReport(place_name, degree, label, vdm, split,
-                        _tau(label, split, degree))
-    return fiber, minimal
+            tau = vdm - 1 if split else 1 - vdm % 2
+    return FiberReport(place_name, degree, label, vdm, split, tau), minimal
 
 
 def _oracle_classify_chart(family, p, chart):
@@ -226,20 +294,15 @@ def _oracle_classify_chart(family, p, chart):
         if values is not None:
             root, c4c6 = values
             minimal[root if chart == "zero" else "inf"] = c4c6
-    coefficients = tuple(tuple(int(c) % p for c in f.all_coeffs())
-                         for f in (c4, c6))
-    return fibers, minimal, coefficients
+    return fibers, minimal
 
 
 def _assert_scan_matches_oracle(fam, p):
-    fibers, minimal, c4_c6 = _oracle_classify_chart(fam, p, "zero")
-    fibers_inf, minimal_inf, _ = _oracle_classify_chart(fam, p, "inf")
+    fibers, minimal = _oracle_classify_chart(fam, p, "zero")
+    fibers_inf, minimal_inf = _oracle_classify_chart(fam, p, "inf")
     rep = scan(fam, p)
     assert rep.fibers == tuple(fibers + fibers_inf), (fam.name, p)
     assert rep.minimal_values == {**minimal, **minimal_inf}, (fam.name, p)
-    # as polynomials mod p: the oracle writes the zero polynomial as (0,)
-    assert ([gf_from_int_poly(list(f), p) for f in rep.t_chart_c4_c6]
-            == [gf_from_int_poly(list(f), p) for f in c4_c6]), (fam.name, p)
 
 
 def test_scan_matches_sympy_oracle():
@@ -265,7 +328,7 @@ def test_scan_matches_sympy_oracle_at_non_minimal_places():
                              zip(as_sympy(fam), (1, 2, 3, 4, 6))),
         fam.expected_config, {2, 5, 7, 13, 17, 37, 41})
     for p in good_primes(rescaled, 5, 100):
-        fibers, minimal, _ = _oracle_classify_chart(rescaled, p, "zero")
+        fibers, minimal = _oracle_classify_chart(rescaled, p, "zero")
         rep = scan(rescaled, p)
         assert tuple(f for f in rep.fibers
                      if f.place != "inf") == tuple(fibers), p
@@ -287,7 +350,7 @@ def test_good_places_ask_only_the_discriminant_resultant():
     assert exc.value.observed == [5]
     rescaled = sympy_family("g4_u", ai, fam.expected_config, {2, 5})
     for p in (7, 11, 13, 17, 19, 37, 41):
-        fibers, minimal, _ = _oracle_classify_chart(rescaled, p, "zero")
+        fibers, minimal = _oracle_classify_chart(rescaled, p, "zero")
         rep = scan(rescaled, p)
         assert tuple(f for f in rep.fibers
                      if f.place != "inf") == tuple(fibers), p
@@ -322,10 +385,22 @@ def test_all_configurations_match_and_are_prime_independent():
 
 
 def test_euler_totals():
-    assert expected_euler(preset("g4_legendre")) == 24
-    assert expected_euler(preset("e1_6")) == 12
-    assert expected_euler(preset("e1_4")) == 12
-    assert expected_euler(preset("x0_12")) == 24
+    for name, total in (("g4_legendre", 24), ("e1_6", 12), ("e1_4", 12),
+                        ("x0_12", 24)):
+        config = preset(name).expected_config
+        assert sum(fiber_euler(label) for label in config) == total, name
+
+
+def test_euler_audit_is_noethers_formula():
+    # e = 12 chi(O): 12 for a rational surface, 24 for a K3; a scan that
+    # read g82's two I8 and four I2 as 8 + 8 + 2 * 4 + 6 = 30 fails it
+    rep = scan(preset("g82"), 13)
+    assert rep.euler_ok and rep.euler_total == 24
+    for total, ok in ((30, False), (12, True), (24, True), (0, False),
+                      (36, False)):
+        forged = ScanReport(rep.family, rep.p, rep.fibers, total,
+                            rep.minimal_values)
+        assert forged.euler_ok is ok, total
 
 
 def test_bad_primes_rejected():
