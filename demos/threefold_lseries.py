@@ -6,7 +6,7 @@ Dirichlet coefficients at primes must equal the Frobenius traces
 assembled from point counts.
 """
 
-from modk3.counting import ap_elliptic, good_primes, h2_trace, h3_trace
+from modk3.counting import ap_elliptic, good_primes, h3_trace
 from modk3.families import preset
 from modk3.lfunctions import assemble_h3, betti_hodge_report, tensor_factor
 
@@ -27,8 +27,6 @@ for name in ("g4_legendre", "g62"):
     for p in good_primes(fam, 5, 50):
         assert coeffs[p - 1] == h3_trace(fam, E, p)
     print(f"  prime coefficients match the H^3 traces up to 50")
-    print(f"  H^2 trace at p=13: {h2_trace(fam, 13)} "
-          f"(= 31*13 when the twist character is trivial at p)")
     print()
 
 print("fixed Betti/Hodge bookkeeping:", betti_hodge_report())

@@ -116,14 +116,8 @@ def kronecker_character(D: int, n: int) -> int:
 
 
 def _kronecker(a: int, n: int) -> int:
-    # standard push-down of (a|n) via quadratic reciprocity
-    if n == 0:
-        return 1 if a in (1, -1) else 0
+    # standard push-down of (a|n), n >= 1, via quadratic reciprocity
     result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
     while n % 2 == 0:
         n //= 2
         if a % 2 == 0:

@@ -120,4 +120,5 @@ def verify_against_eta(spec: HeckeCharSpec, N: int) -> list:
     coefficients disagree with the eta expansion; empty on success."""
     hecke = coefficient_sequence(spec, N)
     eta = _eta_coefficients(spec.form_id, N)
-    return [(n, h, e) for n, (h, e) in enumerate(zip(hecke, eta), 1) if h != e]
+    return [] if tuple(hecke) == eta else [
+        (n, h, e) for n, (h, e) in enumerate(zip(hecke, eta), 1) if h != e]

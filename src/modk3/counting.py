@@ -122,24 +122,31 @@ def _block_width(n: int, p: int) -> int:
     return min(isqrt(max(n, 1) - 1) + 1, ((1 << 63) - 1) // (p // 2 + 1) ** 2)
 
 
+#: int64 cells per operand of one _evaluate chunk of columns
+_EVALUATE_CELLS = 1 << 16
+
+
 def _evaluate(coefficients, x, p: int):
     """_horner at x in [0, p) by baby steps and giant steps: the blocks of
     s = _block_width coefficients of x^(s q + r) times the baby powers x^r,
     r < s (a gather), in one int64 matmul of signed residues; then _horner
-    in x^s over the block values."""
+    in x^s over the block values, in chunks of columns."""
     pw, log = _log_table(p)
     n, half = len(coefficients), p // 2
     s = _block_width(n, p)
     blocks = np.zeros(-(-n // s) * s, dtype=np.int64)
     blocks[:n] = coefficients[::-1]
-    blocks = (blocks + half) % p - half
-    powers = np.arange(s)[:, None] * log[x]
-    powers %= p - 1
-    powers = pw[powers]
-    powers[1:] *= x != 0
-    giant = powers[-1] * x % p
-    powers -= (powers > half) * p  # in place: s x N int64 is the peak
-    return _horner((blocks.reshape(-1, s) @ powers)[::-1], giant, p)
+    blocks = ((blocks + half) % p - half).reshape(-1, s)
+    width = max(_EVALUATE_CELLS // max(blocks.shape), 1)
+    out = np.empty_like(x)
+    for j in range(0, len(x), width):
+        chunk = x[j:j + width]
+        powers = pw[np.arange(s)[:, None] * log[chunk] % (p - 1)]
+        powers[1:] *= chunk != 0
+        giant = powers[-1] * chunk % p
+        powers -= (powers > half) * p
+        out[j:j + width] = _horner((blocks @ powers)[::-1], giant, p)
+    return out
 
 
 #: room for verify all's 23 primes 5 <= p <= 97; each holds ~p/12 ints
@@ -295,11 +302,3 @@ def h3_trace(family: WeierstrassFamily, e_ainvs, p: int) -> int:
     minus = family.ns_data.minus_trace_terms(p)
     return A * B + p * A * minus
 
-
-def h2_trace(family: WeierstrassFamily, p: int) -> int:
-    """Frobenius trace on H^2 of the threefold: 16 exceptional classes,
-    the fiber class, and the invariant lattice part."""
-    if family.ns_data is None:
-        raise ValueError(f"{family.name} has no stored lattice decomposition")
-    plus = family.ns_data.plus_trace_terms(p)
-    return p * (17 + plus)

@@ -43,13 +43,11 @@ class NSDecomposition:
 
     def trace(self, p: int) -> int:
         """n' + sum chi_D(p) * n'' over both parts."""
-        return self.plus_trace_terms(p) + self.minus_trace_terms(p)
+        return sum(m * kronecker_character(d, p)
+                   for d, m in self.plus_part + self.minus_part)
 
     def minus_trace_terms(self, p: int) -> int:
         return sum(m * kronecker_character(d, p) for d, m in self.minus_part)
-
-    def plus_trace_terms(self, p: int) -> int:
-        return sum(m * kronecker_character(d, p) for d, m in self.plus_part)
 
 
 @dataclass(frozen=True)

@@ -3,20 +3,20 @@
 ``integral_model`` clears each chart, t or s = 1/t (a_i(1/s) reverses the
 numerator and denominator of a_i(t)), to Z[var] by an admissible
 (x, y) -> (u^2 x, u^3 y), u the lcm of the denominators, and classifies its
-places over Q once per family (Tate in residue characteristic >= 5) with
-no factoring over Z: gcds split the squarefree part of Delta (s on the
-s-chart) into classes g of equal (v(c4), v(Delta)), each with its type,
-k shifts by (4, 6, 12) and c4 / g^(4k), c6 / g^(6k).  Those two
-valuations name the type, since 1728 Delta = c4^3 - c6^2 forces
-2 v(c6) >= min(3 v(c4), v(Delta)).  A prime >= 5 dividing lc(g), disc(g)
-or the resultant of g with the part of c4 or Delta prime to g must be bad;
-at every other p the classes stay squarefree and coprime, so each root
-keeps its class's valuations.  Per prime, ``scan`` only splits each class
-into irreducibles mod p (gcds with t^p - t and u^((p^d - 1)/2) - 1 for
-u = t, t + 1, ...: no randomness), takes the minimal (c4, c6) at each root
-by Horner and split or non-split from the Legendre symbol of -c6.  The
-Euler audit checks Noether's sum(v(Delta_min) * deg) = 12 chi(O): 24 for
-a K3 family, 12 for a rational one.
+places over Q once per family (Tate in residue characteristic >= 5): gcds
+split the squarefree part of Delta (s on the s-chart) into classes g of
+equal (v(c4), v(Delta)), which name the type and its k shifts by
+(4, 6, 12), as 1728 Delta = c4^3 - c6^2 forces 2 v(c6) >= min(3 v(c4),
+v(Delta)).  A prime >= 5 dividing lc(g), disc(g) or the resultant of g
+with the part of c4 or Delta prime to g must be bad; at every other p the
+classes stay squarefree and coprime.  The rational root test splits each
+g into places h, its linear factors and their cofactor, each keeping h'
+and the pseudo-remainders R of c4 / h^(4k) and c6 / h^(6k) mod h.  Per
+prime, ``scan`` splits each h into irreducibles mod p (one square root
+for a quadratic h; gcds with t^p - t and u^((p^d - 1)/2) - 1, u = t,
+t + 1, ..., beyond), reads the minimal (c4, c6) at each root r from R(r)
+and h'(r), and split or non-split from the Legendre symbol of -c6.  The
+Euler audit checks Noether's sum(v(Delta_min) deg) = 12 chi(O): 24 or 12.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import count, islice
+from math import gcd
 
 from .arith import VerificationError, _sqrt_mod, is_prime, prime_factors
 from .families import WeierstrassFamily, preset, weierstrass_invariants
@@ -43,9 +44,9 @@ class IntegralModel:
     a_polys: tuple
     #: (c4, c6, Delta) over Z[var] as ZPoly integer coefficient tuples
     invariants: tuple
-    #: (g, label, euler, k, c4 / g^(4k), c6 / g^(6k)) over Z for each class g
-    #: of zeros of Delta with equal (v(c4), v(Delta)) (t-chart), or g = s
-    #: (s-chart)
+    #: (h, label, euler, k, h', (R4, e4), (R6, e6)) over Z for each place h,
+    #: a linear factor b t - a or the rest of a class of zeros of Delta (or
+    #: h = s): lc(h)^e4 c4 / h^(4k) = R4 mod h with deg R4 < deg h, c6 alike
     places: tuple
 
 
@@ -56,6 +57,8 @@ def _valuation_classes(g: ZPoly, f: ZPoly) -> list:
         return [(g, 10 ** 9)]
     out, v = [], 0
     while g.degree > 0:
+        if g == (1, 0):  # the rest of v(f) at t = 0: f's trailing zeros
+            return out + [(g, v + next(i for i, c in enumerate(f[::-1]) if c))]
         try:
             higher, f = g, f.exquo(g)  # every zero has valuation > v
         except ArithmeticError:
@@ -64,6 +67,26 @@ def _valuation_classes(g: ZPoly, f: ZPoly) -> list:
             f = f.exquo(higher)
         g, v = higher, v + 1
     return out
+
+
+def _rational_split(g: ZPoly) -> list:
+    """The primitive squarefree g as its linear factors b t - a, b | lc(g)
+    and a | g(0) (each a / b tested by evaluation), and their cofactor."""
+    def divisors(n: int) -> set:
+        out = {1}
+        for q in prime_factors(n):
+            while n % q == 0:
+                n, out = n // q, out | {d * q for d in out}
+        return out
+    pieces = [] if g[-1] else [ZPoly((1, 0))]
+    rest = g if g[-1] else ZPoly(g[:-1])
+    n = rest.degree
+    pieces += [ZPoly((b, -a)) for b in sorted(divisors(rest[0]))
+               for d in sorted(divisors(rest[-1])) for a in (d, -d)
+               if gcd(a, b) == 1 and not sum(
+                   c * a ** (n - i) * b ** i for i, c in enumerate(rest))]
+    rest = reduce(ZPoly.exquo, pieces, g)
+    return pieces + [rest] * (rest.degree > 0)
 
 
 @lru_cache(maxsize=None)
@@ -82,21 +105,24 @@ def integral_model(family: WeierstrassFamily, chart: str = "zero") -> IntegralMo
     polys = [n * (u ** w).exquo(d)
              for (n, d), w in zip(fractions, (1, 2, 3, 4, 6))]
     c4, c6, disc = weierstrass_invariants(*polys)[4:]
-    if chart == "zero":
-        zeros = disc.exquo(disc.gcd(disc.derivative())).primitive()
-    else:
-        zeros = ZPoly((1, 0))
+    zeros = (disc.exquo(disc.gcd(disc.derivative())).primitive()
+             if chart == "zero" else ZPoly((1, 0)))
     places, numbers = [], []
-    for h, vd in _valuation_classes(zeros, disc):
-        for g, v4 in _valuation_classes(h, c4):
+    for same_vd, vd in _valuation_classes(zeros, disc):
+        for g, v4 in _valuation_classes(same_vd, c4):
             label, euler, k = _classify(v4, vd)
-            places.append((g, label, euler, k, *(
-                f.exquo(g ** (w * k)) for f, w in ((c4, 4), (c6, 6)))))
             # the type reads v(c4) and v(Delta) alone, so c6 may meet g mod
             # p; so may c4 at a place that is good after the shifts
             rest = ((disc, vd),) if label == "good" else ((c4, v4), (disc, vd))
             numbers += [g[0], g.discriminant()] + [
                 g.resultant(f.exquo(g ** v)) for f, v in rest if f]
+            # lc(h) | lc(g), and disc(g) holds each disc(h) and the pieces'
+            # resultants: the certificate on g covers every piece h
+            for h in _rational_split(g):
+                q4, q6 = (f.exquo(h ** (w * k)) for f, w in ((c4, 4), (c6, 6)))
+                places.append((h, label, euler, k, h.derivative(), *(
+                    (q.prem(h), max(len(q) - len(h) + 1, 0))
+                    for q in (q4, q6))))
     exceptional = set().union(*(prime_factors(n, family.bad_primes)
                                 for n in numbers))
     if exceptional:
@@ -132,13 +158,9 @@ def _classify(v4: int, vd: int):
 
 
 def fiber_euler(label: str) -> int:
-    if label == "good":
-        return 0
-    if label in _ADDITIVE:
-        return _ADDITIVE[label]
-    if label.endswith("*"):  # I_n*
-        return int(label[1:-1]) + 6
-    return int(label[1:])
+    if label == "good" or label in _ADDITIVE:
+        return _ADDITIVE.get(label, 0)
+    return int(label[1:-1]) + 6 if label.endswith("*") else int(label[1:])
 
 
 @dataclass(frozen=True)
@@ -252,10 +274,7 @@ def _equal_degree(f: ZPoly, d: int, p: int, start: int = 0) -> list:
             h = _gcd(g, _reduce(_powmod(u, e, g, p) - 1, p), p)
             for q in ([h, ZPoly(_divmod(g, h, p)[0])]
                       if 0 < h.degree < g.degree else [g]):
-                if d == 1 and q.degree == 2:  # two roots: one square root
-                    done += _irreducible_factors(q, p)
-                else:
-                    (done if q.degree == d else todo).append(q)
+                (done if q.degree == d else todo).append(q)
     return done
 
 
@@ -298,20 +317,18 @@ def _classify_chart(family: WeierstrassFamily, p: int, chart: str):
     rational zero of Delta (keyed by the root; "inf" for s = 0)."""
     model = integral_model(family, chart)
     fibers, minimal = [], {}
-    for factor, label, euler, k, q4, q6 in model.places:
-        # g is squarefree mod p: its discriminant is a unit
-        g = _reduce(factor, p)
-        derivative = g.derivative()
-        for pi in _irreducible_factors(g, p):
+    for h, label, euler, k, derivative, *remainders in model.places:
+        # h is squarefree mod p and its leading coefficient a unit
+        for pi in _irreducible_factors(_reduce(h, p), p):
             coeffs = [c - p if c > p // 2 else c for c in pi]
             degree, split = len(pi) - 1, None
             name = _place_name(coeffs, model.var) if chart == "zero" else "inf"
             if degree == 1:
-                # the minimal model divides by pi^k: (g / pi)(root) = g'(root)
+                # the minimal model divides by pi^k: (h / pi)(root) = h'(root)
                 root = -pi[1] % p
                 w = pow(_horner(derivative, root, p), k, p)
-                c4, c6 = (_horner(q, root, p) * w ** e % p
-                          for q, e in ((q4, 4), (q6, 6)))
+                c4, c6 = (_horner(r, root, p) * pow(h[0], -e, p) * w ** n % p
+                          for (r, e), n in zip(remainders, (4, 6)))
                 minimal[root if chart == "zero" else "inf"] = c4, c6
                 if label.startswith("I") and not label.endswith("*"):
                     # I_n is split iff -c6 is a square at the place; c6 is

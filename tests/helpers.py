@@ -1,22 +1,22 @@
 """Test-only helpers: one Weierstrass curve over Q or F_p (the library
 holds a curve as its integer a-invariants), the Legendre symbol and the
 O(sqrt p) norm-equation search (oracles of the library's fast paths), the
-twist fit (the oracle of each family's stored twist), the checked entry
-points and field-element operations the commands never call (the square
-root mod p, a field element of Q(sqrt(-d)) with its product, norm,
-conjugate, trace of the square and unit orbit, the normalised generator
-above p), the norm-equation solutions as field elements, the full
-modular group, a group's +-Id closure, the weight-2 and weight-3 local
-factors and the Hecke coefficients as an Euler product
-(the oracle of the theta series), the exact Hasse multinomials (the
-oracle of their log-factorial table) and the Hasse invariant from a table
-over all of F_p (the oracle of its evaluation at the reached classes only),
-the numpy point-count kernel with its Legendre table (the oracle of the
-lifted Hasse traces),
-conversions between sympy expressions in t and the integer data of a
-family, the printed base-change maps and gluing identity, specialisation
-of a family to one curve, and curve constructions (the group law on the
-long form, torsion orders, closed-form multiples of a Tate-normal point,
+twist fit (the oracle of each family's stored twist), the H^2 trace of the
+threefold from the stored lattice data, the checked entry points and
+field-element operations the commands never call (the square root mod p, a
+field element of Q(sqrt(-d)) with its product, norm, conjugate, trace of
+the square and unit orbit, the normalised generator above p), the
+norm-equation solutions as field elements, the full modular group, a
+group's +-Id closure, the weight-2 and weight-3 local factors and the
+Hecke coefficients as an Euler product (the oracle of the theta series),
+the exact Hasse multinomials (the oracle of their log-factorial table) and
+the Hasse invariant from a table over all of F_p (the oracle of its
+evaluation at the reached classes only), the numpy point-count kernel with
+its Legendre table (the oracle of the lifted Hasse traces), conversions
+between sympy expressions in t and the integer data of a family, the
+printed base-change maps and gluing identity, specialisation of a family
+to one curve, and curve constructions (the group law on the long form,
+torsion orders, closed-form multiples of a Tate-normal point,
 2-isogenies)."""
 
 import math
@@ -333,6 +333,15 @@ def twist_fit(family: WeierstrassFamily, primes=None) -> tuple:
                                      f"by the supplied primes: {candidates}")
     candidates.sort(key=lambda D: (abs(D), D < 0))
     return family.form_id, candidates[0]
+
+
+def h2_trace(family: WeierstrassFamily, p: int) -> int:
+    """Frobenius trace on H^2 of the threefold: 16 exceptional classes,
+    the fiber class, and the invariant lattice part."""
+    if family.ns_data is None:
+        raise ValueError(f"{family.name} has no stored lattice decomposition")
+    plus = family.ns_data.trace(p) - family.ns_data.minus_trace_terms(p)
+    return p * (17 + plus)
 
 
 def psl2z() -> CongruenceGroupSpec:

@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import WeierstrassCurve, curve_count, hasse_count, twist_fit
+from helpers import (WeierstrassCurve, curve_count, h2_trace, hasse_count,
+                     twist_fit)
 from modk3 import counting
 from modk3.arith import (InvalidPrimeError, VerificationError,
                          kronecker_character)
 from modk3.cmforms import HECKE_SPECS, ap as form_ap
 from modk3.counting import (CountReport, ModelMismatchError, ap_elliptic,
-                            count_report, good_primes, h2_trace, h3_trace,
+                            count_report, good_primes, h3_trace,
                             k3_point_count, ns_trace_prediction)
 from modk3.families import FAMILY_NAMES, preset
 from modk3.kodaira import BadReductionError

@@ -268,6 +268,18 @@ def test_evaluate_vs_python_integers(p):
                     == [python_horner(coefficients, v, p) for v in x]), n
 
 
+
+@pytest.mark.parametrize("p, cells", [(101, 7), (2003, 40)])
+def test_evaluate_in_chunks_vs_python_integers(monkeypatch, p, cells):
+    # a tiny chunk: 2 resp. 3 columns at a time, the last chunk short
+    monkeypatch.setattr(counting, "_EVALUATE_CELLS", cells)
+    rng = random.Random(cells)
+    x = [0, 1, p - 1] + [rng.randrange(p) for _ in range(8)]
+    for coefficients in (counting._hasse_table(p)[0].tolist(),
+                         [rng.randrange(p) for _ in range(3 * p // 4)]):
+        assert (counting._evaluate(coefficients, np.array(x), p).tolist()
+                == [python_horner(coefficients, v, p) for v in x])
+
 def test_block_width_keeps_the_matmul_exact(monkeypatch):
     # arithmetic only: no table is built at p = 2^31 - 1
     monkeypatch.setattr(counting, "_log_table", None)
@@ -340,3 +352,10 @@ def test_k3_twists_hold_on_held_out_primes_to_10000():
            for family in families if p > 97 and p not in family.bad_primes
            and not count_report(family, p).ok]
     assert bad == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [300007, 300017])
+def test_g4_large_prime_count_matches_the_form(p):
+    # about 3 10^5, where _evaluate runs in many chunks; p = 3 and 1 mod 4
+    assert count_report(preset("g4_legendre"), p).ok

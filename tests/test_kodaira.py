@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -7,6 +8,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
 
 from helpers import as_sympy, legendre_symbol, sympy_family, t
+from modk3 import kodaira
 from modk3.arith import VerificationError
 from modk3.counting import good_primes
 from modk3.families import FAMILY_NAMES, preset, weierstrass_invariants
@@ -83,8 +85,10 @@ def test_tau_table():
         assert _tau(n, None) == 0
 
 
-#: (class g, label, Euler number, k) of every place of each chart's model
-PLACES = {
+#: (class g, label, Euler number, k) of each class of zeros of Delta with
+#: equal (v(c4), v(Delta)) on each chart's model: the places before the
+#: split over Q, kept as reference data for PLACES
+CLASSES = {
     ("g4_legendre", "zero"): [((1, 0, 0, 0, -1), "I4", 4, 0),
                               ((1, 0), "I4", 4, 1)],
     ("g4_legendre", "inf"): [((1, 0), "I4", 4, 1)],
@@ -112,17 +116,96 @@ PLACES = {
     ("x0_12", "inf"): [((1, 0), "I4", 4, 2)],
 }
 
+#: (place h, label, Euler number, k) of every place of each chart's model:
+#: each class split over Q into its linear factors and their cofactor
+PLACES = {
+    ("g4_legendre", "zero"): [((1, -1), "I4", 4, 0), ((1, 1), "I4", 4, 0),
+                              ((1, 0, 1), "I4", 4, 0), ((1, 0), "I4", 4, 1)],
+    ("g4_legendre", "inf"): [((1, 0), "I4", 4, 1)],
+    ("e1_4", "zero"): [((16, -1), "I1", 1, 0), ((1, 0), "I4", 4, 0)],
+    ("e1_4", "inf"): [((1, 0), "I1*", 7, 0)],
+    ("e1_6", "zero"): [((9, -10), "I1", 1, 0), ((1, -2), "I3", 3, 0),
+                       ((1, -1), "I6", 6, 0)],
+    ("e1_6", "inf"): [((1, 0), "I2", 2, 1)],
+    ("e1_7", "zero"): [((1, -8, 5, 1), "I1", 1, 0), ((1, 0), "I7", 7, 0),
+                       ((1, -1), "I7", 7, 0)],
+    ("e1_7", "inf"): [((1, 0), "I7", 7, 1)],
+    ("e1_8", "zero"): [((8, -8, 1), "I1", 1, 0), ((2, -1), "I4", 4, 0),
+                       ((1, 0), "I8", 8, 0), ((1, -1), "I8", 8, 0)],
+    ("e1_8", "inf"): [((1, 0), "I2", 2, 1)],
+    ("g62", "zero"): [((1, 0), "I2", 2, 0), ((1, -1), "I6", 6, 0),
+                      ((1, 1), "I6", 6, 0), ((1, -3), "I2", 2, 1),
+                      ((1, 3), "I2", 2, 1)],
+    ("g62", "inf"): [((1, 0), "I6", 6, 0)],
+    ("g82", "zero"): [((1, 0, 1), "I2", 2, 0), ((1, -1), "I8", 8, 0),
+                      ((1, 1), "I8", 8, 0), ((1, 0), "I2", 2, 3)],
+    ("g82", "inf"): [((1, 0), "I2", 2, 3)],
+    ("g8_412", "zero"): [((8, -8, 1), "I2", 2, 0), ((1, 0), "I4", 4, 0),
+                         ((1, -1), "I4", 4, 0), ((2, -1), "I8", 8, 0)],
+    ("g8_412", "inf"): [((1, 0), "I4", 4, 4)],
+    ("x0_12", "zero"): [((3, -1), "I1", 1, 0), ((3, 1), "I1", 1, 0),
+                        ((1, -1), "I3", 3, 0), ((1, 1), "I3", 3, 0),
+                        ((1, 0), "I12", 12, 0)],
+    ("x0_12", "inf"): [((1, 0), "I4", 4, 2)],
+}
+
 
 def test_places_of_every_chart():
+    # the pinned places; the pieces of each (label, k) multiply back to
+    # the class; each stored remainder R of q = c4 / h^(4k) (resp. c6)
+    # has deg R < deg h and lc(h)^e q = R mod h over Z
     for (name, chart), places in PLACES.items():
         model = integral_model(preset(name), chart)
-        assert [(tuple(g), label, euler, k)
-                for g, label, euler, k, _, _ in model.places] == places, (
-            name, chart)
-        for g, _, _, k, q4, q6 in model.places:
-            c4, c6 = (ZPoly(f) for f in model.invariants[:2])
-            assert q4 * g ** (4 * k) == c4 and q6 * g ** (6 * k) == c6
-    assert len(PLACES) == 2 * len(FAMILY_NAMES)
+        assert [(tuple(h), label, euler, k) for h, label, euler, k, *_
+                in model.places] == places, (name, chart)
+        for g, label, _, k in CLASSES[name, chart]:
+            product = ZPoly((1,))
+            for h, *rest in model.places:
+                if (rest[0], rest[2]) == (label, k):
+                    product *= h
+            assert product == g, (name, chart, label, k)
+        c4, c6 = model.invariants[:2]
+        for h, _, _, k, derivative, (r4, e4), (r6, e6) in model.places:
+            assert derivative == h.derivative()
+            for f, w, r, e in ((c4, 4, r4, e4), (c6, 6, r6, e6)):
+                assert len(r) < len(h), (name, chart, h)
+                (ZPoly(f).exquo(h ** (w * k)) * h[0] ** e - r).exquo(h)
+    assert len(PLACES) == len(CLASSES) == 2 * len(FAMILY_NAMES)
+
+
+def test_no_place_of_degree_two_or_more_has_a_rational_root():
+    # by the rational root test, a root a / b has b | lc(h) and a | h(0)
+    for name, chart in PLACES:
+        for h, *_ in integral_model(preset(name), chart).places:
+            if len(h) < 3:
+                continue
+            assert h[-1], (name, h)
+            for b in range(1, abs(h[0]) + 1):
+                for a in range(-abs(h[-1]), abs(h[-1]) + 1):
+                    if a and h[0] % b == 0 and h[-1] % a == 0:
+                        x, value = Fraction(a, b), Fraction(0)
+                        for c in h:
+                            value = value * x + c
+                        assert value, (name, h, x)
+
+
+def test_rational_places_are_split_without_powmod(monkeypatch):
+    # every place of a family but e1_7's cubic is linear or quadratic over
+    # Q, so its scans take no powmod and no equal-degree split; e1_7 is the
+    # negative control
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was split mod p")
+
+    monkeypatch.setattr(kodaira, "_powmod", refuse)
+    monkeypatch.setattr(kodaira, "_equal_degree", refuse)
+    for name in FAMILY_NAMES:
+        fam = preset(name)
+        for p in good_primes(fam, 5, 500):
+            if name == "e1_7":
+                with pytest.raises(AssertionError):
+                    scan(fam, p)
+            else:
+                scan(fam, p)
 
 
 def test_fiber_euler_numbers():

@@ -212,14 +212,12 @@ def _unreached(sources: dict, roots: list) -> list:
 def test_the_cli_reaches_every_public_function():
     # the library holds what a command runs: the walk starts at the
     # console script (cli.main) and at the cmd_* function of each
-    # cli.COMMANDS entry, which run() looks up by name.  counting.h2_trace
-    # is the one exception: it waits for a caller that passes the curve E,
-    # on which the exceptional classes depend
+    # cli.COMMANDS entry, which run() looks up by name
     from modk3 import cli
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     roots = [("cli", "main")] + [("cli", f"cmd_{command}_{action}")
                                  for command, action in cli.COMMANDS]
-    assert _unreached(sources, roots) == ["counting.h2_trace"]
+    assert _unreached(sources, roots) == []
 
 
 def test_the_reachability_walk_follows_each_kind_of_reference():
