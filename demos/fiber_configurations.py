@@ -5,20 +5,20 @@ over F_p[t], each place is classified, and the Euler numbers must add
 to 24 (elliptic K3) or 12 (rational surface).
 """
 
+from modk3.cli import SCAN_NOTES
 from modk3.families import FAMILY_NAMES, preset
-from modk3.kodaira import config_vs_expected, eigenspace_counts, scan
+from modk3.kodaira import eigenspace_counts, scan
 
 for name in FAMILY_NAMES:
     fam = preset(name)
     p = next(q for q in (13, 11, 17) if q not in fam.bad_primes)
     rep = scan(fam, p)
-    cfg = config_vs_expected(fam, p)
     line = f"{name:<12} p={p:<3} {{{', '.join(rep.config)}}} e={rep.euler_total}"
-    if not cfg["match"]:
+    if sorted(rep.config) != sorted(fam.expected_config):
         line += "  CONFIG MISMATCH"
     print(line)
-    if "note" in cfg:
-        print(f"{'':14}note: {cfg['note']}")
+    if name in SCAN_NOTES:
+        print(f"{'':14}note: {SCAN_NOTES[name]}")
 
 print()
 print("Eigenspace counts of the algebraic lattice from the semistable")

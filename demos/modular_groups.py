@@ -12,7 +12,7 @@ for k in range(1, 10):
     lift_ok = (not r["lift_has_minus_id"] and r["trace_minus2_free"]
                and r["lift_widths_unchanged"])
     widths = ",".join(str(w) for w in r["cusp_widths"])
-    print(f"{k:>2} {r['name']:<22} {r['index']:>3} {r['genus']:>2} "
+    print(f"{k:>2} {r['target']:<22} {r['index']:>3} {r['genus']:>2} "
           f"{widths:<20} {lift_ok}")
 
 print()

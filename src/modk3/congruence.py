@@ -191,10 +191,6 @@ def elliptic_counts(spec: CongruenceGroupSpec):
             sum(i == j for i, j in enumerate(ST)))
 
 
-def is_torsion_free(spec: CongruenceGroupSpec) -> bool:
-    return elliptic_counts(spec) == (0, 0)
-
-
 def genus(spec: CongruenceGroupSpec) -> int:
     mu = index_in_modular_group(spec)
     e2, e3 = elliptic_counts(spec)
@@ -313,24 +309,23 @@ def preset_lift(k: int) -> CongruenceGroupSpec:
 
 
 def group_report(k: int) -> dict:
-    """One verification record for preset group k and its lift."""
-    g = preset_group(k)
-    lift = preset_lift(k)
-    widths = tuple(cd.width for cd in cusps_and_widths(g))
+    """The ``groups verify`` record of preset group k: ok when the group
+    has index 24, genus 0, no elliptic points and six cusps of the preset
+    widths, and its lift holds neither -Id nor an element of trace -2 and
+    has the doubled widths."""
+    g, lift = preset_group(k), preset_lift(k)
+    widths = [cd.width for cd in cusps_and_widths(g)]  # widest first
     # no trace -2 means each PSL cusp splits into two SL cusps of the
     # same width, so the lift's multiset is the doubled one
-    lift_widths = tuple(cd.width for cd in cusps_and_widths(lift))
-    return {
-        "group": k,
-        "name": g.name,
-        "modulus": g.modulus,
-        "index": index_in_modular_group(g),
-        "genus": genus(g),
-        "cusp_widths": list(widths),
-        "torsion_free": is_torsion_free(g),
-        "lift_has_minus_id": lift.contains_minus_id,
-        "trace_minus2_free": not has_trace_minus_two(lift),
-        "lift_widths_unchanged": sorted(lift_widths) == sorted(widths + widths),
-        "widths_match_preset": tuple(sorted(widths, reverse=True))
-        == PRESET_CUSP_WIDTHS[k],
-    }
+    lift_widths = sorted(cd.width for cd in cusps_and_widths(lift))
+    r = {"target": g.name, "group": k, "index": index_in_modular_group(g),
+         "genus": genus(g), "cusp_widths": widths,
+         "torsion_free": elliptic_counts(g) == (0, 0),
+         "lift_has_minus_id": lift.contains_minus_id,
+         "lift_widths_unchanged": lift_widths == sorted(widths * 2),
+         "trace_minus2_free": not has_trace_minus_two(lift)}
+    return dict(r, ok=r["index"] == 24 and r["genus"] == 0
+                and r["torsion_free"] and len(widths) == 6
+                and tuple(widths) == PRESET_CUSP_WIDTHS[k]
+                and not r["lift_has_minus_id"] and r["trace_minus2_free"]
+                and r["lift_widths_unchanged"])

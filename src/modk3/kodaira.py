@@ -227,23 +227,14 @@ def _divmod(f, g, p: int) -> tuple:
 
 
 def _powmod(f, e: int, modulus: ZPoly, p: int) -> ZPoly:
-    """f^e mod the monic modulus, left to right on lists: multiplying by a
-    short f (t or t + a) is cheap."""
-    f, result = _divmod(f, modulus, p)[1], [1]
-
-    def mulmod(a: list, b: list) -> list:
-        product = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    product[j] += x * y
-        return _divmod(product, modulus, p)[1]
-
+    """f^e mod the monic modulus, left to right: multiplying by a short f
+    (t or t + a) is cheap."""
+    f, result = ZPoly(_divmod(f, modulus, p)[1]), ZPoly((1,))
     for bit in bin(e)[2:]:
-        result = mulmod(result, result)
+        result = ZPoly(_divmod(result * result, modulus, p)[1])
         if bit == "1":
-            result = mulmod(result, f)
-    return ZPoly(result)
+            result = ZPoly(_divmod(result * f, modulus, p)[1])
+    return result
 
 
 def _gcd(f, g: ZPoly, p: int) -> ZPoly:
@@ -389,31 +380,6 @@ def scan(family: WeierstrassFamily, p: int) -> ScanReport:
     total = sum(f.euler * f.degree for f in fibers)
     return ScanReport(family.name, p, tuple(fibers), total,
                       {**minimal, **minimal_inf})
-
-
-def config_vs_expected(family: WeierstrassFamily, p: int,
-                       report: ScanReport = None) -> dict:
-    """Compare the scanned fiber configuration against the stored one;
-    ``report`` is a scan of (family, p) already made, if any."""
-    if report is None:
-        report = scan(family, p)
-    expected = tuple(sorted(family.expected_config, key=_label_sort_key))
-    out = {
-        "family": family.name,
-        "p": p,
-        "config": list(report.config),
-        "expected": list(expected),
-        "match": report.config == expected,
-        "euler_total": report.euler_total,
-        "euler_ok": report.euler_ok,
-    }
-    if family.name == "g82":
-        # the stored configuration comes from the lattice data; a naive
-        # 8+8+2*4+6 = 30 reading of two I8 + four I2 + extra fibers is
-        # incompatible with the Euler number 24, which the scan confirms
-        out["note"] = ("configuration fixed by the Euler-number audit; "
-                       "any larger reading would overflow e = 24")
-    return out
 
 
 def eigenspace_counts(config) -> tuple:

@@ -8,15 +8,16 @@ import time
 
 from modk3.arith import FIELD_DISC, kronecker_character
 from modk3.cmforms import HECKE_SPECS, ap as form_ap, verify_against_eta
-from modk3.congruence import (PRESET_CUSP_WIDTHS, cusps_and_widths, genus,
-                              group_report, index_in_modular_group,
-                              is_torsion_free, preset_group)
+from modk3.cli import SCAN_NOTES, _parser, cmd_surface_scan
+from modk3.congruence import (PRESET_CUSP_WIDTHS, cusps_and_widths,
+                              elliptic_counts, genus, group_report,
+                              index_in_modular_group, preset_group)
 from helpers import (WeierstrassCurve, hasse_count, norm_equation_solutions,
                      two_isogeny_quotient)
 from modk3.counting import (ap_elliptic, good_primes, h3_trace,
                             k3_point_count, ns_trace_prediction)
 from modk3.families import preset
-from modk3.kodaira import config_vs_expected, eigenspace_counts, scan
+from modk3.kodaira import eigenspace_counts, scan
 from modk3.lfunctions import (_root_product_expansion, assemble_h3,
                               betti_hodge_report, tensor_factor)
 from modk3.qseries import ETA_FORMS, _pentagonal_coeffs, eta_product
@@ -38,7 +39,7 @@ def test_criterion_1_group_suite():
         g = preset_group(k)
         assert index_in_modular_group(g) == 24, k
         assert genus(g) == 0, k
-        assert is_torsion_free(g), k
+        assert elliptic_counts(g) == (0, 0), k
         cusps = cusps_and_widths(g)
         assert len(cusps) == 6, k
         assert sorted(c.width for c in cusps) == sorted(PRESET_CUSP_WIDTHS[k]), k
@@ -101,8 +102,9 @@ def test_criterion_3_fiber_suite():
             assert rep.euler_total == euler, (name, p)
             configs.add(rep.config)
         assert len(configs) == 1, name
-    note = config_vs_expected(preset("g82"), 13)
-    assert note["match"] and "note" in note
+    (record,) = cmd_surface_scan(_parser("surface", "scan").parse_args(
+        ["--family", "g82", "--p", "13"]))
+    assert record["ok"] and record["note"] == SCAN_NOTES["g82"]
     report(3, "fiber suite", t0, 30)
 
 

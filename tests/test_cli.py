@@ -33,14 +33,25 @@ def test_groups_verify(capsys):
 
 
 def test_groups_verify_needs_lift_widths(capsys, monkeypatch):
-    # a lift whose cusp widths do not double fails the group
-    report = cli.group_report
-    monkeypatch.setattr(cli, "group_report", lambda k: dict(
-        report(k), lift_widths_unchanged=False))
+    # a lift whose cusp widths do not double fails the group: here each
+    # cusp of a lift is counted once, as the cusp of the projective group
+    widths = congruence.cusps_and_widths
+    monkeypatch.setattr(congruence, "cusps_and_widths", lambda spec: widths(
+        dataclasses.replace(spec, projective=True)))
     assert run(["groups", "verify"]) == 1
     recs = records(capsys)
     assert len(recs) == 9
     assert not any(r["ok"] or r["lift_widths_unchanged"] for r in recs)
+    assert all(r["torsion_free"] and r["trace_minus2_free"] for r in recs)
+
+
+def test_groups_verify_needs_the_preset_widths(capsys, monkeypatch):
+    # a stored width multiset the group does not have fails that group only
+    monkeypatch.setitem(congruence.PRESET_CUSP_WIDTHS, 4, (8, 8, 2, 2, 2, 2))
+    assert run(["groups", "verify"]) == 1
+    recs = records(capsys)
+    assert [r["group"] for r in recs if not r["ok"]] == [4]
+    assert recs[3]["cusp_widths"] == [8, 8, 4, 2, 1, 1]
 
 
 def test_forms_check_single(capsys):
@@ -93,6 +104,17 @@ def test_surface_scan_alias(capsys):
     assert recs[0]["target"] == "g4_legendre"
     assert sorted(recs[0]["config"]) == ["I4"] * 6
     assert recs[0]["euler_total"] == 24
+
+
+def test_surface_scan_needs_the_stored_configuration(capsys, monkeypatch):
+    # the Euler audit passes, but the scan is not the stored multiset
+    forged = dataclasses.replace(preset("g4_legendre"),
+                                 expected_config=("I4",) * 5 + ("I5",))
+    monkeypatch.setattr(cli, "_family", lambda name: forged)
+    assert run(["surface", "scan", "--family", "g4", "--p", "13"]) == 1
+    (rec,) = records(capsys)
+    assert rec["config"] == ["I4"] * 6 and rec["euler_total"] == 24
+    assert rec["ok"] is False
 
 
 def test_surface_count(capsys):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,11 +11,12 @@ from sympy.polys.galoistools import gf_factor_sqf, gf_from_int_poly, gf_sqf_p
 from helpers import as_sympy, legendre_symbol, sympy_family, t
 from modk3 import kodaira
 from modk3.arith import VerificationError
+from modk3.cli import SCAN_NOTES, run
 from modk3.counting import good_primes
 from modk3.families import FAMILY_NAMES, preset, weierstrass_invariants
 from modk3.kodaira import (BadReductionError, FiberReport, ScanReport,
                            _classify, _irreducible_factors, _tau,
-                           config_vs_expected, fiber_euler, integral_model,
+                           fiber_euler, integral_model,
                            eigenspace_counts, ns_report, scan)
 from modk3.zpoly import ZPoly
 
@@ -504,12 +506,14 @@ def test_split_multiplicative_detection():
     assert rep7.ns_trace == 10
 
 
-def test_discrepancy_note_for_g82():
-    out = config_vs_expected(preset("g82"), 13)
-    assert out["match"] and out["euler_ok"]
-    assert "note" in out
-    out4 = config_vs_expected(preset("g4_legendre"), 13)
-    assert "note" not in out4
+def test_discrepancy_note_for_g82(capsys):
+    # g82's scan record carries the note, and no other family's does
+    assert run(["surface", "scan", "--family", "g82", "--p", "13"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] and out["euler_total"] == 24
+    assert out["note"] == SCAN_NOTES["g82"]
+    assert run(["surface", "scan", "--family", "g4", "--p", "13"]) == 0
+    assert "note" not in json.loads(capsys.readouterr().out)
 
 
 def test_eigenspace_counts_from_configurations():
