@@ -23,12 +23,13 @@ from functools import cache
 from .arith import primes_up_to
 from .cmforms import HECKE_SPECS, ap as form_ap, verify_against_eta
 from .congruence import group_report
-from .counting import (b_trace_prediction, count_report, good_primes,
-                       h3_trace, ns_trace_prediction)
+from .counting import (attached_form, b_trace_prediction, count_report,
+                       good_primes, h3_trace, k3_point_counts,
+                       ns_trace_prediction)
 from .families import FAMILY_NAMES, preset
 from .kodaira import ns_report, scan
-from .lfunctions import (assemble_h3, betti_hodge_report, h3_local_factor,
-                         h3_primes)
+from .lfunctions import (assemble_h3, betti_hodge_report, h3_counts,
+                         h3_local_factor, h3_primes)
 from .qseries import FORM_IDS, form_series
 
 FAMILY_ALIASES = {"g4": "g4_legendre"}
@@ -156,10 +157,18 @@ def cmd_surface_scan(args) -> list:
     return records
 
 
+def _count_reports(family, primes: list) -> list:
+    """count_report at each prime of the window, all counted in one
+    k3_point_counts call; a family with no form raises before counting."""
+    attached_form(family)
+    k3_point_counts(family, primes)
+    return [count_report(family, p) for p in primes]
+
+
 def cmd_surface_count(args) -> list:
     family = _family(args.family)
-    return [dict(asdict(count_report(family, p)), suite="count")
-            for p in _primes(args, family)]
+    return [dict(asdict(rep), suite="count")
+            for rep in _count_reports(family, _primes(args, family))]
 
 
 def cmd_surface_verify(args) -> list:
@@ -170,8 +179,7 @@ def cmd_surface_verify(args) -> list:
     primes = _primes(args, family)
     evidence = dict.fromkeys(("first_failure", "B_expected", "B_observed",
                               "ns_expected", "ns_observed"))
-    for p in primes:
-        rep = count_report(family, p)
+    for p, rep in zip(primes, _count_reports(family, primes)):
         ns = (None if family.ns_data is None
               else ns_trace_prediction(family, p))
         if not rep.ok or ns not in (None, rep.ns_trace_used):
@@ -188,10 +196,12 @@ def cmd_surface_verify(args) -> list:
 
 def cmd_l3fold_euler(args) -> list:
     family = _family(args.family)
+    primes = _primes(args, family)
+    h3_counts(family, args.curve, primes)
     return [{"family": family.name, "p": p, "coefficients":
              list(h3_local_factor(family, args.curve, p).coefficients),
              "trace": h3_trace(family, args.curve, p)}
-            for p in _primes(args, family)]
+            for p in primes]
 
 
 def cmd_l3fold_series(args) -> list:

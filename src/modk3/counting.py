@@ -28,12 +28,28 @@ trace must satisfy the Weil bound a^2 <= 4p; at p = 5 and 7 a forged H
 breaks it only as H = 0 (or 1 at p = 7) against the parity, so there
 count_report's B(p) = chi_D(p) a_p is the real check.  The int64 arrays
 are exact for p < 2^31; larger p is refused first.
+
+Primes are counted in batches, so that a range of small primes shares one
+numpy pass instead of paying its dispatch per prime: consecutive primes
+join a batch while sum (p + 1) <= _EVALUATE_CELLS, so a single prime, and
+every p > 2^16, is a batch of one through the same code.  The fibres of
+all the batch's primes lie end to end in one int64 array, each element
+with its own prime; the primes' cached log tables are concatenated once
+per batch and read at each prime's offset, and the Hasse polynomials are
+cut into blocks of one width s for the batch, with one matmul per prime.
+The int64 bounds (Horner's reductions, s) are taken at the batch's
+largest p.  Where the modulus is one prime (a batch of one, the table
+builds) x mod p is x - x // p * p, which numpy divides by libdivide.
+k3_point_counts and ap_elliptics count a window of primes this way, each
+prime not yet counted once; the cached k3_point_count and ap_elliptic
+read those counts, or count a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -74,18 +90,37 @@ def _check_int64(p: int):
             f"p={p} >= 2^31 would overflow the int64 fibre sum")
 
 
-def _horner(coefficients, x, p: int):
-    """The polynomial (leading coefficient first, integers or rows of them)
-    mod p < 2^31 at each x in [0, p] of an int64 array, reduced only where
-    the next step could reach 2^63 (at every step once p > 2^21)."""
+def _mod(x, m):
+    """x mod m rounded down, as x % m gives it; where m is one int, as
+    x - x // m * m, since numpy divides by a scalar with libdivide but
+    takes % the slow way."""
+    return x % m if isinstance(m, np.ndarray) else x - x // m * m
+
+
+def _spread(values, counts):
+    """values[j] at each of the counts[j] elements of the j-th prime of a
+    batch (values[0] itself for a batch of one)."""
+    return values[0] if len(counts) == 1 else np.repeat(values, counts)
+
+
+def _horner(coefficients, x, p):
+    """The polynomial (leading coefficient first: integers, or rows of
+    residues mod p) mod p at each x in [0, p] of an int64 array, p one
+    prime < 2^31 or one per x.  An integer is added as it is (reduced only
+    past 2^62) and the value reduced only where the next step could reach
+    2^63 at the largest p."""
+    top = int(p.max()) if isinstance(p, np.ndarray) else p
     value, bound = np.zeros_like(x), 0
     for c in coefficients:
-        if (bound + 1) * p >> 63:
-            value, bound = value % p, p - 1
+        size = top if isinstance(c, np.ndarray) else abs(int(c))
+        if size >> 62:
+            c, size = c % p, top
+        if (bound * top + size) >> 63:
+            value, bound = _mod(value, p), top - 1
         value *= x
-        value += c % p
-        bound = (bound + 1) * p
-    return value % p
+        value += c
+        bound = bound * top + size
+    return _mod(value, p)
 
 
 def _generator(p: int) -> int:
@@ -107,7 +142,7 @@ def _log_table(p: int) -> tuple:
         baby.append(baby[-1] * g % p)
     for _ in range(s - 1):
         giant.append(giant[-1] * baby[s] % p)
-    pw = (np.array(giant)[:, None] * np.array(baby[:s]) % p).ravel()[:p - 1]
+    pw = _mod(np.array(giant)[:, None] * np.array(baby[:s]), p).ravel()[:p - 1]
     k, log = np.arange(p - 1), np.zeros(p, dtype=np.int64)
     log[pw] = k
     if np.count_nonzero(log[pw] != k):
@@ -116,36 +151,78 @@ def _log_table(p: int) -> tuple:
     return pw, log
 
 
+def _tables(primes: list) -> tuple:
+    """(pw, log, starts): the _log_table pairs of a batch's primes end to
+    end, each pw padded to p entries, so that both tables of the j-th
+    prime start at starts[j]."""
+    tables = [_log_table(p) for p in primes]
+    if len(primes) == 1:
+        return (*tables[0], [0])
+    return (np.concatenate([a for pw, _ in tables for a in (pw, [1])]),
+            np.concatenate([log for _, log in tables]),
+            list(accumulate(primes[:-1], initial=0)))
+
+
 def _block_width(n: int, p: int) -> int:
     """ceil(sqrt(n)) baby steps (1 for n = 0), capped so that s terms of
     absolute value (p // 2)^2 stay below 2^63: 7 at p = 2^31 - 1."""
     return min(isqrt(max(n, 1) - 1) + 1, ((1 << 63) - 1) // (p // 2 + 1) ** 2)
 
 
-#: int64 cells per operand of one _evaluate chunk of columns
+#: int64 cells per operand of one _evaluate chunk of columns, and the
+#: fibres (and table entries) of one batch of primes
 _EVALUATE_CELLS = 1 << 16
 
 
-def _evaluate(coefficients, x, p: int):
-    """_horner at x in [0, p) by baby steps and giant steps: the blocks of
-    s = _block_width coefficients of x^(s q + r) times the baby powers x^r,
-    r < s (a gather), in one int64 matmul of signed residues; then _horner
-    in x^s over the block values, in chunks of columns."""
-    pw, log = _log_table(p)
-    n, half = len(coefficients), p // 2
-    s = _block_width(n, p)
-    blocks = np.zeros(-(-n // s) * s, dtype=np.int64)
-    blocks[:n] = coefficients[::-1]
-    blocks = ((blocks + half) % p - half).reshape(-1, s)
-    width = max(_EVALUATE_CELLS // max(blocks.shape), 1)
+def _batches(primes: list):
+    """Runs of consecutive primes, each with sum (p + 1) <= _EVALUATE_CELLS
+    or one prime alone."""
+    batch, cells = [], 0
+    for p in primes:
+        if batch and cells + p + 1 > _EVALUATE_CELLS:
+            yield batch
+            batch, cells = [], 0
+        batch.append(p)
+        cells += p + 1
+    if batch:
+        yield batch
+
+
+def _evaluate(polynomials, x, primes: list, counts, tables):
+    """Each polynomials[j] (integers, leading first) mod the j-th prime at
+    its counts[j] points x in [0, p) (grouped by prime, in order), by baby
+    and giant steps with one s = _block_width for the batch: the blocks of
+    s coefficients of x^(s q + r) (zero past a polynomial's degree) times
+    the baby powers x^r, r < s (a gather), in one int64 matmul of signed
+    residues per prime; then _horner in x^s over the block values, in
+    chunks of columns."""
+    pw, log, starts = tables
+    n = max(map(len, polynomials))
+    s = _block_width(n, primes[-1])
+    rows = -(-n // s)
+    blocks = np.zeros((len(primes), rows * s), dtype=np.int64)
+    for block, coefficients in zip(blocks, polynomials):
+        block[:len(coefficients)] = coefficients[::-1]
+    q = primes[0] if len(primes) == 1 else np.array(primes)[:, None]
+    blocks = (_mod(blocks + q // 2, q) - q // 2).reshape(len(primes), rows, s)
+    bounds = list(accumulate(counts, initial=0))
+    width = max(_EVALUATE_CELLS // max(rows, s), 1)
     out = np.empty_like(x)
-    for j in range(0, len(x), width):
-        chunk = x[j:j + width]
-        powers = pw[np.arange(s)[:, None] * log[chunk] % (p - 1)]
+    for a in range(0, len(x), width):
+        chunk = x[a:a + width]
+        cuts = [min(max(b - a, 0), len(chunk)) for b in bounds]
+        widths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
+        p, offset = _spread(primes, widths), _spread(starts, widths)
+        powers = pw[offset + _mod(np.arange(s)[:, None] * log[offset + chunk],
+                                  p - 1)]
         powers[1:] *= chunk != 0
-        giant = powers[-1] * chunk % p
-        powers -= (powers > half) * p
-        out[j:j + width] = _horner((blocks @ powers)[::-1], giant, p)
+        giant = _mod(powers[-1] * chunk, p)
+        powers -= (powers > p // 2) * p
+        values = np.zeros((rows, len(chunk)), dtype=np.int64)
+        for block, lo, hi in zip(blocks, cuts, cuts[1:]):
+            if lo < hi:
+                values[:, lo:hi] = block @ powers[:, lo:hi]
+        out[a:a + width] = _horner(_mod(values, p)[::-1], giant, p)
     return out
 
 
@@ -165,8 +242,8 @@ def _hasse_table(p: int) -> tuple:
     i, n = (m + 1) // 2, 2 * m // 3 - (m + 1) // 2 + 1
     lf = np.add.accumulate(log[:m + 1])
     # as i steps by 1, j steps by -3 and k by 2
-    coefficients = pw[(lf[m] - lf[i:i + n] - lf[2 * m - 3 * i::-3][:n]
-                       - lf[2 * i - m::2][:n]) % (p - 1)]
+    coefficients = pw[_mod(lf[m] - lf[i:i + n] - lf[2 * m - 3 * i::-3][:n]
+                           - lf[2 * i - m::2][:n], p - 1)]
     coefficients.flags.writeable = False
     # the last term is B^(m/3) when 3 | m, the first A^(m/2) when 2 | m
     b_only = (int(coefficients[-1]), m // 3) if m % 3 == 0 else (0, 0)
@@ -174,55 +251,99 @@ def _hasse_table(p: int) -> tuple:
     return coefficients, m - 2 * m // 3, b_only, a_only
 
 
-def _hasse_traces(c4, c6, p: int):
-    """The trace p + 1 - #E(F_p) of each short model
-    y^2 = x^3 - 27 c4 x - 54 c6 over F_p, p >= 5, each within the Weil
-    bound: the lifted Hasse invariant, with H(c, c) evaluated only at the
-    classes c that the fibres reach, and every power a gather:
-    c = g^(3 log A - 2 log B), c^shift = g^(shift log c), and chi(AB) = -1
-    exactly where log A + log B is odd."""
-    coefficients, shift, (m_b, e_b), (m_a, e_a) = _hasse_table(p)
-    pw, log = _log_table(p)
-    A = -27 * np.asarray(c4, dtype=np.int64) % p
-    B = -54 * np.asarray(c6, dtype=np.int64) % p
-    log_a, log_b = log[A], log[B]  # H is overwritten where A or B is 0
-    c = pw[(3 * log_a - 2 * log_b) % (p - 1)]
-    g = np.zeros(p, dtype=np.int64)
-    g[c] = 1  # a mask rather than a sort: then g[c] = H(c, c)
-    values = np.flatnonzero(g)
-    g[values] = (_evaluate(coefficients, values, p)
-                 * pw[shift * log[values] % (p - 1)] % p)
-    H = g[c]
+def _hasse_traces(A, B, primes: list, sizes):
+    """The trace p + 1 - #E(F_p) of each short model y^2 = x^3 + A x + B
+    (A and B in [0, p)), sizes[j] of them (in order) over F_p for the j-th
+    of the ascending primes p >= 5, each within the Weil bound: the lifted
+    Hasse invariant, with H(c, c) evaluated only at the classes c the
+    fibres reach, and every power a gather: log c = 3 log A - 2 log B,
+    c^shift = g^(shift log c), and chi(AB) = -1 exactly where
+    log A + log B is odd."""
+    hasse = [_hasse_table(q) for q in primes]
+    pw, log, starts = tables = _tables(primes)
+    p, offset = _spread(primes, sizes), _spread(starts, sizes)
+    log_a, log_b = log[offset + A], log[offset + B]
+    # H is overwritten where A or B is 0
+    e = offset + _mod(3 * log_a - 2 * log_b, p - 1)
+    odd = (log_a + log_b) & 1 == 1
+    del log_a, log_b, offset  # a batch holds up to _EVALUATE_CELLS fibres
+    g = np.zeros(len(log), dtype=np.int64)
+    g[e] = 1  # a mask on log c rather than a sort: then g[e] = H(c, c)
+    reached, counts = np.flatnonzero(g), np.add.reduceat(g, starts).tolist()
+    q, at = _spread(primes, counts), _spread(starts, counts)
+    shift = _spread([h[1] for h in hasse], counts)
+    g[reached] = _mod(_evaluate([h[0] for h in hasse], pw[reached], primes,
+                                counts, tables)
+                      * pw[at + _mod(shift * (reached - at), q - 1)], q)
+    H = g[e]
     # -0 is p here: it lifts as 0 does, to 0 or (failing the Weil bound) +-p
-    H = np.where((log_a + log_b) & 1, p - H, H)
+    np.subtract(p, H, out=H, where=odd)
     # H(A, 0) = M_A A^e_A, H(0, B) = M_B B^e_B and H(0, 0) = 0; a
     # polynomial c4 or c6 vanishes at few fibres
-    for i in np.flatnonzero(B == 0):
-        H[i] = m_a * pw[e_a * log_a[i] % (p - 1)] % p
-    for i in np.flatnonzero(A == 0):
-        H[i] = m_b * pw[e_b * log_b[i] % (p - 1)] % p if B[i] else 0
-    if p < 17:
-        # 2 sqrt(p) >= p / 2, so H and H - p may both keep the Weil bound;
-        # a = 1 + r mod 2 for the r roots of x^3 + A x + B picks one
-        x = np.arange(p, dtype=np.int64)
-        r = ((x * x * x + A[:, None] * x + B[:, None]) % p == 0).sum(axis=1)
-        traces = np.where((H - 1 - r) % 2 == 0, H, H - p)
-    else:
-        traces = np.where(H > p // 2, H - p, H)
-    squares = traces * traces
-    if squares.max() > 4 * p:
-        worst = int(squares.argmax())
-        raise VerificationError(
-            "a^2 <= 4p for the lifted Hasse invariant of every fibre",
-            dict(p=p, A=int(A[worst]), B=int(B[worst])), 4 * p,
-            int(squares[worst]))
+    ends = list(accumulate(sizes))
+    for zero, base, n in ((B, A, 3), (A, B, 2)):
+        i = np.flatnonzero(zero == 0)
+        if len(i):
+            j = np.searchsorted(ends, i, side="right")  # the prime of each
+            q, o = np.array(primes)[j], np.array(starts)[j]
+            m, k = (np.array([h[n][x] for h in hasse])[j] for x in (0, 1))
+            H[i] = (_mod(m * pw[o + _mod(k * log[o + base[i]], q - 1)], q)
+                    * (base[i] != 0))
+    traces = H - (H > p // 2) * p
+    small = sum(n for q, n in zip(primes, sizes) if q < 17)
+    if small:
+        # below 17, 2 sqrt(p) >= p / 2, so H and H - p may both keep the
+        # Weil bound; a = 1 + r mod 2 for the r roots of x^3 + A x + B
+        # picks one (those primes come first)
+        q = np.reshape(p[:small] if len(primes) > 1 else p, (-1, 1))
+        x = np.arange(int(q.max()))
+        r = ((_mod(x * x * x + A[:small, None] * x + B[:small, None], q) == 0)
+             & (x < q)).sum(axis=1)
+        h = H[:small]
+        traces[:small] = np.where((h - 1 - r) % 2 == 0, h, h - q[:, 0])
+    first = list(accumulate(sizes[:-1], initial=0))
+    peaks = zip(np.maximum.reduceat(traces, first).tolist(),
+                np.minimum.reduceat(traces, first).tolist())
+    # what a loop over the primes raises first: the smallest failing prime,
+    # at its fibre with the largest a^2
+    for lo, n, q, (top, bottom) in zip(first, sizes, primes, peaks):
+        if max(top * top, bottom * bottom) > 4 * q:
+            squares = traces[lo:lo + n] ** 2
+            worst = int(squares.argmax())
+            raise VerificationError(
+                "a^2 <= 4p for the lifted Hasse invariant of every fibre",
+                dict(p=q, A=int(A[lo + worst]), B=int(B[lo + worst])), 4 * q,
+                int(squares[worst]))
     return traces
 
 
-@lru_cache(maxsize=None)
-def ap_elliptic(ainvs: tuple, p: int) -> int:
-    """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime p >= 5 of good
-    reduction; memoized on the tuple (a1, a2, a3, a4, a6) and p."""
+#: (family or curve, p) of every count made; the counts a window made that
+#: the single-prime entry has not yet cached
+_counted, _fresh = set(), {}
+
+
+def _count(key, primes, check, count):
+    """Count the primes for key (a family or a curve's a-invariants),
+    smallest first, in _batches: check(key, p) at each prime of a batch
+    (which may refuse it), then count(key, batch, checked) gives its
+    results, kept in _fresh.  A refused prime raises once the primes before
+    it are counted, as a loop over the primes would."""
+    for batch in _batches(sorted(set(primes))):
+        checked = []
+        try:
+            for p in batch:
+                checked.append(check(key, p))
+        finally:
+            done = batch[:len(checked)]
+            if done:
+                _fresh.update(zip([(key, p) for p in done],
+                                  count(key, done, checked)))
+                _counted.update((key, p) for p in done)
+
+
+def _curve_check(ainvs: tuple, p: int) -> tuple:
+    """(A, B) mod p of the curve's short model y^2 = x^3 + A x + B at a
+    prime p >= 5 of good reduction."""
     if not is_prime(p) or p < 5:
         raise BadReductionError(f"need a prime p >= 5, got {p}")
     _check_int64(p)  # before the O(p) table build
@@ -230,28 +351,84 @@ def ap_elliptic(ainvs: tuple, p: int) -> int:
     if disc % p == 0:
         raise BadReductionError(f"bad reduction at p={p}")
     # (x, y) -> (36x + 3b2, 108(2y + a1 x + a3)) is an affine bijection of
-    # F_p^2 onto the short model
-    return int(_hasse_traces([c4 % p], [c6 % p], p)[0])
+    # F_p^2 onto y^2 = x^3 - 27 c4 x - 54 c6
+    return -27 * c4 % p, -54 * c6 % p
+
+
+def _curve_traces(ainvs: tuple, primes: list, short: list) -> list:
+    A, B = np.array(short, dtype=np.int64).T
+    return _hasse_traces(A, B, primes, [1] * len(primes)).tolist()
+
+
+def ap_elliptics(ainvs: tuple, primes) -> list:
+    """ap_elliptic at each prime: the primes not yet counted for the curve
+    are counted in batches."""
+    _count(ainvs, [p for p in primes if (ainvs, p) not in _counted],
+           _curve_check, _curve_traces)
+    return [ap_elliptic(ainvs, p) for p in primes]
+
+
+@lru_cache(maxsize=None)
+def ap_elliptic(ainvs: tuple, p: int) -> int:
+    """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime p >= 5 of good
+    reduction, memoized on the tuple (a1, a2, a3, a4, a6) and p: the count
+    ap_elliptics made, or a batch of one."""
+    if (ainvs, p) not in _fresh:
+        _count(ainvs, [p], _curve_check, _curve_traces)
+    return _fresh.pop((ainvs, p))
+
+
+def _scan(family: WeierstrassFamily, p: int):
+    _check_int64(p)
+    return scan(family, p)
+
+
+def _surface_counts(family: WeierstrassFamily, primes: list,
+                    reports: list) -> list:
+    """The CountReports of one batch: the fibres of every prime end to end,
+    each fibre's short model y^2 = x^3 - 27 c4 x - 54 c6 from the t-chart
+    by Horner (column t0 < p of a prime's p + 1), then from the minimal
+    (c4, c6) at the zeros of Delta and at infinity (column p); the extra
+    components of the resolved singular fibres."""
+    sizes = [p + 1 for p in primes]
+    starts = list(accumulate(sizes[:-1], initial=0))
+    t = np.arange(sum(sizes), dtype=np.int64) - _spread(starts, sizes)
+    p = _spread(primes, sizes)
+    c4, c6 = integral_model(family, "zero").invariants[:2]
+    A = _horner([-27 * c for c in c4], t, p)
+    B = _horner([-54 * c for c in c6], t, p)
+    del t, p  # a batch holds up to _EVALUATE_CELLS fibres
+    columns, values = [], []
+    for start, q, report in zip(starts, primes, reports):
+        for place, (v4, v6) in report.minimal_values.items():
+            columns.append(start + (q if place == "inf" else place))
+            values.append((-27 * v4 % q, -54 * v6 % q))
+    A[columns], B[columns] = np.array(values, dtype=np.int64).T
+    sums = np.add.reduceat(_hasse_traces(A, B, primes, sizes), starts)
+    out = []
+    for q, report, s in zip(primes, reports, sums.tolist()):
+        total = (q + 1) ** 2 - s + q * sum(f.tau for f in report.fibers)
+        ns = report.ns_trace
+        out.append(CountReport(family.name, q, total, ns,
+                               total - 1 - q * q - q * ns))
+    return out
+
+
+def k3_point_counts(family: WeierstrassFamily, primes) -> list:
+    """k3_point_count at each prime: the primes not yet counted for the
+    family are scanned once each and counted in batches."""
+    _count(family, [p for p in primes if (family, p) not in _counted],
+           _scan, _surface_counts)
+    return [k3_point_count(family, p) for p in primes]
 
 
 @lru_cache(maxsize=None)
 def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
-    """Fiberwise surface total over P^1(F_p) and the trace B(p) it leaves."""
-    _check_int64(p)
-    report = scan(family, p)
-    # (c4, c6) of every fibre, column t0 < p from the t-chart by Horner,
-    # then the minimal values at the zeros of Delta and at infinity (column p)
-    t = np.arange(p + 1, dtype=np.int64)
-    c4c6 = np.array([_horner(f, t, p)
-                     for f in integral_model(family, "zero").invariants[:2]])
-    for place, values in report.minimal_values.items():
-        c4c6[:, p if place == "inf" else place] = values
-    total = (p + 1) ** 2 - int(_hasse_traces(*c4c6, p).sum())
-    # extra components of the resolved singular fibers
-    total += p * sum(f.tau for f in report.fibers)
-    ns = report.ns_trace
-    return CountReport(family.name, p, total, ns,
-                       total - 1 - p * p - p * ns)
+    """Fiberwise surface total over P^1(F_p) and the trace B(p) it leaves:
+    the count k3_point_counts made, or a batch of one."""
+    if (family, p) not in _fresh:
+        _count(family, [p], _scan, _surface_counts)
+    return _fresh.pop((family, p))
 
 
 def good_primes(family: WeierstrassFamily, pmin: int = 5, pmax: int = 97):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .arith import VerificationError, kronecker_character
 from .cmforms import WeilBoundError
-from .counting import (ap_elliptic, attached_form, good_primes, h3_trace,
-                       k3_point_count)
+from .counting import (ap_elliptic, ap_elliptics, attached_form, good_primes,
+                       h3_trace, k3_point_count, k3_point_counts)
 from .families import (SingularCurveError, WeierstrassFamily,
                        weierstrass_invariants)
 from .qseries import series_power
@@ -130,13 +130,23 @@ def h3_primes(family: WeierstrassFamily, e_ainvs, pmin: int, pmax: int) -> list:
     return [p for p in good_primes(family, pmin, pmax) if e_disc % p]
 
 
+def h3_counts(family: WeierstrassFamily, e_ainvs, primes: list):
+    """Count the family's surface and E at every prime of the window, each
+    in one pass (k3_point_counts, ap_elliptics), for the per-prime factors
+    and traces to read; a family with no form raises before counting."""
+    attached_form(family)
+    k3_point_counts(family, primes)
+    ap_elliptics(e_ainvs, primes)
+
+
 def assemble_h3(family: WeierstrassFamily, e_ainvs, N: int) -> list:
     """Dirichlet coefficients a_1..a_N of L(H^3); bad primes contribute 1.
 
     At every good prime p the coefficient equals h3_trace(family, E, p).
     """
-    factors = {p: h3_local_factor(family, e_ainvs, p)
-               for p in h3_primes(family, e_ainvs, 5, N)}
+    primes = h3_primes(family, e_ainvs, 5, N)
+    h3_counts(family, e_ainvs, primes)
+    factors = {p: h3_local_factor(family, e_ainvs, p) for p in primes}
     coeffs = euler_to_dirichlet(factors, N)
     for p in factors:
         trace = h3_trace(family, e_ainvs, p)

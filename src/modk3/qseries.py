@@ -113,7 +113,10 @@ def eta_product(factors, n: int) -> list:
     """First n >= 0 coefficients of prod P(x^m)^r over the nonempty (m, r)
     factors.  The lacunary factors multiply two at a time, term by term;
     only the pair results, an unpaired factor and the dense powers r < 1
-    (``series_power``) go through the Kronecker kernel ``_product``."""
+    (``series_power``) go through the Kronecker kernel ``_product``, a
+    factor at the coarser stride once per residue class of the finer one
+    (h4's phi(-x^4) P^3(x^8) against the dense rest: four products of n/4
+    slots, not one of n slots with three in four empty)."""
     exponents, sparse, powers = Counter(), [], []
     for m, r in factors:
         exponents[m] += r
@@ -143,7 +146,16 @@ def eta_product(factors, n: int) -> list:
         powers.append((g, out))
     (g, out), *rest = powers
     for m, coeffs in rest:
-        out, g = _product(out, g, coeffs, m, n), 1
+        # out(x^g) at stride G = gcd(g, m) times coeffs(x^m), which fills
+        # one slot in d = m / G: one _product per residue r mod d, of the
+        # slots r, r + d, ... of out against coeffs, both at stride 1
+        G = math.gcd(g, m)
+        wide, d = [0] * -(-n // G), m // G
+        wide[::g // G] = out
+        out, g = [0] * len(wide), G
+        for r in range(d):
+            out[r::d] = _product(wide[r::d], 1, coeffs, 1,
+                                 len(range(r, len(wide), d)))
     spread = [0] * n
     spread[::g] = out
     return spread

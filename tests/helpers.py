@@ -12,7 +12,8 @@ Hecke coefficients as an Euler product (the oracle of the theta series),
 the exact Hasse multinomials (the oracle of their log-factorial table) and
 the Hasse invariant from a table over all of F_p (the oracle of its
 evaluation at the reached classes only), the numpy point-count kernel with
-its Legendre table (the oracle of the lifted Hasse traces), conversions
+its Legendre table (the oracle of the lifted Hasse traces), the per-prime
+point count and curve trace (the oracle of the batched kernel), conversions
 between sympy expressions in t and the integer data of a family, the
 printed base-change maps and gluing identity, specialisation of a family
 to one curve, and curve constructions (the group law on the long form,
@@ -29,18 +30,19 @@ import numpy as np
 import sympy
 from sympy import Poly, Rational, cancel, fraction
 
-from modk3 import arith
+from modk3 import arith, counting
 from modk3.arith import (FIELD_DISC, InvalidPrimeError, VerificationError,
                          _is_integral, _norm_solutions, is_prime,
                          kronecker_character, primes_up_to, unit_pairs)
 from modk3.cmforms import (HeckeCharSpec, WeilBoundError, _is_normalized,
                            ap as form_ap)
 from modk3.congruence import CongruenceGroupSpec, _neg
-from modk3.counting import (ModelMismatchError, _check_int64, _hasse_traces,
-                            attached_form, good_primes, k3_point_count)
+from modk3.counting import (CountReport, ModelMismatchError, _check_int64,
+                            _hasse_traces, attached_form, good_primes,
+                            k3_point_count)
 from modk3.families import (SingularCurveError, WeierstrassFamily,
                             weierstrass_invariants)
-from modk3.kodaira import BadReductionError, integral_model
+from modk3.kodaira import BadReductionError, integral_model, scan
 from modk3.lfunctions import LocalFactor, euler_to_dirichlet
 
 #: fundamental discriminants D with |D| dividing 48
@@ -277,7 +279,129 @@ def hasse_count(ainvs: tuple, p: int) -> int:
     """curve_count through the library instead: p + 1 minus the lifted
     Hasse trace of the one short model, singular or not."""
     c4, c6 = weierstrass_invariants(*ainvs)[4:6]
-    return p + 1 - int(_hasse_traces([c4 % p], [c6 % p], p)[0])
+    A, B = np.array([-27 * c4 % p]), np.array([-54 * c6 % p])
+    return p + 1 - int(_hasse_traces(A, B, [p], [1])[0])
+
+
+# ---- the per-prime point count: the oracle of the batched kernel ---------
+# counting's fibre sum as it was before primes were counted in batches,
+# one prime (and one numpy pass) at a time; it shares counting's cached
+# log and Hasse tables, _block_width and _EVALUATE_CELLS
+
+
+def per_prime_horner(coefficients, x, p: int):
+    """The polynomial (leading coefficient first, integers or rows of them)
+    mod p < 2^31 at each x in [0, p] of an int64 array, reduced only where
+    the next step could reach 2^63 (at every step once p > 2^21)."""
+    value, bound = np.zeros_like(x), 0
+    for c in coefficients:
+        if (bound + 1) * p >> 63:
+            value, bound = value % p, p - 1
+        value *= x
+        value += c % p
+        bound = (bound + 1) * p
+    return value % p
+
+
+def per_prime_evaluate(coefficients, x, p: int):
+    """per_prime_horner at x in [0, p) by baby steps and giant steps: the blocks of
+    s = _block_width coefficients of x^(s q + r) times the baby powers x^r,
+    r < s (a gather), in one int64 matmul of signed residues; then
+    per_prime_horner in x^s over the block values, in chunks of columns."""
+    pw, log = counting._log_table(p)
+    n, half = len(coefficients), p // 2
+    s = counting._block_width(n, p)
+    blocks = np.zeros(-(-n // s) * s, dtype=np.int64)
+    blocks[:n] = coefficients[::-1]
+    blocks = ((blocks + half) % p - half).reshape(-1, s)
+    width = max(counting._EVALUATE_CELLS // max(blocks.shape), 1)
+    out = np.empty_like(x)
+    for j in range(0, len(x), width):
+        chunk = x[j:j + width]
+        powers = pw[np.arange(s)[:, None] * log[chunk] % (p - 1)]
+        powers[1:] *= chunk != 0
+        giant = powers[-1] * chunk % p
+        powers -= (powers > half) * p
+        out[j:j + width] = per_prime_horner((blocks @ powers)[::-1], giant, p)
+    return out
+
+
+def per_prime_hasse_traces(c4, c6, p: int):
+    """The trace p + 1 - #E(F_p) of each short model
+    y^2 = x^3 - 27 c4 x - 54 c6 over F_p, p >= 5, each within the Weil
+    bound: the lifted Hasse invariant, with H(c, c) evaluated only at the
+    classes c that the fibres reach, and every power a gather:
+    c = g^(3 log A - 2 log B), c^shift = g^(shift log c), and chi(AB) = -1
+    exactly where log A + log B is odd."""
+    coefficients, shift, (m_b, e_b), (m_a, e_a) = counting._hasse_table(p)
+    pw, log = counting._log_table(p)
+    A = -27 * np.asarray(c4, dtype=np.int64) % p
+    B = -54 * np.asarray(c6, dtype=np.int64) % p
+    log_a, log_b = log[A], log[B]  # H is overwritten where A or B is 0
+    c = pw[(3 * log_a - 2 * log_b) % (p - 1)]
+    g = np.zeros(p, dtype=np.int64)
+    g[c] = 1  # a mask rather than a sort: then g[c] = H(c, c)
+    values = np.flatnonzero(g)
+    g[values] = (per_prime_evaluate(coefficients, values, p)
+                 * pw[shift * log[values] % (p - 1)] % p)
+    H = g[c]
+    # -0 is p here: it lifts as 0 does, to 0 or (failing the Weil bound) +-p
+    H = np.where((log_a + log_b) & 1, p - H, H)
+    # H(A, 0) = M_A A^e_A, H(0, B) = M_B B^e_B and H(0, 0) = 0; a
+    # polynomial c4 or c6 vanishes at few fibres
+    for i in np.flatnonzero(B == 0):
+        H[i] = m_a * pw[e_a * log_a[i] % (p - 1)] % p
+    for i in np.flatnonzero(A == 0):
+        H[i] = m_b * pw[e_b * log_b[i] % (p - 1)] % p if B[i] else 0
+    if p < 17:
+        # 2 sqrt(p) >= p / 2, so H and H - p may both keep the Weil bound;
+        # a = 1 + r mod 2 for the r roots of x^3 + A x + B picks one
+        x = np.arange(p, dtype=np.int64)
+        r = ((x * x * x + A[:, None] * x + B[:, None]) % p == 0).sum(axis=1)
+        traces = np.where((H - 1 - r) % 2 == 0, H, H - p)
+    else:
+        traces = np.where(H > p // 2, H - p, H)
+    squares = traces * traces
+    if squares.max() > 4 * p:
+        worst = int(squares.argmax())
+        raise VerificationError(
+            "a^2 <= 4p for the lifted Hasse invariant of every fibre",
+            dict(p=p, A=int(A[worst]), B=int(B[worst])), 4 * p,
+            int(squares[worst]))
+    return traces
+
+
+def per_prime_ap_elliptic(ainvs: tuple, p: int) -> int:
+    """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime p >= 5 of good
+    reduction."""
+    if not is_prime(p) or p < 5:
+        raise BadReductionError(f"need a prime p >= 5, got {p}")
+    _check_int64(p)  # before the O(p) table build
+    c4, c6, disc = weierstrass_invariants(*ainvs)[4:7]
+    if disc % p == 0:
+        raise BadReductionError(f"bad reduction at p={p}")
+    # (x, y) -> (36x + 3b2, 108(2y + a1 x + a3)) is an affine bijection of
+    # F_p^2 onto the short model
+    return int(per_prime_hasse_traces([c4 % p], [c6 % p], p)[0])
+
+
+def per_prime_point_count(family: WeierstrassFamily, p: int) -> CountReport:
+    """Fiberwise surface total over P^1(F_p) and the trace B(p) it leaves."""
+    _check_int64(p)
+    report = scan(family, p)
+    # (c4, c6) of every fibre, column t0 < p from the t-chart by Horner,
+    # then the minimal values at the zeros of Delta and at infinity (column p)
+    t = np.arange(p + 1, dtype=np.int64)
+    c4c6 = np.array([per_prime_horner(f, t, p)
+                     for f in integral_model(family, "zero").invariants[:2]])
+    for place, values in report.minimal_values.items():
+        c4c6[:, p if place == "inf" else place] = values
+    total = (p + 1) ** 2 - int(per_prime_hasse_traces(*c4c6, p).sum())
+    # extra components of the resolved singular fibers
+    total += p * sum(f.tau for f in report.fibers)
+    ns = report.ns_trace
+    return CountReport(family.name, p, total, ns,
+                       total - 1 - p * p - p * ns)
 
 
 def loop_norm_solutions(d: int, p: int) -> list:

@@ -194,17 +194,27 @@ def test_surface_commands_need_an_attached_form(capsys):
                                 f'"{name} has no attached weight-3 form"}}\n')
 
 
+def spy_on(monkeypatch, modules, name) -> list:
+    """Record the arguments after the first of every call of the function
+    `name` made through the given modules, which still runs."""
+    calls, real = [], getattr(modules[0], name)
+
+    def spy(key, *args):
+        calls.append(args)
+        return real(key, *args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def test_surface_verify_counts_only_its_primes(capsys, monkeypatch):
-    counted = []
-    k3_point_count = counting.k3_point_count
-
-    def spy(family, p):
-        counted.append(p)
-        return k3_point_count(family, p)
-
-    monkeypatch.setattr(counting, "k3_point_count", spy)
+    # the window is asked for once, and each count read at its primes
+    windows = spy_on(monkeypatch, [cli], "k3_point_counts")
+    counted = spy_on(monkeypatch, [counting], "k3_point_count")
     assert run(["surface", "verify", "--family", "g62", "--pmax", "30"]) == 0
-    assert sorted(set(counted)) == [5, 7, 11, 13, 17, 19, 23, 29]
+    assert windows == [([5, 7, 11, 13, 17, 19, 23, 29],)]
+    assert sorted({p for p, in counted}) == [5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_l3fold_euler(capsys):
@@ -216,18 +226,13 @@ def test_l3fold_euler(capsys):
 
 
 def test_l3fold_euler_counts_only_its_prime(capsys, monkeypatch):
-    counted = []
-    k3_point_count = counting.k3_point_count
-
-    def spy(family, p):
-        counted.append(p)
-        return k3_point_count(family, p)
-
-    monkeypatch.setattr(counting, "k3_point_count", spy)
-    monkeypatch.setattr(lfunctions, "k3_point_count", spy)
+    windows = spy_on(monkeypatch, [lfunctions], "k3_point_counts")
+    curves = spy_on(monkeypatch, [lfunctions], "ap_elliptics")
+    counted = spy_on(monkeypatch, [counting, lfunctions], "k3_point_count")
     assert run(["l3fold", "euler", "--family", "g62",
                 "--curve", "0,0,0,-1,0", "--p", "13"]) == 0
-    assert set(counted) == {13}
+    assert windows == curves == [([13],)]
+    assert {p for p, in counted} == {13}
 
 
 def test_l3fold_euler_needs_an_attached_form(capsys):

@@ -1,6 +1,8 @@
 """The lifted Hasse traces against the pure-Python point count, against
 the numpy point-count kernel that left the library (``helpers``, the
-oracle) and, fibre by fibre, against a table over all of F_p; the
+oracle) and, fibre by fibre, against a table over all of F_p; the batched
+counts and curve traces against the per-prime path they replaced
+(``helpers``, the oracle), split at many batch boundaries; the
 discrete-log tables and the Hasse coefficients against exact integers; and
 the int64 Horner and the baby-step/giant-step evaluator against Python
 integers."""
@@ -13,16 +15,20 @@ import pytest
 import sympy
 
 from helpers import (WeierstrassCurve, full_table_traces, hasse_count,
-                     hasse_multinomials, short_model_points)
+                     hasse_multinomials, per_prime_ap_elliptic,
+                     per_prime_hasse_traces, per_prime_point_count,
+                     short_model_points)
 from modk3 import counting
 from modk3.arith import VerificationError, primes_up_to
-from modk3.counting import (ap_elliptic, count_report, good_primes,
-                            k3_point_count)
+from modk3.counting import (ap_elliptic, ap_elliptics, count_report,
+                            good_primes, k3_point_count, k3_point_counts)
 from modk3.families import FAMILY_NAMES, preset
 from modk3.kodaira import integral_model, scan
 
 #: the families `verify all` scans
 SCANNED = [name for name in FAMILY_NAMES if name != "x0_12"]
+#: the families with an attached weight-3 form
+FORM_FAMILIES = ("g4_legendre", "g62", "g82", "g8_412")
 
 
 def chi_table(p):
@@ -132,7 +138,7 @@ def test_small_prime_traces_vs_kernel(p):
     # every short model over F_p, singular ones included: below 17 the
     # lift of H is decided by the parity of the roots, not by (-p/2, p/2)
     c4, c6 = np.divmod(np.arange(p * p), p)
-    traces = counting._hasse_traces(c4, c6, p)
+    traces = counting._hasse_traces(-27 * c4 % p, -54 * c6 % p, [p], [p * p])
     for a, v4, v6 in zip(traces.tolist(), c4.tolist(), c6.tolist()):
         assert p + 1 - a == short_model_points([v4], [v6], p), (v4, v6)
 
@@ -178,7 +184,8 @@ def test_monomial_fibres_vs_kernel(p):
     # one fibre at a time: H(0, B) exists iff p = 1 mod 6 and H(A, 0) iff
     # p = 1 mod 4; the list has both residues of each, above and below 17
     for c4, c6 in [(0, v) for v in range(p)] + [(v, 0) for v in range(p)]:
-        assert (p + 1 - counting._hasse_traces([c4], [c6], p)[0]
+        A, B = np.array([-27 * c4 % p]), np.array([-54 * c6 % p])
+        assert (p + 1 - counting._hasse_traces(A, B, [p], [1])[0]
                 == short_model_points([c4], [c6], p)), (c4, c6)
 
 
@@ -189,8 +196,121 @@ def test_reached_classes_vs_full_table():
              for p in good_primes(preset(name), 17, 400)]
     for name, p in cases + [("g4_legendre", p) for p in (1511, 2003, 2417)]:
         c4, c6 = fibre_invariants(preset(name), p)
-        assert (counting._hasse_traces(c4, c6, p).tolist()
+        A, B = -27 * c4 % p, -54 * c6 % p
+        assert (counting._hasse_traces(A, B, [p], [len(c4)]).tolist()
                 == full_table_traces(c4, c6, p)), (name, p)
+
+
+def batched_counts(family, primes):
+    """The batched kernel's counts at primes, recounted whatever is cached:
+    one _surface_counts call per batch of counting._batches."""
+    return [report for batch in counting._batches(primes)
+            for report in counting._surface_counts(
+                family, batch, [scan(family, p) for p in batch])]
+
+
+def test_form_family_windows_vs_per_prime_path():
+    # every good p <= 600 of the four form families as one window, and the
+    # cached single-prime entry reads what the window counted
+    for name in FORM_FAMILIES:
+        family = preset(name)
+        primes = good_primes(family, 5, 600)
+        expected = [per_prime_point_count(family, p) for p in primes]
+        assert k3_point_counts(family, primes) == expected, name
+        assert [k3_point_count(family, p) for p in primes] == expected
+        assert batched_counts(family, primes) == expected, name
+
+
+@pytest.mark.parametrize("cells", [6, 20, 40, 150, 1000])
+def test_batches_split_anywhere(monkeypatch, cells):
+    # tiny batches: one prime per batch at 6 cells, the parity primes 5-13
+    # alone at 40, with 17 and more in one batch from 58 on; _evaluate then
+    # runs in chunks of a few columns that straddle the primes of a batch
+    monkeypatch.setattr(counting, "_EVALUATE_CELLS", cells)
+    primes = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 97, 101, 103, 211]
+    assert any(13 in b and 17 in b for b in counting._batches(primes)) == (
+        cells in (150, 1000))
+    for name in SCANNED:
+        family = preset(name)
+        good = [p for p in primes if p not in family.bad_primes]
+        assert (batched_counts(family, good)
+                == [per_prime_point_count(family, p) for p in good]), name
+
+
+def test_parity_primes_in_mixed_windows():
+    # p in {5, 7, 11, 13} (the parity lift) and p >= 17 in one batch,
+    # every scanned family
+    primes = [5, 7, 11, 13, 17, 19, 23, 101, 1009]
+    for name in SCANNED:
+        family = preset(name)
+        good = [p for p in primes if p not in family.bad_primes]
+        assert (batched_counts(family, good)
+                == [per_prime_point_count(family, p) for p in good]), name
+
+
+def test_monomial_fibres_in_one_batch():
+    # A = 0 or B = 0 (and both) at primes on both sides of 17, with both
+    # residues mod 4 and mod 3, all in one batch with random fibres
+    rng = random.Random(31)
+    primes = [5, 7, 11, 13, 19, 37, 43, 101, 103]
+    A, B, sizes = [], [], []
+    for p in primes:
+        pairs = [(0, v) for v in range(p)] + [(v, 0) for v in range(p)]
+        pairs += [(rng.randrange(p), rng.randrange(p)) for _ in range(p)]
+        A += [a for a, _ in pairs]
+        B += [b for _, b in pairs]
+        sizes.append(len(pairs))
+    traces = counting._hasse_traces(np.array(A), np.array(B), primes, sizes)
+    start = 0
+    for p, n in zip(primes, sizes):
+        c4 = [a * pow(-27, -1, p) % p for a in A[start:start + n]]
+        c6 = [b * pow(-54, -1, p) % p for b in B[start:start + n]]
+        assert (traces[start:start + n].tolist()
+                == per_prime_hasse_traces(c4, c6, p).tolist()), p
+        start += n
+
+
+def test_curve_windows_vs_per_prime_path():
+    rng = random.Random(5)
+    curves = [(0, 0, 0, -1, 0), (1, -1, 1, 0, 1)] + [
+        tuple(rng.randrange(-9, 10) for _ in range(5)) for _ in range(4)]
+    primes = [p for p in primes_up_to(600) if p >= 5]
+    for ainvs in curves:
+        disc = WeierstrassCurve(*ainvs).discriminant()
+        good = [p for p in primes if disc % p]
+        expected = [per_prime_ap_elliptic(ainvs, p) for p in good]
+        assert ap_elliptics(ainvs, good) == expected, ainvs
+        assert [ap_elliptic(ainvs, p) for p in good] == expected
+        assert [a for batch in counting._batches(good)
+                for a in counting._curve_traces(
+                    ainvs, batch,
+                    [counting._curve_check(ainvs, p) for p in batch])
+                ] == expected, ainvs
+
+
+def test_forged_weil_failure_in_a_batch_raises_the_first_one(monkeypatch):
+    # H(c, c) off by one power of c at 101 and 103 in one batch with 97:
+    # the per-prime loop raises at 101, at its fibre with the largest a^2
+    family = preset("g4_legendre")
+    real = counting._hasse_table
+
+    def forged(p):
+        coefficients, shift, b_only, a_only = real(p)
+        return (coefficients, shift + (p in (101, 103)), b_only, a_only)
+
+    monkeypatch.setattr(counting, "_hasse_table", forged)
+    with pytest.raises(VerificationError) as loop:
+        for p in (97, 101, 103):
+            per_prime_point_count(family, p)
+    with pytest.raises(VerificationError) as batch:
+        batched_counts(family, [97, 101, 103])
+    assert loop.value.inputs["p"] == 101
+    assert str(batch.value) == str(loop.value)
+    # a prime refused after them raises only once they are counted
+    with pytest.raises(VerificationError) as refused:
+        counting._count(family, [97, 101, 102], counting._scan,
+                        counting._surface_counts)
+    assert str(refused.value) == str(loop.value)
 
 
 def python_horner(coefficients, x, p):
@@ -254,6 +374,12 @@ def test_hasse_table_vs_exact_multinomials(p):
     assert a_only == ((comb(m, m // 2) % p, m // 2) if m % 2 == 0 else (0, 0))
 
 
+def evaluate_one(coefficients, x, p):
+    """counting._evaluate on a batch of one prime."""
+    return counting._evaluate([coefficients], np.array(x), [p], [len(x)],
+                              counting._tables([p])).tolist()
+
+
 @pytest.mark.parametrize("p", [17, 101, 2003, 100049])
 def test_evaluate_vs_python_integers(p):
     # lengths around s^2 for the s of the Hasse polynomial at p, where the
@@ -264,7 +390,7 @@ def test_evaluate_vs_python_integers(p):
     for n in (0, 1, 2, s * s - 1, s * s, s * s + 1):
         for coefficients in ([p - 1] * n,
                              [rng.randrange(p) for _ in range(n)]):
-            assert (counting._evaluate(coefficients, np.array(x), p).tolist()
+            assert (evaluate_one(coefficients, x, p)
                     == [python_horner(coefficients, v, p) for v in x]), n
 
 
@@ -277,7 +403,7 @@ def test_evaluate_in_chunks_vs_python_integers(monkeypatch, p, cells):
     x = [0, 1, p - 1] + [rng.randrange(p) for _ in range(8)]
     for coefficients in (counting._hasse_table(p)[0].tolist(),
                          [rng.randrange(p) for _ in range(3 * p // 4)]):
-        assert (counting._evaluate(coefficients, np.array(x), p).tolist()
+        assert (evaluate_one(coefficients, x, p)
                 == [python_horner(coefficients, v, p) for v in x])
 
 def test_block_width_keeps_the_matmul_exact(monkeypatch):

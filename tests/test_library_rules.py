@@ -1,6 +1,8 @@
 """Rules the library source keeps."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "modk3"
+BENCH = SRC.parent.parent / "bench"
 
 
 def test_no_assert_in_the_library():
@@ -238,3 +241,30 @@ def test_the_reachability_walk_follows_each_kind_of_reference():
     }
     assert _unreached(sources, [("a", "cmd_x")]) == [
         "a.unused", "b.Box.put", "b.dead_end", "c.never"]
+
+
+def test_the_bench_reads_library_functions():
+    # bench/tracer.py keys spans on the (family, p) arguments of the KEYED
+    # functions, and bench/run.py reads the caches of two of them; a
+    # renamed or re-signed function would surface only as a KeyError or a
+    # wrong key inside a traced bench run
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    keyed = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["KEYED"])
+    cached = ("counting.k3_point_count", "kodaira.integral_model")
+    run_text = (BENCH / "run.py").read_text()
+    assert all(name in run_text for name in cached)
+
+    def library_function(name):
+        module, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"modk3.{module}"), attr)
+        assert inspect.isfunction(inspect.unwrap(fn)), name
+        assert inspect.unwrap(fn).__module__ == f"modk3.{module}", name
+        return fn
+
+    assert keyed and all(hasattr(library_function(name), "cache_info")
+                         for name in cached)
+    for name in keyed:
+        params = inspect.signature(library_function(name)).parameters
+        assert list(params)[:2] == ["family", "p"], name

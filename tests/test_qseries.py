@@ -275,23 +275,37 @@ def test_lacunary_pairs_skip_the_kronecker_kernel(monkeypatch):
         return _product(*args)
 
     monkeypatch.setattr(qseries, "_product", counted)
-    for fid, expected in (("h1", 0), ("h2", 0), ("h3", 0), ("h4", 1),
+    # h4's x^4 factor against the dense rest: one product per residue mod 4
+    for fid, expected in (("h1", 0), ("h2", 0), ("h3", 0), ("h4", 4),
                           ("h5", 0), ("h7", 0), ("h8", 0)):
         calls.clear()
         out = eta_product(ETA_FORMS[fid], 500)
         assert len(calls) == expected, fid
         assert out == naive_eta_product(ETA_FORMS[fid], 500), fid
     # a dense factor stays on the kernel, even beside a lone cube it could
-    # pair with: one product
+    # pair with: one product per residue mod 2 of the cube's stride
     calls.clear()
     assert eta_product(((1, -1), (2, 3)), 200) == naive_eta_product(
         ((1, -1), (2, 3)), 200)
-    assert len(calls) == 1
-    # so does an unpaired lacunary factor, here P(x^5) beside one pair
+    assert len(calls) == 2
+    # so does an unpaired lacunary factor, here P(x^5) beside one pair at
+    # stride 2: both at stride 1, one product per residue mod 2
     calls.clear()
     assert eta_product(((2, 6), (5, 1)), 200) == naive_eta_product(
         ((2, 6), (5, 1)), 200)
-    assert len(calls) == 1
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 97, 6001])
+def test_h4_split_product_vs_unsplit_kernel(n):
+    # h4 = phi(-x) phi(-x^2) times phi(-x^4) P^3(x^8): the dense pair
+    # against the x^4 factor in one Kronecker product, three slots in four
+    # empty, as before that factor was split by residue mod 4
+    dense = _product(_gauss_phi(n), 1, _gauss_phi(-(-n // 2)), 2, n)
+    quarter = -(-n // 4)
+    sparse = _product(_gauss_phi(quarter), 1, _jacobi_cube(-(-n // 8)), 2,
+                      quarter)
+    assert eta_product(ETA_FORMS["h4"], n) == _product(dense, 1, sparse, 4, n)
 
 
 def test_eta_power_matches_naive_multiplication():
