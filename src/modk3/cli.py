@@ -23,9 +23,7 @@ from functools import cache
 from .arith import primes_up_to
 from .cmforms import HECKE_SPECS, ap as form_ap, verify_against_eta
 from .congruence import group_report
-from .counting import (attached_form, b_trace_prediction, count_report,
-                       good_primes, h3_trace, k3_point_counts,
-                       ns_trace_prediction)
+from .counting import b_trace_prediction, count_reports, good_primes, h3_trace
 from .families import FAMILY_NAMES, preset
 from .kodaira import ns_report, scan
 from .lfunctions import (assemble_h3, betti_hodge_report, h3_counts,
@@ -157,18 +155,10 @@ def cmd_surface_scan(args) -> list:
     return records
 
 
-def _count_reports(family, primes: list) -> list:
-    """count_report at each prime of the window, all counted in one
-    k3_point_counts call; a family with no form raises before counting."""
-    attached_form(family)
-    k3_point_counts(family, primes)
-    return [count_report(family, p) for p in primes]
-
-
 def cmd_surface_count(args) -> list:
     family = _family(args.family)
     return [dict(asdict(rep), suite="count")
-            for rep in _count_reports(family, _primes(args, family))]
+            for rep in count_reports(family, _primes(args, family))]
 
 
 def cmd_surface_verify(args) -> list:
@@ -179,9 +169,8 @@ def cmd_surface_verify(args) -> list:
     primes = _primes(args, family)
     evidence = dict.fromkeys(("first_failure", "B_expected", "B_observed",
                               "ns_expected", "ns_observed"))
-    for p, rep in zip(primes, _count_reports(family, primes)):
-        ns = (None if family.ns_data is None
-              else ns_trace_prediction(family, p))
+    for p, rep in zip(primes, count_reports(family, primes)):
+        ns = None if family.ns_data is None else family.ns_data.trace(p)
         if not rep.ok or ns not in (None, rep.ns_trace_used):
             evidence = {"first_failure": p,
                         "B_expected": b_trace_prediction(family, p),

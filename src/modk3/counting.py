@@ -26,7 +26,7 @@ H and H - p with a = 1 + r mod 2, r the number of roots of x^3 + A x + B
 in F_p (a = -sum_x chi(x^3 + A x + B) has p - r odd terms).  Every lifted
 trace must satisfy the Weil bound a^2 <= 4p; at p = 5 and 7 a forged H
 breaks it only as H = 0 (or 1 at p = 7) against the parity, so there
-count_report's B(p) = chi_D(p) a_p is the real check.  The int64 arrays
+count_reports' B(p) = chi_D(p) a_p is the real check.  The int64 arrays
 are exact for p < 2^31; larger p is refused first.
 
 Primes are counted in batches, so that a range of small primes shares one
@@ -40,13 +40,14 @@ cut into blocks of one width s for the batch, with one matmul per prime.
 The int64 bounds (Horner's reductions, s) are taken at the batch's
 largest p.  Where the modulus is one prime (a batch of one, the table
 builds) x mod p is x - x // p * p, which numpy divides by libdivide.
-k3_point_counts and ap_elliptics count a window of primes this way, each
-prime not yet counted once; the cached k3_point_count and ap_elliptic
-read those counts, or count a batch of one.
+_window counts the primes of a window not yet counted this way once each
+has passed its checks (a refused prime costs no O(p^2) work), and keeps
+every count in _counts, which k3_point_count and ap_elliptic read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -301,44 +302,37 @@ def _hasse_traces(A, B, primes: list, sizes):
              & (x < q)).sum(axis=1)
         h = H[:small]
         traces[:small] = np.where((h - 1 - r) % 2 == 0, h, h - q[:, 0])
-    first = list(accumulate(sizes[:-1], initial=0))
-    peaks = zip(np.maximum.reduceat(traces, first).tolist(),
-                np.minimum.reduceat(traces, first).tolist())
-    # what a loop over the primes raises first: the smallest failing prime,
-    # at its fibre with the largest a^2
-    for lo, n, q, (top, bottom) in zip(first, sizes, primes, peaks):
-        if max(top * top, bottom * bottom) > 4 * q:
-            squares = traces[lo:lo + n] ** 2
-            worst = int(squares.argmax())
-            raise VerificationError(
-                "a^2 <= 4p for the lifted Hasse invariant of every fibre",
-                dict(p=q, A=int(A[lo + worst]), B=int(B[lo + worst])), 4 * q,
-                int(squares[worst]))
+    failing = np.flatnonzero(traces * traces > 4 * p)
+    if len(failing):
+        # what a loop over the primes raises first: the smallest failing
+        # prime, at its fibre with the largest a^2
+        j = bisect_right(ends, int(failing[0]))
+        lo, q = ends[j] - sizes[j], primes[j]
+        squares = traces[lo:ends[j]] ** 2
+        worst = int(squares.argmax())
+        raise VerificationError(
+            "a^2 <= 4p for the lifted Hasse invariant of every fibre",
+            dict(p=q, A=int(A[lo + worst]), B=int(B[lo + worst])), 4 * q,
+            int(squares[worst]))
     return traces
 
 
-#: (family or curve, p) of every count made; the counts a window made that
-#: the single-prime entry has not yet cached
-_counted, _fresh = set(), {}
+#: every count made, keyed (family or a curve's a-invariants, p)
+_counts = {}
 
 
-def _count(key, primes, check, count):
-    """Count the primes for key (a family or a curve's a-invariants),
-    smallest first, in _batches: check(key, p) at each prime of a batch
-    (which may refuse it), then count(key, batch, checked) gives its
-    results, kept in _fresh.  A refused prime raises once the primes before
-    it are counted, as a loop over the primes would."""
-    for batch in _batches(sorted(set(primes))):
-        checked = []
-        try:
-            for p in batch:
-                checked.append(check(key, p))
-        finally:
-            done = batch[:len(checked)]
-            if done:
-                _fresh.update(zip([(key, p) for p in done],
-                                  count(key, done, checked)))
-                _counted.update((key, p) for p in done)
+def _window(key, primes, check, count) -> list:
+    """The counts of key (a family or a-invariants) at the primes: each new
+    one passes _check_int64 and check before count takes any, in _batches."""
+    new = sorted({p for p in primes if (key, p) not in _counts})
+    checked = {}
+    for p in new:
+        _check_int64(p)
+        checked[p] = check(key, p)
+    for batch in _batches(new):
+        _counts.update(zip([(key, p) for p in batch],
+                           count(key, batch, [checked[p] for p in batch])))
+    return [_counts[key, p] for p in primes]
 
 
 def _curve_check(ainvs: tuple, p: int) -> tuple:
@@ -346,7 +340,6 @@ def _curve_check(ainvs: tuple, p: int) -> tuple:
     prime p >= 5 of good reduction."""
     if not is_prime(p) or p < 5:
         raise BadReductionError(f"need a prime p >= 5, got {p}")
-    _check_int64(p)  # before the O(p) table build
     c4, c6, disc = weierstrass_invariants(*ainvs)[4:7]
     if disc % p == 0:
         raise BadReductionError(f"bad reduction at p={p}")
@@ -362,25 +355,17 @@ def _curve_traces(ainvs: tuple, primes: list, short: list) -> list:
 
 def ap_elliptics(ainvs: tuple, primes) -> list:
     """ap_elliptic at each prime: the primes not yet counted for the curve
-    are counted in batches."""
-    _count(ainvs, [p for p in primes if (ainvs, p) not in _counted],
-           _curve_check, _curve_traces)
-    return [ap_elliptic(ainvs, p) for p in primes]
+    are checked and counted in one _window."""
+    return _window(ainvs, primes, _curve_check, _curve_traces)
 
 
-@lru_cache(maxsize=None)
 def ap_elliptic(ainvs: tuple, p: int) -> int:
-    """Frobenius trace A(p) = p + 1 - #E(F_p) at a prime p >= 5 of good
-    reduction, memoized on the tuple (a1, a2, a3, a4, a6) and p: the count
-    ap_elliptics made, or a batch of one."""
-    if (ainvs, p) not in _fresh:
-        _count(ainvs, [p], _curve_check, _curve_traces)
-    return _fresh.pop((ainvs, p))
-
-
-def _scan(family: WeierstrassFamily, p: int):
-    _check_int64(p)
-    return scan(family, p)
+    """Frobenius trace A(p) = p + 1 - #E(F_p) of (a1, a2, a3, a4, a6) at a
+    prime p >= 5 of good reduction: its count, or a window of one."""
+    try:
+        return _counts[ainvs, p]
+    except KeyError:  # not yet counted
+        return ap_elliptics(ainvs, [p])[0]
 
 
 def _surface_counts(family: WeierstrassFamily, primes: list,
@@ -416,19 +401,16 @@ def _surface_counts(family: WeierstrassFamily, primes: list,
 
 def k3_point_counts(family: WeierstrassFamily, primes) -> list:
     """k3_point_count at each prime: the primes not yet counted for the
-    family are scanned once each and counted in batches."""
-    _count(family, [p for p in primes if (family, p) not in _counted],
-           _scan, _surface_counts)
+    family are scanned once each and counted in one _window."""
+    _window(family, primes, scan, _surface_counts)
     return [k3_point_count(family, p) for p in primes]
 
 
 @lru_cache(maxsize=None)
 def k3_point_count(family: WeierstrassFamily, p: int) -> CountReport:
     """Fiberwise surface total over P^1(F_p) and the trace B(p) it leaves:
-    the count k3_point_counts made, or a batch of one."""
-    if (family, p) not in _fresh:
-        _count(family, [p], _scan, _surface_counts)
-    return _fresh.pop((family, p))
+    the count in _counts, or a window of one."""
+    return _window(family, [p], scan, _surface_counts)[0]
 
 
 def good_primes(family: WeierstrassFamily, pmin: int = 5, pmax: int = 97):
@@ -443,14 +425,6 @@ def attached_form(family: WeierstrassFamily) -> HeckeCharSpec:
     return HECKE_SPECS[family.form_id]
 
 
-def ns_trace_prediction(family: WeierstrassFamily, p: int) -> int:
-    """Frobenius trace on the algebraic lattice predicted by the stored
-    Galois decomposition."""
-    if family.ns_data is None:
-        raise ValueError(f"{family.name} has no stored lattice decomposition")
-    return family.ns_data.trace(p)
-
-
 def b_trace_prediction(family: WeierstrassFamily, p: int) -> int:
     """chi_D(p) a_p(form): the B(p) that the family's attached form and
     stored twist discriminant D predict."""
@@ -458,14 +432,14 @@ def b_trace_prediction(family: WeierstrassFamily, p: int) -> int:
     return kronecker_character(family.twist_disc, p) * form_ap(spec, p)
 
 
-def count_report(family: WeierstrassFamily, p: int) -> CountReport:
-    """k3_point_count with the family's (form id, twist discriminant)
-    filled in and checked against b_trace_prediction."""
-    attached_form(family)  # a family with no form raises before counting
-    base = k3_point_count(family, p)
-    return CountReport(base.family, base.p, base.total, base.ns_trace_used,
-                       base.B, family.form_id, family.twist_disc,
-                       base.B == b_trace_prediction(family, p))
+def count_reports(family: WeierstrassFamily, primes) -> list:
+    """k3_point_counts with the family's form id and twist filled in and B
+    checked against b_trace_prediction; no form raises before counting."""
+    attached_form(family)
+    return [CountReport(base.family, base.p, base.total, base.ns_trace_used,
+                        base.B, family.form_id, family.twist_disc,
+                        base.B == b_trace_prediction(family, base.p))
+            for base in k3_point_counts(family, primes)]
 
 
 def h3_trace(family: WeierstrassFamily, e_ainvs, p: int) -> int:

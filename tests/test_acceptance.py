@@ -14,8 +14,7 @@ from modk3.congruence import (PRESET_CUSP_WIDTHS, cusps_and_widths,
                               index_in_modular_group, preset_group)
 from helpers import (WeierstrassCurve, hasse_count, norm_equation_solutions,
                      two_isogeny_quotient)
-from modk3.counting import (ap_elliptic, good_primes, h3_trace,
-                            k3_point_count, ns_trace_prediction)
+from modk3.counting import ap_elliptic, good_primes, h3_trace, k3_point_count
 from modk3.families import preset
 from modk3.kodaira import eigenspace_counts, scan
 from modk3.lfunctions import (_root_product_expansion, assemble_h3,
@@ -118,7 +117,7 @@ def test_criterion_4_k3_modularity_suite():
             r = k3_point_count(fam, p)
             assert r.B == kronecker_character(disc, p) * form_ap(spec, p), \
                 (name, p)
-            assert r.ns_trace_used == ns_trace_prediction(fam, p), (name, p)
+            assert r.ns_trace_used == fam.ns_data.trace(p), (name, p)
     report(4, "K3 modularity suite", t0, 120)
 
 

@@ -175,7 +175,7 @@ def test_surface_verify_reports_evidence_at_the_first_failure(capsys,
     assert run(["surface", "verify", "--family", "g62", "--pmax", "30"]) == 1
     rec = records(capsys)[0]
     observed = counting.k3_point_count(wrong, 7)
-    ns = counting.ns_trace_prediction(wrong, 7)
+    ns = wrong.ns_data.trace(7)
     assert rec == {"suite": "surface", "target": "g62", "form": "h7",
                    "twist_disc": -4, "primes": [5, 29], "first_failure": 7,
                    "B_expected": -form_ap(HECKE_SPECS["h7"], 7),
@@ -209,12 +209,12 @@ def spy_on(monkeypatch, modules, name) -> list:
 
 
 def test_surface_verify_counts_only_its_primes(capsys, monkeypatch):
-    # the window is asked for once, and each count read at its primes
-    windows = spy_on(monkeypatch, [cli], "k3_point_counts")
+    # the window is asked for once, and each count read once
+    windows = spy_on(monkeypatch, [counting], "k3_point_counts")
     counted = spy_on(monkeypatch, [counting], "k3_point_count")
     assert run(["surface", "verify", "--family", "g62", "--pmax", "30"]) == 0
     assert windows == [([5, 7, 11, 13, 17, 19, 23, 29],)]
-    assert sorted({p for p, in counted}) == [5, 7, 11, 13, 17, 19, 23, 29]
+    assert sorted(p for p, in counted) == [5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_l3fold_euler(capsys):

@@ -15,8 +15,8 @@ from modk3.arith import (InvalidPrimeError, VerificationError,
                          kronecker_character)
 from modk3.cmforms import HECKE_SPECS, ap as form_ap
 from modk3.counting import (CountReport, ModelMismatchError, ap_elliptic,
-                            count_report, good_primes, h3_trace,
-                            k3_point_count, ns_trace_prediction)
+                            count_reports, good_primes, h3_trace,
+                            k3_point_count)
 from modk3.families import FAMILY_NAMES, preset
 from modk3.kodaira import BadReductionError
 
@@ -204,17 +204,17 @@ def test_twist_fit_needs_separating_primes():
 
 def test_count_report_marks_ok():
     fam = preset("g62")
-    r = count_report(fam, 13)
+    (r,) = count_reports(fam, [13])
     assert r.ok and r.matched_form == "h7" and r.twist_disc == 1
     # the report checks the twist the family stores: chi_{-4}(7) = -1,
     # a_7 = 2, while chi_{-4}(5) = 1
     wrong = dataclasses.replace(fam, twist_disc=-4)
-    assert count_report(wrong, 5).ok
-    r = count_report(wrong, 7)
+    ok, r = count_reports(wrong, [5, 7])
+    assert ok.ok
     assert not r.ok and r.twist_disc == -4 and r.B == 2
     with pytest.raises(ModelMismatchError,
                        match="e1_7 has no attached weight-3 form"):
-        count_report(preset("e1_7"), 13)
+        count_reports(preset("e1_7"), [13])
 
 
 def test_ns_trace_prediction_matches_geometry():
@@ -222,7 +222,7 @@ def test_ns_trace_prediction_matches_geometry():
         fam = preset(name)
         for p in good_primes(fam, 5, 23):
             assert (k3_point_count(fam, p).ns_trace_used
-                    == ns_trace_prediction(fam, p)), (name, p)
+                    == fam.ns_data.trace(p)), (name, p)
 
 
 def test_kummer_against_twisted_quotient_oracle():

@@ -19,11 +19,11 @@ from helpers import (WeierstrassCurve, full_table_traces, hasse_count,
                      per_prime_hasse_traces, per_prime_point_count,
                      short_model_points)
 from modk3 import counting
-from modk3.arith import VerificationError, primes_up_to
-from modk3.counting import (ap_elliptic, ap_elliptics, count_report,
+from modk3.arith import InvalidPrimeError, VerificationError, primes_up_to
+from modk3.counting import (ap_elliptic, ap_elliptics, count_reports,
                             good_primes, k3_point_count, k3_point_counts)
 from modk3.families import FAMILY_NAMES, preset
-from modk3.kodaira import integral_model, scan
+from modk3.kodaira import BadReductionError, integral_model, scan
 
 #: the families `verify all` scans
 SCANNED = [name for name in FAMILY_NAMES if name != "x0_12"]
@@ -306,11 +306,28 @@ def test_forged_weil_failure_in_a_batch_raises_the_first_one(monkeypatch):
         batched_counts(family, [97, 101, 103])
     assert loop.value.inputs["p"] == 101
     assert str(batch.value) == str(loop.value)
-    # a prime refused after them raises only once they are counted
-    with pytest.raises(VerificationError) as refused:
-        counting._count(family, [97, 101, 102], counting._scan,
-                        counting._surface_counts)
-    assert str(refused.value) == str(loop.value)
+    # a prime refused after them raises before any of them is counted
+    monkeypatch.setattr(counting, "_counts", {})
+    with pytest.raises(BadReductionError, match="got 102$"):
+        k3_point_counts(family, [97, 101, 102])
+    assert counting._counts == {}
+
+
+def test_a_refused_prime_stops_its_window_before_any_count(monkeypatch):
+    # 2147483659 is prime and past the int64 bound: the window raises
+    # before it counts even the primes below it
+    def unreachable(*args):
+        raise AssertionError("a prime was counted")
+
+    monkeypatch.setattr(counting, "_counts", {})
+    monkeypatch.setattr(counting, "_surface_counts", unreachable)
+    monkeypatch.setattr(counting, "_curve_traces", unreachable)
+    window = [97, 101, 2147483659]
+    with pytest.raises(InvalidPrimeError):
+        k3_point_counts(preset("g4_legendre"), window)
+    with pytest.raises(InvalidPrimeError):
+        ap_elliptics((0, 0, 0, -1, 0), window)
+    assert counting._counts == {}
 
 
 def python_horner(coefficients, x, p):
@@ -429,6 +446,7 @@ def test_forged_table_breaks_the_weil_bound(monkeypatch):
     coefficients, shift, b_only, a_only = counting._hasse_table(101)
     forged = (coefficients, shift + 1, b_only, a_only)
     monkeypatch.setattr(counting, "_hasse_table", lambda p: forged)
+    monkeypatch.setattr(counting, "_counts", {})
     with pytest.raises(VerificationError):
         k3_point_count.__wrapped__(preset("g4_legendre"), 101)
 
@@ -441,6 +459,7 @@ def test_forged_table_at_small_primes(monkeypatch):
         forged[p] = (tuple(c + 1 for c in coefficients), shift, b_only,
                      a_only)
     monkeypatch.setattr(counting, "_hasse_table", forged.get)
+    monkeypatch.setattr(counting, "_counts", {})
     monkeypatch.setattr(counting, "k3_point_count",
                         k3_point_count.__wrapped__)
     # at p = 13 the parity lift puts some forged trace outside the Weil
@@ -450,9 +469,9 @@ def test_forged_table_at_small_primes(monkeypatch):
             counting.k3_point_count(preset(name), 13)
     # at p = 5 and 7 the Weil check is nearly blind: with the parity fixed,
     # only H = 0 (and H = 1 at p = 7) lifts outside 2 sqrt(p).  The same
-    # forgery passes it at p = 5, and only count_report's
+    # forgery passes it at p = 5, and only count_reports'
     # B(p) = chi_D(p) a_p comparison catches it (B = 6, not -6)
-    report = count_report(preset("g4_legendre"), 5)
+    (report,) = count_reports(preset("g4_legendre"), [5])
     assert report.B == 6 and not report.ok
 
 
@@ -476,7 +495,7 @@ def test_k3_twists_hold_on_held_out_primes_to_10000():
                 for name in ("g4_legendre", "g62", "g82", "g8_412")]
     bad = [(family.name, p) for p in primes_up_to(10 ** 4)
            for family in families if p > 97 and p not in family.bad_primes
-           and not count_report(family, p).ok]
+           and not count_reports(family, [p])[0].ok]
     assert bad == []
 
 
@@ -484,4 +503,4 @@ def test_k3_twists_hold_on_held_out_primes_to_10000():
 @pytest.mark.parametrize("p", [300007, 300017])
 def test_g4_large_prime_count_matches_the_form(p):
     # about 3 10^5, where _evaluate runs in many chunks; p = 3 and 1 mod 4
-    assert count_report(preset("g4_legendre"), p).ok
+    assert count_reports(preset("g4_legendre"), [p])[0].ok

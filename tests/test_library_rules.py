@@ -6,9 +6,13 @@ import inspect
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+from modk3 import counting
+from modk3.families import preset
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "modk3"
 BENCH = SRC.parent.parent / "bench"
@@ -268,3 +272,18 @@ def test_the_bench_reads_library_functions():
     for name in keyed:
         params = inspect.signature(library_function(name)).parameters
         assert list(params)[:2] == ["family", "p"], name
+
+
+def test_a_window_misses_the_count_cache_once_per_prime(monkeypatch):
+    # bench/run.py reports k3_point_count's cache misses as the counts a
+    # workload computed: a window of primes not yet counted is one miss a
+    # prime, and reading it again is one hit a prime
+    fresh = lru_cache(maxsize=None)(counting.k3_point_count.__wrapped__)
+    monkeypatch.setattr(counting, "k3_point_count", fresh)
+    monkeypatch.setattr(counting, "_counts", {})
+    family = preset("g62")
+    primes = counting.good_primes(family, 5, 60)
+    counting.k3_point_counts(family, primes)
+    assert fresh.cache_info().misses == len(primes) == len(counting._counts)
+    counting.k3_point_counts(family, primes)
+    assert fresh.cache_info()[:2] == (len(primes), len(primes))
