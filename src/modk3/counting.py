@@ -12,12 +12,13 @@ Every fibre, and a single curve given as its integer a-invariants
 (a1, a2, a3, a4, a6), takes its trace a from the Hasse invariant of its
 short model y^2 = x^3 + A x + B: a = H mod p, H the coefficient of x^(p-1)
 in (x^3 + A x + B)^((p-1)/2), singular or not (Silverman, AEC V.4).  Per
-prime, a cached table of logs (16p bytes) to the least generator g of
-F_p^* makes every character, inverse and power a gather:
+prime, one cached table of the powers and logs (16p bytes) of the least
+generator g of F_p^* and of H(c, c)'s coefficients makes every character,
+inverse and power a gather:
 H(A, B) = chi(AB) H(c, c) with c = A^3 / B^2 = g^(3 log A - 2 log B) and
 chi(AB) the parity of log A + log B.  H(c, c) is evaluated only at the c
 the fibres reach: p/24 to p/8 of F_p, as each J-map is an index-24 cover
-of X(1); its polynomial (cached per prime) by baby and giant steps
+of X(1); its polynomial by baby and giant steps c^r = g^(r log c)
 (Paterson and Stockmeyer): one int64 matmul, exact while
 s (p // 2 + 1)^2 < 2^63 for s ~ sqrt(p/12) baby steps, then ~s Horner steps.
 A = 0 and B = 0 are single monomials.  From p = 17 on, 2 sqrt(p) < p / 2
@@ -34,8 +35,8 @@ numpy pass instead of paying its dispatch per prime: consecutive primes
 join a batch while sum (p + 1) <= _EVALUATE_CELLS, so a single prime, and
 every p > 2^16, is a batch of one through the same code.  The fibres of
 all the batch's primes lie end to end in one int64 array, each element
-with its own prime; the primes' cached log tables are concatenated once
-per batch and read at each prime's offset, and the Hasse polynomials are
+with its own prime; the primes' cached tables are concatenated once per
+batch and read at each prime's offset, and the Hasse polynomials are
 cut into blocks of one width s for the batch, with one matmul per prime.
 The int64 bounds (Horner's reductions, s) are taken at the batch's
 largest p.  Where the modulus is one prime (a batch of one, the table
@@ -48,7 +49,7 @@ every count in _counts, which k3_point_count and ap_elliptic read.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
@@ -131,12 +132,20 @@ def _generator(p: int) -> int:
                 if all(pow(g, e, p) != 1 for e in exponents))
 
 
-#: 16p bytes a prime, as many primes as _hasse_table
+#: room for verify all's 23 primes 5 <= p <= 97; ~16.7p bytes each
 @lru_cache(maxsize=32)
-def _log_table(p: int) -> tuple:
-    """(pw, log) with pw[k] = g^k, k < p - 1, and log[pw[k]] = k (log[0] = 0)
-    for g = _generator(p): the giant steps g^(s i) times the baby steps
-    g^j, i, j < s = isqrt(p - 1) + 1, each product below p^2 < 2^62."""
+def _table(p: int) -> tuple:
+    """(pw, log, coefficients, shift, (M_B, e_B), (M_A, e_A)) at p.
+    pw[k] = g^k, k < p - 1, and log[pw[k]] = k (log[0] = 0) for
+    g = _generator(p): the giant steps g^(s i) times the baby steps g^j,
+    i, j < s = isqrt(p - 1) + 1, each product below p^2 < 2^62.
+    H(c, c) = c^shift P(c) for the polynomial P with these coefficients
+    (leading first; read-only int64), H(0, B) = M_B B^e_B and
+    H(A, 0) = M_A A^e_A (M = 0 where 3 resp. 2 does not divide
+    m = (p - 1) / 2).  H(A, B) = sum over i of m! / (i! j! k!) A^j B^k,
+    j = 2m - 3i, k = 2i - m: H(c, c) is c^(m - floor(2m/3)) times a
+    polynomial in c with the terms floor(2m/3) >= i >= ceil(m/2),
+    g^(LF m - LF i - LF j - LF k), LF n = log 1 + ... + log n."""
     g, s = _generator(p), isqrt(p - 1) + 1
     baby, giant = [1], [1]
     for _ in range(s):
@@ -149,19 +158,30 @@ def _log_table(p: int) -> tuple:
     if np.count_nonzero(log[pw] != k):
         raise VerificationError("g generates F_p^*", dict(p=p, g=g), p - 1,
                                 len(np.unique(pw)))
-    return pw, log
+    m = (p - 1) // 2
+    i, n = (m + 1) // 2, 2 * m // 3 - (m + 1) // 2 + 1
+    lf = np.add.accumulate(log[:m + 1])
+    # as i steps by 1, j steps by -3 and k by 2
+    coefficients = pw[_mod(lf[m] - lf[i:i + n] - lf[2 * m - 3 * i::-3][:n]
+                           - lf[2 * i - m::2][:n], p - 1)]
+    coefficients.flags.writeable = False
+    # the last term is B^(m/3) when 3 | m, the first A^(m/2) when 2 | m
+    b_only = (int(coefficients[-1]), m // 3) if m % 3 == 0 else (0, 0)
+    a_only = (int(coefficients[0]), m // 2) if m % 2 == 0 else (0, 0)
+    return pw, log, coefficients, m - 2 * m // 3, b_only, a_only
 
 
 def _tables(primes: list) -> tuple:
-    """(pw, log, starts): the _log_table pairs of a batch's primes end to
+    """(pw, log, starts, hasse): the pw and log of a batch's primes end to
     end, each pw padded to p entries, so that both tables of the j-th
-    prime start at starts[j]."""
-    tables = [_log_table(p) for p in primes]
+    prime start at starts[j], and the rest of each prime's _table."""
+    tables = [_table(p) for p in primes]
+    hasse = [table[2:] for table in tables]
     if len(primes) == 1:
-        return (*tables[0], [0])
-    return (np.concatenate([a for pw, _ in tables for a in (pw, [1])]),
-            np.concatenate([log for _, log in tables]),
-            list(accumulate(primes[:-1], initial=0)))
+        return (*tables[0][:2], [0], hasse)
+    return (np.concatenate([a for table in tables for a in (table[0], [1])]),
+            np.concatenate([table[1] for table in tables]),
+            list(accumulate(primes[:-1], initial=0)), hasse)
 
 
 def _block_width(n: int, p: int) -> int:
@@ -189,15 +209,14 @@ def _batches(primes: list):
         yield batch
 
 
-def _evaluate(polynomials, x, primes: list, counts, tables):
+def _evaluate(polynomials, exponents, primes: list, counts, pw, starts):
     """Each polynomials[j] (integers, leading first) mod the j-th prime at
-    its counts[j] points x in [0, p) (grouped by prime, in order), by baby
-    and giant steps with one s = _block_width for the batch: the blocks of
-    s coefficients of x^(s q + r) (zero past a polynomial's degree) times
-    the baby powers x^r, r < s (a gather), in one int64 matmul of signed
-    residues per prime; then _horner in x^s over the block values, in
-    chunks of columns."""
-    pw, log, starts = tables
+    its counts[j] points x = g^e given by their exponents e (grouped by
+    prime, in order), by baby and giant steps with one s = _block_width
+    for the batch: the blocks of s coefficients of x^(s q + r) (zero past
+    a polynomial's degree) times the baby powers x^r, r < s, in one int64
+    matmul of signed residues per prime; then _horner in x^s over the
+    block values, in chunks of columns; each x^r is pw[r e mod (p - 1)]."""
     n = max(map(len, polynomials))
     s = _block_width(n, primes[-1])
     rows = -(-n // s)
@@ -208,16 +227,14 @@ def _evaluate(polynomials, x, primes: list, counts, tables):
     blocks = (_mod(blocks + q // 2, q) - q // 2).reshape(len(primes), rows, s)
     bounds = list(accumulate(counts, initial=0))
     width = max(_EVALUATE_CELLS // max(rows, s), 1)
-    out = np.empty_like(x)
-    for a in range(0, len(x), width):
-        chunk = x[a:a + width]
+    out = np.empty_like(exponents)
+    for a in range(0, len(exponents), width):
+        chunk = exponents[a:a + width]
         cuts = [min(max(b - a, 0), len(chunk)) for b in bounds]
         widths = [hi - lo for lo, hi in zip(cuts, cuts[1:])]
         p, offset = _spread(primes, widths), _spread(starts, widths)
-        powers = pw[offset + _mod(np.arange(s)[:, None] * log[offset + chunk],
-                                  p - 1)]
-        powers[1:] *= chunk != 0
-        giant = _mod(powers[-1] * chunk, p)
+        powers = pw[offset + _mod(np.arange(s + 1)[:, None] * chunk, p - 1)]
+        giant, powers = powers[-1], powers[:-1]
         powers -= (powers > p // 2) * p
         values = np.zeros((rows, len(chunk)), dtype=np.int64)
         for block, lo, hi in zip(blocks, cuts, cuts[1:]):
@@ -225,31 +242,6 @@ def _evaluate(polynomials, x, primes: list, counts, tables):
                 values[:, lo:hi] = block @ powers[:, lo:hi]
         out[a:a + width] = _horner(_mod(values, p)[::-1], giant, p)
     return out
-
-
-#: room for verify all's 23 primes 5 <= p <= 97; each holds ~p/12 ints
-@lru_cache(maxsize=32)
-def _hasse_table(p: int) -> tuple:
-    """(coefficients, shift, (M_B, e_B), (M_A, e_A)) at p: H(c, c) =
-    c^shift P(c) for the polynomial P with these coefficients (leading
-    first; read-only int64), H(0, B) = M_B B^e_B and H(A, 0) = M_A A^e_A
-    (M = 0 where 3 resp. 2 does not divide m = (p - 1) / 2).
-    H(A, B) = sum over i of m! / (i! j! k!) A^j B^k, j = 2m - 3i,
-    k = 2i - m: H(c, c) is c^(m - floor(2m/3)) times a polynomial in c with
-    the terms floor(2m/3) >= i >= ceil(m/2), g^(LF m - LF i - LF j - LF k)
-    for the log-factorials LF n = log 1 + ... + log n."""
-    pw, log = _log_table(p)
-    m = (p - 1) // 2
-    i, n = (m + 1) // 2, 2 * m // 3 - (m + 1) // 2 + 1
-    lf = np.add.accumulate(log[:m + 1])
-    # as i steps by 1, j steps by -3 and k by 2
-    coefficients = pw[_mod(lf[m] - lf[i:i + n] - lf[2 * m - 3 * i::-3][:n]
-                           - lf[2 * i - m::2][:n], p - 1)]
-    coefficients.flags.writeable = False
-    # the last term is B^(m/3) when 3 | m, the first A^(m/2) when 2 | m
-    b_only = (int(coefficients[-1]), m // 3) if m % 3 == 0 else (0, 0)
-    a_only = (int(coefficients[0]), m // 2) if m % 2 == 0 else (0, 0)
-    return coefficients, m - 2 * m // 3, b_only, a_only
 
 
 def _hasse_traces(A, B, primes: list, sizes):
@@ -260,8 +252,7 @@ def _hasse_traces(A, B, primes: list, sizes):
     fibres reach, and every power a gather: log c = 3 log A - 2 log B,
     c^shift = g^(shift log c), and chi(AB) = -1 exactly where
     log A + log B is odd."""
-    hasse = [_hasse_table(q) for q in primes]
-    pw, log, starts = tables = _tables(primes)
+    pw, log, starts, hasse = _tables(primes)
     p, offset = _spread(primes, sizes), _spread(starts, sizes)
     log_a, log_b = log[offset + A], log[offset + B]
     # H is overwritten where A or B is 0
@@ -273,9 +264,10 @@ def _hasse_traces(A, B, primes: list, sizes):
     reached, counts = np.flatnonzero(g), np.add.reduceat(g, starts).tolist()
     q, at = _spread(primes, counts), _spread(starts, counts)
     shift = _spread([h[1] for h in hasse], counts)
-    g[reached] = _mod(_evaluate([h[0] for h in hasse], pw[reached], primes,
-                                counts, tables)
-                      * pw[at + _mod(shift * (reached - at), q - 1)], q)
+    exponents = reached - at  # log c
+    g[reached] = _mod(_evaluate([h[0] for h in hasse], exponents, primes,
+                                counts, pw, starts)
+                      * pw[at + _mod(shift * exponents, q - 1)], q)
     H = g[e]
     # -0 is p here: it lifts as 0 does, to 0 or (failing the Weil bound) +-p
     np.subtract(p, H, out=H, where=odd)
@@ -436,9 +428,9 @@ def count_reports(family: WeierstrassFamily, primes) -> list:
     """k3_point_counts with the family's form id and twist filled in and B
     checked against b_trace_prediction; no form raises before counting."""
     attached_form(family)
-    return [CountReport(base.family, base.p, base.total, base.ns_trace_used,
-                        base.B, family.form_id, family.twist_disc,
-                        base.B == b_trace_prediction(family, base.p))
+    return [replace(base, matched_form=family.form_id,
+                    twist_disc=family.twist_disc,
+                    ok=base.B == b_trace_prediction(family, base.p))
             for base in k3_point_counts(family, primes)]
 
 

@@ -12,18 +12,19 @@ with the part of c4 or Delta prime to g must be bad; at every other p the
 classes stay squarefree and coprime.  The rational root test splits each
 g into places h, its linear factors and their cofactor, each keeping h'
 and the pseudo-remainders R of c4 / h^(4k) and c6 / h^(6k) mod h.  Per
-prime, ``scan`` splits each h into irreducibles mod p (one square root
-for a quadratic h; gcds with t^p - t and u^((p^d - 1)/2) - 1, u = t,
-t + 1, ..., beyond), reads the minimal (c4, c6) at each root r from R(r)
-and h'(r), and split or non-split from the Legendre symbol of -c6.  The
-Euler audit checks Noether's sum(v(Delta_min) deg) = 12 chi(O): 24 or 12.
+prime, ``scan`` splits each h into irreducibles mod p: a preset's h has
+degree <= 3, so one square root splits a quadratic h, and gcds with
+u^((p - 1)/2) - 1, u = t, t + 1, ..., split off a cubic's roots (a larger
+part without roots raises).  It reads the minimal (c4, c6) at each root r
+from R(r) and h'(r), and split or non-split from the Legendre symbol of
+-c6.  The Euler audit checks Noether's sum(v(Delta_min) deg) = 12 chi(O):
+24 or 12.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import count, islice
 from math import gcd
 
 from .arith import VerificationError, _sqrt_mod, is_prime, prime_factors
@@ -246,32 +247,29 @@ def _gcd(f, g: ZPoly, p: int) -> ZPoly:
     return _monic(f, p)
 
 
-def _equal_degree(f: ZPoly, d: int, p: int, start: int = 0) -> list:
-    """The factors of f, a product of distinct monic irreducibles of degree
-    d mod p, split off by gcds with u^((p^d - 1)/2) - 1 for the monic
-    u = t, t + 1, ..., t + p - 1, t^2, t^2 + 1, ... in turn from ``start``."""
-    e = (p ** d - 1) // 2
-    candidates = islice((ZPoly([1, *(n // p ** i % p
-                                     for i in range(k - 1, -1, -1))])
-                         for k in count(1) for n in range(p ** k)), start, None)
-    done, todo = ([f], []) if f.degree == d else ([], [f])
+def _roots(f: ZPoly, p: int) -> list:
+    """The factors of f, a product of distinct monic linears mod p, split
+    off by gcds with u^((p - 1)/2) - 1 for u = t + 1, t + 2, ..., t + p - 1
+    in turn: for p >= 5 some such u splits any two roots."""
+    done, todo, a = [], [f], 0
     while todo:
-        u, pieces, todo = next(candidates), todo, []
-        if u.degree >= f.degree or any(g.degree % d for g in pieces):
-            # some monic u of lower degree splits any two factors of degree d
-            raise VerificationError("f is a product of irreducibles of degree d",
-                                    dict(p=p, d=d, f=f), "a split", pieces)
+        a, pieces, todo = a + 1, todo, []
+        if a == p:
+            raise VerificationError("f is a product of distinct linears",
+                                    dict(p=p, f=f), "a split", pieces)
         for g in pieces:
-            h = _gcd(g, _reduce(_powmod(u, e, g, p) - 1, p), p)
+            u = _powmod(ZPoly((1, a)), (p - 1) // 2, g, p)
+            h = _gcd(g, _reduce(u - 1, p), p)
             for q in ([h, ZPoly(_divmod(g, h, p)[0])]
                       if 0 < h.degree < g.degree else [g]):
-                (done if q.degree == d else todo).append(q)
+                (done if q.degree == 1 else todo).append(q)
     return done
 
 
 def _irreducible_factors(g: ZPoly, p: int) -> list:
-    """The monic irreducible factors of the squarefree g mod p, by degree
-    and then coefficients (the order of sympy's gf_factor_sqf)."""
+    """The monic irreducible factors mod p of the squarefree g, whose part
+    without roots has degree <= 3 (as every place's has), by degree and
+    then coefficients (the order of sympy's gf_factor_sqf)."""
     f = _monic(g, p)
     if f.degree < 2:
         return [f]
@@ -289,16 +287,11 @@ def _irreducible_factors(g: ZPoly, p: int) -> list:
         part = _gcd(f, _reduce(h, p), p)
         if part.degree > 0:
             factors += (_irreducible_factors(part, p) if part.degree <= 2
-                        else _equal_degree(part, 1, p, start=1))
+                        else _roots(part, p))
             f = ZPoly(_divmod(f, part, p)[0])
-    power, d = t * w * w, 1  # t^p; then t^(p^d) mod f
-    while f.degree >= 2 * (d + 1):  # f may still have a factor of degree d + 1
-        d += 1
-        power = _powmod(power, p, f, p)
-        part = _gcd(f, _reduce(power - t, p), p)
-        if part.degree > 0:
-            factors += _equal_degree(part, d, p)
-            f = ZPoly(_divmod(f, part, p)[0])
+    if f.degree > 3:  # it may be reducible
+        raise VerificationError("a place without roots mod p has degree <= 3",
+                                dict(p=p, g=g), 3, f.degree)
     return sorted(factors + [f] * (f.degree > 0), key=lambda f: (len(f), f))
 
 

@@ -286,7 +286,7 @@ def hasse_count(ainvs: tuple, p: int) -> int:
 # ---- the per-prime point count: the oracle of the batched kernel ---------
 # counting's fibre sum as it was before primes were counted in batches,
 # one prime (and one numpy pass) at a time; it shares counting's cached
-# log and Hasse tables, _block_width and _EVALUATE_CELLS
+# per-prime _table, _block_width and _EVALUATE_CELLS
 
 
 def per_prime_horner(coefficients, x, p: int):
@@ -308,7 +308,7 @@ def per_prime_evaluate(coefficients, x, p: int):
     s = _block_width coefficients of x^(s q + r) times the baby powers x^r,
     r < s (a gather), in one int64 matmul of signed residues; then
     per_prime_horner in x^s over the block values, in chunks of columns."""
-    pw, log = counting._log_table(p)
+    pw, log = counting._table(p)[:2]
     n, half = len(coefficients), p // 2
     s = counting._block_width(n, p)
     blocks = np.zeros(-(-n // s) * s, dtype=np.int64)
@@ -333,8 +333,7 @@ def per_prime_hasse_traces(c4, c6, p: int):
     classes c that the fibres reach, and every power a gather:
     c = g^(3 log A - 2 log B), c^shift = g^(shift log c), and chi(AB) = -1
     exactly where log A + log B is odd."""
-    coefficients, shift, (m_b, e_b), (m_a, e_a) = counting._hasse_table(p)
-    pw, log = counting._log_table(p)
+    pw, log, coefficients, shift, (m_b, e_b), (m_a, e_a) = counting._table(p)
     A = -27 * np.asarray(c4, dtype=np.int64) % p
     B = -54 * np.asarray(c6, dtype=np.int64) % p
     log_a, log_b = log[A], log[B]  # H is overwritten where A or B is 0

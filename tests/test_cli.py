@@ -285,11 +285,15 @@ def test_usage_errors_exit_2(capsys):
                  ["surface", "verify", "--family", "g62", "--pmax", "0"],
                  ["verify", "all", "--pmax", "-1"],
                  ["surface", "scan", "--family", "g62", "--force"],
-                 ["surface", "count", "--family", "g62", "--threads", "1"]):
+                 ["surface", "count", "--family", "g62", "--threads", "1"],
+                 ["l3fold", "series", "--family", "g62", "--curve",
+                  "0,0,0,-1", "--n", "5"],
+                 ["l3fold", "series", "--family", "g62", "--curve",
+                  "a,0,0,-1,0", "--n", "5"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2, argv
-    capsys.readouterr()
+        assert capsys.readouterr().out == "", argv
     # an empty prime window is refused before any work, naming the window
     for argv, window in ((["surface", "verify", "--family", "g62",
                            "--pmin", "98", "--pmax", "100"], "[98, 100]"),
@@ -385,7 +389,7 @@ def test_verify_all_refuses_past_the_ceiling_before_any_work(capsys,
     assert captured.err == "refusing p > 2200 without --force\n"
 
 
-def test_internal_errors_exit_1(capsys):
+def test_internal_errors_exit_1(monkeypatch, capsys):
     # scanning at a bad prime is a domain error, not a usage error
     assert run(["surface", "scan", "--family", "g62", "--p", "3"]) == 1
     # an explicit --p is never filtered out: the library call reports it
@@ -395,6 +399,27 @@ def test_internal_errors_exit_1(capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {"ok": False,
                                         "error": "4 is not prime"}
+    # a singular curve is refused as a record, by either threefold command
+    singular = ["--family", "g4", "--curve", "0,0,0,0,0"]
+    for argv in (["l3fold", "series", *singular, "--n", "97"],
+                 ["l3fold", "euler", *singular, "--pmin", "5",
+                  "--pmax", "97"]):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert json.loads(captured.err) == {
+            "ok": False, "error": "singular curve (Delta = 0)"}, argv
+    # so is an allocation numpy cannot make (16 GiB at p near 2^31),
+    # forged here so that nothing allocates
+    def out_of_memory(family, primes):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(cli, "count_reports", out_of_memory)
+    assert run(["surface", "count", "--family", "g4", "--p", "101"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"ok": False,
+                                        "error": "Unable to allocate 16.0 GiB"}
     # a prime dividing the level is answered: at 2, which divides the
     # conductor of h8's character, a_2 = 0
     assert run(["forms", "ap", "--form", "h8", "--p", "2"]) == 0

@@ -108,12 +108,14 @@ def test_even_split_prime():
 
 
 def test_forged_table_and_factors_raise(monkeypatch):
-    with pytest.raises(VerificationError, match="level"):
+    with pytest.raises(VerificationError) as exc:
         HeckeCharSpec("h8", d=1, conductor_gen=2, level=17)
+    assert exc.value.identity == "Nm(c) |Disc K| = level"
     with pytest.raises(VerificationError, match="constant term 1"):
         LocalFactor(5, 3, (2, 1))
-    with pytest.raises(VerificationError, match="one prime"):
+    with pytest.raises(VerificationError) as exc:
         weight3_factor(2, 1, 5) * weight3_factor(2, 1, 13)
+    assert exc.value.identity == "local factors at one prime multiply"
     # a forged pair whose theta total 3^2 - 7 * 1^2 = 2 is not 0 mod 4
     monkeypatch.setattr(cmforms, "_norm_solutions", lambda d, p: [(3, 1)])
     with pytest.raises(VerificationError, match=r"4 \| the theta total at n"):

@@ -74,22 +74,33 @@ def test_k3_count_report_invariant():
 
 
 def test_count_report_identity_survives_python_O():
-    # a forged report, a tensor quartic checked against a forged
-    # root-product expansion, a local factor with constant term 2, a
-    # coset count in a forged ambient group, a family whose places
-    # collide at a prime it does not declare bad, a forged Hasse table, a
-    # Cornacchia pair of the wrong norm and a Hecke spec over a forged
-    # field discriminant raise even where assert statements are stripped;
-    # one interpreter for all of them
+    # a forged report, an L-series assembled against a forged h3_trace, a
+    # root-product expansion at a non-integer A, a tensor quartic checked
+    # against a forged root-product expansion, a local factor with
+    # constant term 2, a coset count in a forged ambient group, a family
+    # whose places collide at a prime it does not declare bad, a forged
+    # Hasse table, a Cornacchia pair of the wrong norm, a Hecke spec over
+    # a forged field discriminant, an irreducible quadratic given to the
+    # root splitter and a scan whose minimal c6 is forged to 0 raise even
+    # where assert statements are stripped; one interpreter for all of
+    # them, the forgeries that leave a patch behind last
     code = ("import itertools, sys\n"
+            "from fractions import Fraction\n"
             "from modk3 import (arith, cmforms, congruence, counting, kodaira,\n"
             "                   lfunctions)\n"
             "from modk3.families import WeierstrassFamily, preset\n"
             "from modk3.arith import VerificationError\n"
             "from modk3.lfunctions import LocalFactor\n"
             "from modk3.counting import CountReport\n"
+            "from modk3.zpoly import ZPoly\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
             "def forged_report(): CountReport('x', 5, 0, 0, 1)\n"
+            "def forged_assembly():\n"
+            "    lfunctions.h3_trace = lambda *a: 0\n"
+            "    curve = (0, 0, 0, -1, 0)\n"
+            "    lfunctions.assemble_h3(preset('g4_legendre'), curve, 13)\n"
+            "def forged_newton():\n"
+            "    lfunctions._root_product_expansion(Fraction(1, 2), 1, 1, 5)\n"
             "def forged_quartic():\n"
             "    lfunctions._root_product_expansion = lambda *a: (1, 0, 0, 0, 0)\n"
             "    lfunctions.tensor_factor(1, 2, 1, 5)\n"
@@ -114,9 +125,9 @@ def test_count_report_identity_survives_python_O():
             "        raise\n"
             "def forged_table():\n"
             "    # H(c, c) off by one power of c\n"
-            "    coefficients, shift, b_only, a_only = counting._hasse_table(101)\n"
-            "    forged = (coefficients, shift + 1, b_only, a_only)\n"
-            "    counting._hasse_table = lambda p: forged\n"
+            "    pw, log, coefficients, shift, b_only, a_only = counting._table(101)\n"
+            "    forged = (pw, log, coefficients, shift + 1, b_only, a_only)\n"
+            "    counting._table = lambda p: forged\n"
             "    counting.k3_point_count(preset('g4_legendre'), 101)\n"
             "def forged_cornacchia():\n"
             "    # 0 is no square root of -4 mod 13: the pair is (0, 6)\n"
@@ -126,9 +137,16 @@ def test_count_report_identity_survives_python_O():
             "    # -16 = 4 * (-4) is no field discriminant\n"
             "    cmforms.FIELD_DISC = {**cmforms.FIELD_DISC, 1: -16}\n"
             "    cmforms.HeckeCharSpec('h8', 1, 2, 64)\n"
-            "for forgery in (forged_report, forged_quartic, forged_factor,\n"
-            "                forged_cosets, forged_places, forged_table,\n"
-            "                forged_cornacchia, forged_field):\n"
+            "def forged_split():\n"
+            "    # t^2 + 1 has no root mod 7\n"
+            "    kodaira._roots(ZPoly((1, 0, 1)), 7)\n"
+            "def forged_minimal():\n"
+            "    kodaira._horner = lambda *a: 0\n"
+            "    kodaira.scan(preset('g4_legendre'), 5)\n"
+            "for forgery in (forged_report, forged_assembly, forged_newton,\n"
+            "                forged_quartic, forged_factor, forged_cosets,\n"
+            "                forged_places, forged_table, forged_cornacchia,\n"
+            "                forged_field, forged_split, forged_minimal):\n"
             "    try:\n"
             "        forgery()\n"
             "    except VerificationError as exc:\n"
@@ -141,6 +159,8 @@ def test_count_report_identity_survives_python_O():
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "total = 1 + p^2 + p * ns_trace_used + B",
+        "assembled a_p = h3_trace",
+        "Newton's identities divide exactly",
         "tensor quartic = Kronecker root product",
         "a local factor has constant term 1",
         "|SL2(Z/N)| = |H| [SL2 : H]",
@@ -148,7 +168,9 @@ def test_count_report_identity_survives_python_O():
         "the places of Delta over Q reduce at every good prime",
         "a^2 <= 4p for the lifted Hasse invariant of every fibre",
         "u^2 + d v^2 = 4p",
-        "Disc K is a fundamental discriminant"]
+        "Disc K is a fundamental discriminant",
+        "f is a product of distinct linears",
+        "minimal c6 is a unit at a multiplicative place"]
 
 
 def test_k3_traces_match_forms_small_primes():
@@ -273,9 +295,9 @@ def test_bad_primes_rejected():
 def test_ap_elliptic_refuses_primes_that_could_overflow(monkeypatch):
     # before the O(p) Python loop of the table build, and before Delta
     def unreachable(p):
-        raise AssertionError(f"_hasse_table({p}) was built")
+        raise AssertionError(f"_table({p}) was built")
 
-    monkeypatch.setattr(counting, "_hasse_table", unreachable)
+    monkeypatch.setattr(counting, "_table", unreachable)
     with pytest.raises(InvalidPrimeError):
         ap_elliptic((0, 0, 0, -1, 0), 2 ** 31 + 11)
     with pytest.raises(InvalidPrimeError):

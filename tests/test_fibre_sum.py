@@ -292,13 +292,14 @@ def test_forged_weil_failure_in_a_batch_raises_the_first_one(monkeypatch):
     # H(c, c) off by one power of c at 101 and 103 in one batch with 97:
     # the per-prime loop raises at 101, at its fibre with the largest a^2
     family = preset("g4_legendre")
-    real = counting._hasse_table
+    real = counting._table
 
     def forged(p):
-        coefficients, shift, b_only, a_only = real(p)
-        return (coefficients, shift + (p in (101, 103)), b_only, a_only)
+        pw, log, coefficients, shift, b_only, a_only = real(p)
+        return (pw, log, coefficients, shift + (p in (101, 103)), b_only,
+                a_only)
 
-    monkeypatch.setattr(counting, "_hasse_table", forged)
+    monkeypatch.setattr(counting, "_table", forged)
     with pytest.raises(VerificationError) as loop:
         for p in (97, 101, 103):
             per_prime_point_count(family, p)
@@ -360,7 +361,7 @@ def test_log_tables_invert_on_all_of_the_field():
     # pw[k] = g^k for the least generator g (sympy's primitive_root), a
     # permutation of 1..p-1 that log inverts
     for p in LOG_PRIMES:
-        pw, log = counting._log_table(p)
+        pw, log = counting._table(p)[:2]
         k = np.arange(p - 1)
         assert pw.dtype == log.dtype == np.int64, p
         assert np.array_equal(np.sort(pw), k + 1), p
@@ -374,14 +375,15 @@ def test_a_non_generator_fails_the_table_check(monkeypatch):
     # 4 is a square, so its powers cover at most half of F_p^*
     monkeypatch.setattr(counting, "_generator", lambda p: 4)
     for p in (5, 13, 101, 2003):
-        with pytest.raises(VerificationError, match="g generates F_p"):
-            counting._log_table.__wrapped__(p)
+        with pytest.raises(VerificationError) as exc:
+            counting._table.__wrapped__(p)
+        assert exc.value.identity == "g generates F_p^*", p
 
 
 @pytest.mark.parametrize("p", [p for p in primes_up_to(400) if p >= 5]
                          + [1511, 2003, 10007])
 def test_hasse_table_vs_exact_multinomials(p):
-    coefficients, shift, b_only, a_only = counting._hasse_table(p)
+    coefficients, shift, b_only, a_only = counting._table(p)[2:]
     m = (p - 1) // 2
     assert coefficients.dtype == np.int64
     assert coefficients.tolist() == hasse_multinomials(p)
@@ -392,18 +394,21 @@ def test_hasse_table_vs_exact_multinomials(p):
 
 
 def evaluate_one(coefficients, x, p):
-    """counting._evaluate on a batch of one prime."""
-    return counting._evaluate([coefficients], np.array(x), [p], [len(x)],
-                              counting._tables([p])).tolist()
+    """counting._evaluate on a batch of one prime at the points x in
+    [1, p), passed as their exponents log x."""
+    pw, log = counting._table(p)[:2]
+    return counting._evaluate([coefficients], log[x], [p], [len(x)], pw,
+                              [0]).tolist()
 
 
 @pytest.mark.parametrize("p", [17, 101, 2003, 100049])
 def test_evaluate_vs_python_integers(p):
     # lengths around s^2 for the s of the Hasse polynomial at p, where the
-    # last block is one short, full and one over; x at 0, 1 and p - 1
+    # last block is one short, full and one over; x at 1, g and p - 1
     rng = random.Random(p)
-    s = counting._block_width(len(counting._hasse_table(p)[0]), p)
-    x = [0, 1, p - 1] + [rng.randrange(p) for _ in range(5)]
+    s = counting._block_width(len(counting._table(p)[2]), p)
+    x = [1, counting._generator(p), p - 1] + [rng.randrange(1, p)
+                                              for _ in range(5)]
     for n in (0, 1, 2, s * s - 1, s * s, s * s + 1):
         for coefficients in ([p - 1] * n,
                              [rng.randrange(p) for _ in range(n)]):
@@ -417,15 +422,15 @@ def test_evaluate_in_chunks_vs_python_integers(monkeypatch, p, cells):
     # a tiny chunk: 2 resp. 3 columns at a time, the last chunk short
     monkeypatch.setattr(counting, "_EVALUATE_CELLS", cells)
     rng = random.Random(cells)
-    x = [0, 1, p - 1] + [rng.randrange(p) for _ in range(8)]
-    for coefficients in (counting._hasse_table(p)[0].tolist(),
+    x = [1, p - 1] + [rng.randrange(1, p) for _ in range(9)]
+    for coefficients in (counting._table(p)[2].tolist(),
                          [rng.randrange(p) for _ in range(3 * p // 4)]):
         assert (evaluate_one(coefficients, x, p)
                 == [python_horner(coefficients, v, p) for v in x])
 
 def test_block_width_keeps_the_matmul_exact(monkeypatch):
     # arithmetic only: no table is built at p = 2^31 - 1
-    monkeypatch.setattr(counting, "_log_table", None)
+    monkeypatch.setattr(counting, "_table", None)
     p, n = 2 ** 31 - 1, 10 ** 8
     s = counting._block_width(n, p)
     assert s * (p // 2 + 1) ** 2 < 2 ** 63 <= (s + 1) * (p // 2 + 1) ** 2
@@ -443,9 +448,9 @@ def test_block_width_keeps_the_matmul_exact(monkeypatch):
 
 def test_forged_table_breaks_the_weil_bound(monkeypatch):
     # H(c, c) off by one power of c
-    coefficients, shift, b_only, a_only = counting._hasse_table(101)
-    forged = (coefficients, shift + 1, b_only, a_only)
-    monkeypatch.setattr(counting, "_hasse_table", lambda p: forged)
+    pw, log, coefficients, shift, b_only, a_only = counting._table(101)
+    forged = (pw, log, coefficients, shift + 1, b_only, a_only)
+    monkeypatch.setattr(counting, "_table", lambda p: forged)
     monkeypatch.setattr(counting, "_counts", {})
     with pytest.raises(VerificationError):
         k3_point_count.__wrapped__(preset("g4_legendre"), 101)
@@ -455,10 +460,10 @@ def test_forged_table_at_small_primes(monkeypatch):
     # every Horner coefficient off by one, counted without the cache
     forged = {}
     for p in (5, 13):
-        coefficients, shift, b_only, a_only = counting._hasse_table(p)
-        forged[p] = (tuple(c + 1 for c in coefficients), shift, b_only,
-                     a_only)
-    monkeypatch.setattr(counting, "_hasse_table", forged.get)
+        pw, log, coefficients, shift, b_only, a_only = counting._table(p)
+        forged[p] = (pw, log, tuple(c + 1 for c in coefficients), shift,
+                     b_only, a_only)
+    monkeypatch.setattr(counting, "_table", forged.get)
     monkeypatch.setattr(counting, "_counts", {})
     monkeypatch.setattr(counting, "k3_point_count",
                         k3_point_count.__wrapped__)

@@ -193,13 +193,13 @@ def test_no_place_of_degree_two_or_more_has_a_rational_root():
 
 def test_rational_places_are_split_without_powmod(monkeypatch):
     # every place of a family but e1_7's cubic is linear or quadratic over
-    # Q, so its scans take no powmod and no equal-degree split; e1_7 is the
+    # Q, so its scans take no powmod and no root split; e1_7 is the
     # negative control
     def refuse(*args, **kwargs):
         raise AssertionError("a polynomial was split mod p")
 
     monkeypatch.setattr(kodaira, "_powmod", refuse)
-    monkeypatch.setattr(kodaira, "_equal_degree", refuse)
+    monkeypatch.setattr(kodaira, "_roots", refuse)
     for name in FAMILY_NAMES:
         fam = preset(name)
         for p in good_primes(fam, 5, 500):
@@ -289,11 +289,13 @@ def _legendre(lam, level_primes=frozenset()):
 
 
 def test_deterministic_split_matches_gf_factor_sqf():
-    # random squarefree polynomials of degree <= 8, half of them products
-    # of distinct linear factors, so that the equal-degree split has work
+    # squarefree polynomials of degree <= 8: half of them products of
+    # distinct linear factors, so that the root splitter has work, half
+    # random; compared with sympy where the part without roots has degree
+    # <= 3, as at every place, and refused where it is larger
     rng = random.Random(11)
     for p in (5, 97, 2203, 100003):
-        done = 0
+        done = refused = 0
         while done < 40:
             if done % 2:
                 g = [rng.randrange(p) for _ in range(rng.randint(2, 9))]
@@ -305,9 +307,21 @@ def test_deterministic_split_matches_gf_factor_sqf():
                     g = gf_from_int_poly([int(c) for c in g.all_coeffs()], p)
             if len(g) < 2 or not gf_sqf_p(g, p, ZZ):
                 continue
+            expected = gf_factor_sqf(g, p, ZZ)[1]
+            if sum(len(f) - 1 for f in expected if len(f) > 2) > 3:
+                with pytest.raises(VerificationError) as exc:
+                    _irreducible_factors(ZPoly(g), p)
+                assert exc.value.identity == (
+                    "a place without roots mod p has degree <= 3"), (g, p)
+                refused += 1
+                continue
             factors = [list(f) for f in _irreducible_factors(ZPoly(g), p)]
-            assert factors == gf_factor_sqf(g, p, ZZ)[1], (g, p)
+            assert factors == expected, (g, p)
             done += 1
+        assert refused, p
+    # (t^2 + 1)(t^2 + 2): a quartic without roots mod 7, reducible
+    with pytest.raises(VerificationError, match="without roots"):
+        _irreducible_factors(ZPoly((1, 0, 3, 0, 2)), 7)
 
 
 def test_exceptional_prime_outside_the_bad_primes_raises():

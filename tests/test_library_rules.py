@@ -42,6 +42,20 @@ def test_no_sympy_import_in_the_library():
     assert sorted(SRC.glob("*.py")) and found == []
 
 
+def test_every_identity_is_named_in_a_test():
+    # each identity the library verifies has a test that makes it fail and
+    # names it: a check no test can trip may be dead or wrong
+    identities = {ast.literal_eval(node.args[0])
+                  for path in sorted(SRC.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "VerificationError"}
+    tests = "\n".join(path.read_text() for path in SRC.parent.parent.glob(
+        "tests/**/*.py"))
+    assert len(identities) > 10
+    assert sorted(i for i in identities if i not in tests) == []
+
+
 def test_verify_all_loads_no_sympy():
     # python -m modk3.cli verify all --pmax 97, then a look at sys.modules
     code = ("import runpy, sys\n"
