@@ -201,6 +201,8 @@ def cmd_l3fold_series(args) -> list:
 
 
 def cmd_verify_all(args) -> list:
+    if args.pmax > COUNT_PMAX_CEILING:
+        raise UsageError(f"verify all takes --pmax <= {COUNT_PMAX_CEILING}")
     def parse(*argv):
         return _parser(*argv[:2]).parse_args([str(a) for a in argv[2:]])
 

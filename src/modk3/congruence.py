@@ -193,11 +193,11 @@ def elliptic_counts(spec: CongruenceGroupSpec):
 
 def genus(spec: CongruenceGroupSpec) -> int:
     mu = index_in_modular_group(spec)
-    e2, e3 = elliptic_counts(spec)
-    c = len(cusps_and_widths(spec))
+    (e2, e3), c = elliptic_counts(spec), len(cusps_and_widths(spec))
     num = 12 + mu - 3 * e2 - 4 * e3 - 6 * c
     if num % 12 != 0:
-        raise ArithmeticError(f"{spec.name}: non-integral genus")
+        raise VerificationError("12 | 12 + mu - 3 e2 - 4 e3 - 6 c",
+                                dict(group=spec.name), 0, num % 12)
     return num // 12
 
 

@@ -17,7 +17,6 @@ from .counting import (ap_elliptic, ap_elliptics, attached_form, good_primes,
                        h3_trace, k3_point_count, k3_point_counts)
 from .families import (SingularCurveError, WeierstrassFamily,
                        weierstrass_invariants)
-from .qseries import series_power
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,16 @@ class LocalFactor:
 
 def euler_to_dirichlet(factors: dict, N: int) -> list:
     """[a_1, ..., a_N] of prod_p L_p(p^-s)^-1; primes without a supplied
-    factor contribute the factor 1 (their power coefficients vanish)."""
+    factor contribute the factor 1 (their power coefficients vanish).  Each
+    1/L_p(T) = sum g_k T^k is solved to the largest p^k <= N by g_0 = 1,
+    g_k = -sum_{j>=1} c_j g_{k-j}: no division, as c_0 = 1 (LocalFactor)."""
     a = [0] * (N + 1)
     a[1] = 1
     for p, factor in factors.items():
-        # 1/L_p(T) past the largest p^k <= N (1 - c_1 T if p^2 > N), then
+        c, inv = factor.coefficients, [1]
+        while p ** len(inv) <= N:
+            inv.append(-sum(x * y for x, y in zip(c[1:], reversed(inv))))
         # a_{m p^k} = a_m a_{p^k} for every m built from the earlier primes
-        inv = (1, -factor.coefficients[1])
-        if p * p <= N:
-            inv = series_power(list(factor.coefficients), -1, N.bit_length())
         for m in [m for m in range(1, N // p + 1) if a[m]]:
             n, k = m * p, 1
             while n <= N:

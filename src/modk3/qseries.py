@@ -6,6 +6,8 @@ Euler's pentagonal theorem, P^3 from Jacobi's identity and P(x)^2 / P(x^2)
 from Gauss's.  Up the strides m, ``eta_product`` rewrites P(x^m)^r as r // 3
 Jacobi cubes and one P if r % 3 == 1, or one phi(-x^m) and one more P at
 stride 2m if r % 3 == 2: lacunary factors, with O(sqrt(n)) terms each.
+Only positive net exponents expand, all that the nine holomorphic eta
+products need; r <= 0 at a stride raises ValueError.
 ``form_series`` shifts the list by the leading exponent and returns the
 coefficients at integral exponents.
 """
@@ -14,10 +16,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-
-
-class NonUnitLeadingCoefficientError(ValueError):
-    pass
 
 
 def _pentagonal_coeffs(nterms: int) -> list:
@@ -30,35 +28,8 @@ def _pentagonal_coeffs(nterms: int) -> list:
     return out
 
 
-def series_power(a: list, r: int, nterms: int) -> list:
-    """First nterms coefficients of a^r for an integer power series a with
-    a[0] = +-1 and any integer r.
-
-    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), read off
-    a * (a^r)' = r * a' * a^r:
-        n a_0 g_n = sum_{k=1..n} ((r + 1) k - n) a_k g_{n-k};
-    the sum runs over the nonzero a_k only.
-    """
-    if not a or a[0] not in (1, -1):
-        raise NonUnitLeadingCoefficientError("leading coefficient must be a unit")
-    lead = a[0]
-    support = [(k, c) for k, c in enumerate(a[1:nterms], 1) if c]
-    g = [lead if r % 2 else 1] + [0] * (nterms - 1)
-    for n in range(1, nterms):
-        s = 0
-        for k, c in support:
-            if k > n:
-                break
-            s += ((r + 1) * k - n) * c * g[n - k]
-        q, rem = divmod(s, n)
-        if rem:
-            raise ArithmeticError(f"Miller recurrence left a remainder at n={n}")
-        g[n] = lead * q
-    return g[:nterms]
-
-
-def _product(a, sa: int, b, sb: int, n: int) -> list:
-    """First n >= 0 coefficients of a(x^sa) * b(x^sb) for integer lists a, b.
+def _product(a, b, n: int) -> list:
+    """First n >= 0 coefficients of a * b for integer lists a, b.
 
     Kronecker substitution (Harvey, J. Symb. Comp. 2009): x -> 2^w packs
     each factor into one int, so one big-int multiply does the convolution.
@@ -68,23 +39,23 @@ def _product(a, sa: int, b, sb: int, n: int) -> list:
     factor is zero the bound is at least every input coefficient, so each
     input fits its slot too.
     """
-    a, b = a[:-(-n // sa)], b[:-(-n // sb)]
+    a, b = a[:n], b[:n]
     bound = min(sum(map(abs, a)) * max(map(abs, b), default=0),
                 sum(map(abs, b)) * max(map(abs, a), default=0))
     if not bound:
         return [0] * n
     nb = (bound.bit_length() + 8) // 8
 
-    def pack(c, s):
-        zero, gap = bytes(nb), bytes(nb * (s - 1))
-        pos = gap.join(x.to_bytes(nb, "little") if x > 0 else zero for x in c)
-        neg = gap.join((-x).to_bytes(nb, "little") if x < 0 else zero
+    def pack(c):
+        zero = bytes(nb)
+        pos = b"".join(x.to_bytes(nb, "little") if x > 0 else zero for x in c)
+        neg = b"".join((-x).to_bytes(nb, "little") if x < 0 else zero
                        for x in c)
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
     # the bias 2^(w-1) in every slot makes each slot a nonnegative w-bit digit
     bias = int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
-    packed = (pack(a, sa) * pack(b, sb) + bias) & ((1 << (8 * nb * n)) - 1)
+    packed = (pack(a) * pack(b) + bias) & ((1 << (8 * nb * n)) - 1)
     raw, half = packed.to_bytes(nb * n, "little"), 1 << (8 * nb - 1)
     return [int.from_bytes(raw[k:k + nb], "little") - half
             for k in range(0, nb * n, nb)]
@@ -111,29 +82,28 @@ def _gauss_phi(nterms: int) -> list:
 
 def eta_product(factors, n: int) -> list:
     """First n >= 0 coefficients of prod P(x^m)^r over the nonempty (m, r)
-    factors.  The lacunary factors multiply two at a time, term by term;
-    only the pair results, an unpaired factor and the dense powers r < 1
-    (``series_power``) go through the Kronecker kernel ``_product``, a
-    factor at the coarser stride once per residue class of the finer one
-    (h4's phi(-x^4) P^3(x^8) against the dense rest: four products of n/4
-    slots, not one of n slots with three in four empty)."""
-    exponents, sparse, powers = Counter(), [], []
+    factors; the net exponent at every stride must be positive, so a
+    factor whose powers cancel or turn negative raises ValueError.  The
+    lacunary factors multiply two at a time, term by term; only the pair
+    results and an unpaired factor go through the Kronecker kernel
+    ``_product``, a factor at the coarser stride once per residue class of
+    the finer one (h4's phi(-x^4) P^3(x^8) against the dense rest: four
+    products of n/4 slots, not one of n slots with three in four empty)."""
+    exponents, sparse = Counter(), []
     for m, r in factors:
         exponents[m] += r
     while exponents:
         m = min(exponents)
         r, nterms = exponents.pop(m), -(-n // m)
         if r < 1:
-            powers.append((m, series_power(_pentagonal_coeffs(nterms), r,
-                                           nterms)))
-            continue
+            raise ValueError("eta(q^m)^r: only positive powers expand")
         sparse += [(m, _jacobi_cube(nterms))] * (r // 3)
         if r % 3 == 1:
             sparse.append((m, _pentagonal_coeffs(nterms)))
         elif r % 3 == 2:  # P(x^m)^2 = phi(-x^m) P(x^(2m))
             sparse.append((m, _gauss_phi(nterms)))
             exponents[2 * m] += 1
-    powers += sparse[len(sparse) // 2 * 2:]  # the unpaired factor, if any
+    powers = sparse[len(sparse) // 2 * 2:]  # the unpaired factor, if any
     for (ma, a), (mb, b) in zip(sparse[::2], sparse[1::2]):
         g = math.gcd(ma, mb)  # a(x^ma) b(x^mb) term by term, in x^g
         out = [0] * -(-n // g)
@@ -154,7 +124,7 @@ def eta_product(factors, n: int) -> list:
         wide[::g // G] = out
         out, g = [0] * len(wide), G
         for r in range(d):
-            out[r::d] = _product(wide[r::d], 1, coeffs, 1,
+            out[r::d] = _product(wide[r::d], coeffs,
                                  len(range(r, len(wide), d)))
     spread = [0] * n
     spread[::g] = out

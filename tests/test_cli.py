@@ -386,7 +386,7 @@ def test_verify_all_refuses_past_the_ceiling_before_any_work(capsys,
     assert run(["verify", "all", "--pmax", "2300"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "refusing p > 2200 without --force\n"
+    assert captured.err == "verify all takes --pmax <= 2200\n"
 
 
 def test_internal_errors_exit_1(monkeypatch, capsys):

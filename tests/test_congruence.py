@@ -55,6 +55,17 @@ def test_full_group_baseline():
     assert [c.width for c in cusps_and_widths(g)] == [1]
 
 
+def test_non_integral_genus_raises(monkeypatch):
+    # one elliptic point of order 2 forged into Gamma(4)'s counts leaves
+    # 12 + 24 - 3 - 36 = -3, not a multiple of 12
+    monkeypatch.setattr(congruence, "elliptic_counts", lambda spec: (1, 0))
+    with pytest.raises(VerificationError) as exc:
+        genus(preset_group(1))
+    assert exc.value.identity == "12 | 12 + mu - 3 e2 - 4 e3 - 6 c"
+    assert (exc.value.inputs, exc.value.expected, exc.value.observed) == (
+        dict(group=preset_group(1).name), 0, 9)
+
+
 def test_closure_violation_detected():
     # not inverse-closed; inverse-closed but not product-closed
     # ((1, 1; 0, 1)^2 has b = 2); without the identity; empty, which is

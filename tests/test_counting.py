@@ -77,13 +77,14 @@ def test_count_report_identity_survives_python_O():
     # a forged report, an L-series assembled against a forged h3_trace, a
     # root-product expansion at a non-integer A, a tensor quartic checked
     # against a forged root-product expansion, a local factor with
-    # constant term 2, a coset count in a forged ambient group, a family
-    # whose places collide at a prime it does not declare bad, a forged
-    # Hasse table, a Cornacchia pair of the wrong norm, a Hecke spec over
-    # a forged field discriminant, an irreducible quadratic given to the
-    # root splitter and a scan whose minimal c6 is forged to 0 raise even
-    # where assert statements are stripped; one interpreter for all of
-    # them, the forgeries that leave a patch behind last
+    # constant term 2, a genus with forged elliptic counts, a coset count
+    # in a forged ambient group, a family whose places collide at a prime
+    # it does not declare bad, a forged Hasse table, a Cornacchia pair of
+    # the wrong norm, a Hecke spec over a forged field discriminant, an
+    # irreducible quadratic given to the root splitter and a scan whose
+    # minimal c6 is forged to 0 raise even where assert statements are
+    # stripped; one interpreter for all of them, each patch left behind
+    # only where no later forgery reads it
     code = ("import itertools, sys\n"
             "from fractions import Fraction\n"
             "from modk3 import (arith, cmforms, congruence, counting, kodaira,\n"
@@ -105,6 +106,9 @@ def test_count_report_identity_survives_python_O():
             "    lfunctions._root_product_expansion = lambda *a: (1, 0, 0, 0, 0)\n"
             "    lfunctions.tensor_factor(1, 2, 1, 5)\n"
             "def forged_factor(): LocalFactor(5, 3, (2, 1))\n"
+            "def forged_genus():\n"
+            "    congruence.elliptic_counts = lambda spec: (1, 0)\n"
+            "    congruence.genus(congruence.preset_group(1))\n"
             "def forged_cosets():\n"
             "    # with det -1 in 'SL(2, Z/3)', S and T miss half the cosets\n"
             "    congruence.sl2_elements = lambda N: [\n"
@@ -144,9 +148,10 @@ def test_count_report_identity_survives_python_O():
             "    kodaira._horner = lambda *a: 0\n"
             "    kodaira.scan(preset('g4_legendre'), 5)\n"
             "for forgery in (forged_report, forged_assembly, forged_newton,\n"
-            "                forged_quartic, forged_factor, forged_cosets,\n"
-            "                forged_places, forged_table, forged_cornacchia,\n"
-            "                forged_field, forged_split, forged_minimal):\n"
+            "                forged_quartic, forged_factor, forged_genus,\n"
+            "                forged_cosets, forged_places, forged_table,\n"
+            "                forged_cornacchia, forged_field, forged_split,\n"
+            "                forged_minimal):\n"
             "    try:\n"
             "        forgery()\n"
             "    except VerificationError as exc:\n"
@@ -163,6 +168,7 @@ def test_count_report_identity_survives_python_O():
         "Newton's identities divide exactly",
         "tensor quartic = Kronecker root product",
         "a local factor has constant term 1",
+        "12 | 12 + mu - 3 e2 - 4 e3 - 6 c",
         "|SL2(Z/N)| = |H| [SL2 : H]",
         "names 5: True",
         "the places of Delta over Q reduce at every good prime",

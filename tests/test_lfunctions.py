@@ -130,17 +130,22 @@ def test_euler_to_dirichlet_multiplicative():
         assert a[p * p] == a[p] ** 2 - p
 
 
+def naive_inverse(c, nterms):
+    """b with (c_0 + c_1 T + ...) b = 1 + O(T^nterms) for c_0 = 1, each b_k
+    read off the full convolution sum_{j<=k} c_j b_{k-j}."""
+    b = []
+    for k in range(nterms):
+        b.append((k == 0) - sum(c[j] * b[k - j]
+                                for j in range(1, min(k, len(c) - 1) + 1)))
+    return b
+
+
 def full_inverse_dirichlet(factors, N):
     """a_n as the product over p^k || n of the T^k coefficient of
     1/L_p(T), each inverse solved term by term to N.bit_length() terms;
     0 when a prime of n has no factor."""
-    inverse = {}
-    for p, factor in factors.items():
-        c, b = factor.coefficients, []
-        for k in range(N.bit_length()):
-            b.append((k == 0) - sum(c[j] * b[k - j]
-                                    for j in range(1, min(k, len(c) - 1) + 1)))
-        inverse[p] = b
+    inverse = {p: naive_inverse(factor.coefficients, N.bit_length())
+               for p, factor in factors.items()}
     return [math.prod(inverse[p][k] if p in inverse else 0
                       for p, k in sympy.factorint(n).items())
             for n in range(1, N + 1)]
@@ -163,6 +168,25 @@ def test_euler_to_dirichlet_matches_full_inverses():
                         rng.randint(-p ** 3, p ** 3) for _ in range(4)))
             assert (euler_to_dirichlet(factors, N)
                     == full_inverse_dirichlet(factors, N)), N
+
+
+def test_euler_to_dirichlet_vs_naive_local_inverses():
+    # random factors of degree up to 16, coefficients up to p^8, at N up to
+    # 2000; primes with p^2 <= N < p^3 and with p^3 <= N both occur
+    rng = random.Random(29)
+    powers = set()
+    for _ in range(25):
+        N = rng.randint(1, 2000)
+        small, every = primes_up_to(min(N, 40)), primes_up_to(N)
+        primes = rng.sample(small, rng.randint(0, len(small)))
+        primes += rng.sample(every, min(3, len(every)))
+        factors = {p: LocalFactor(p, 9, (1,) + tuple(
+            rng.randint(-p ** 8, p ** 8) for _ in range(rng.randint(0, 16))))
+                   for p in primes}
+        powers |= {(p * p <= N) + (p ** 3 <= N) for p in factors}
+        assert (euler_to_dirichlet(factors, N)
+                == full_inverse_dirichlet(factors, N)), N
+    assert {1, 2} <= powers, powers
 
 
 def test_h3_local_factor_reads_back_trace():

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from modk3 import qseries
-from modk3.qseries import (ETA_FORMS, FORM_IDS, NonUnitLeadingCoefficientError,
-                           _gauss_phi, _jacobi_cube, _pentagonal_coeffs,
-                           _product, eta_product, form_series, series_power)
+from modk3.qseries import (ETA_FORMS, FORM_IDS, _gauss_phi, _jacobi_cube,
+                           _pentagonal_coeffs, _product, eta_product,
+                           form_series)
 
 
 def naive_euler_product(nterms):
@@ -52,8 +52,9 @@ def naive_power(a, r, nterms):
 
 
 def spread(a, s, n):
-    """The first n coefficients of a(x^s)."""
-    return [a[k // s] if k % s == 0 else 0 for k in range(n)]
+    """The first n coefficients of a(x^s), a padded with zeros."""
+    return [a[k // s] if k % s == 0 and k // s < len(a) else 0
+            for k in range(n)]
 
 
 def schoolbook_product(a, sa, b, sb, n):
@@ -88,14 +89,14 @@ def cube_and_copies_eta(factors, n):
     powers = []
     for m, r in sorted(factors, reverse=True):
         nterms = -(-n // m)
-        pent = _pentagonal_coeffs(nterms)
-        powers += ([(m, series_power(pent, r, nterms))] if r < 1 else
-                   [(m, _jacobi_cube(nterms))] * (r // 3)
-                   + [(m, pent)] * (r % 3))
+        powers += ([(m, _jacobi_cube(nterms))] * (r // 3)
+                   + [(m, _pentagonal_coeffs(nterms))] * (r % 3))
     (g, out), *rest = powers
     for m, coeffs in rest:
         h = math.gcd(g, m)
-        out, g = _product(out, g // h, coeffs, m // h, -(-n // h)), h
+        k = -(-n // h)
+        out, g = _product(spread(out, g // h, k), spread(coeffs, m // h, k),
+                          k), h
     return spread(out, g, n)
 
 
@@ -116,7 +117,7 @@ def test_product_matches_schoolbook_random():
         a, b = random_list(rng, bound), random_list(rng, bound)
         sa, sb = rng.choice((1, 2, 3, 4, 8)), rng.choice((1, 2, 3, 4, 8))
         n = rng.randint(0, 2 * max(sa * len(a), sb * len(b)) + 3)
-        assert (_product(a, sa, b, sb, n)
+        assert (_product(spread(a, sa, n), spread(b, sb, n), n)
                 == schoolbook_product(a, sa, b, sb, n)), (trial, a, b, n)
 
 
@@ -127,7 +128,7 @@ def test_product_strides_and_cuts():
         sa, sb = rng.choice((1, 2, 3, 4, 8)), rng.choice((1, 2, 3, 4, 8))
         a = [rng.randint(-10 ** 40, 10 ** 40) for _ in range(rng.randint(0, 30))]
         b = [rng.choice((0, 1, -1)) for _ in range(rng.randint(0, 30))]
-        assert (_product(a, sa, b, sb, n)
+        assert (_product(spread(a, sa, n), spread(b, sb, n), n)
                 == schoolbook_product(a, sa, b, sb, n)), (a, sa, b, sb, n)
 
 
@@ -138,7 +139,7 @@ def test_product_width_at_the_bound():
         a, b = [-2 ** 63] * length, [2 ** 63 - 1] * length
         bound = length * 2 ** 63 * (2 ** 63 - 1)
         n = 2 * length - 1
-        out = _product(a, 1, b, 1, n)
+        out = _product(a, b, n)
         assert out == [-min(k + 1, n - k) * 2 ** 63 * (2 ** 63 - 1)
                        for k in range(n)]
         assert min(out) == -bound
@@ -146,35 +147,21 @@ def test_product_width_at_the_bound():
 
 
 def test_eta_powers_match_miller_recurrence():
+    # the name is kept from when Miller's power recurrence was the oracle;
+    # P^r is now multiplied out term by term, up the strides 1, 3 and 8
     nterms = 2000
     for r in range(1, 7):
-        coeffs = series_power(_pentagonal_coeffs(nterms), r, nterms)
+        coeffs = naive_power(_pentagonal_coeffs(nterms), r, nterms)
         for m in (1, 3, 8):
             n = m * nterms
             assert eta_product(((m, r),), n) == spread(coeffs, m, n), (m, r)
 
 
-def test_series_power_vs_naive_random():
-    rng = random.Random(7)
-    for _ in range(150):
-        nterms = rng.randint(1, 60)
-        a = [rng.choice((1, -1))] + [rng.choice((0, 0, rng.randint(-5, 5)))
-                                     for _ in range(rng.randint(0, 70))]
-        r = rng.randint(-4, 6)
-        assert series_power(a, r, nterms) == naive_power(a, r, nterms), (a, r)
-
-
 def test_eta_powers_vs_naive():
     nterms = 300
     pent = _pentagonal_coeffs(nterms)
-    for r in range(-3, 7):
+    for r in range(1, 7):
         assert eta_product(((1, r),), nterms) == naive_power(pent, r, nterms), r
-
-
-def test_series_power_needs_unit_leading_coefficient():
-    for a in ([], [2, 1], [0, 1]):
-        with pytest.raises(NonUnitLeadingCoefficientError):
-            series_power(a, 3, 5)
 
 
 def test_pentagonal_vs_naive_product():
@@ -186,8 +173,8 @@ def test_jacobi_cube_is_the_cube_of_p():
     # Jacobi's identity against P * P * P by the product kernel
     for n in (0, 1, 2, 7, 5000):
         pent = _pentagonal_coeffs(n)
-        assert _jacobi_cube(n) == _product(
-            _product(pent, 1, pent, 1, n), 1, pent, 1, n), n
+        assert _jacobi_cube(n) == _product(_product(pent, pent, n), pent,
+                                           n), n
 
 
 def test_gauss_phi_is_p_squared_over_p_of_x_squared():
@@ -195,8 +182,8 @@ def test_gauss_phi_is_p_squared_over_p_of_x_squared():
     assert _gauss_phi(10) == [1, -2, 0, 0, 2, 0, 0, 0, 0, -2]
     for n in (1, 2, 5, 3000):
         pent = _pentagonal_coeffs(n)
-        quotient = _product(series_power(pent, 2, n), 1,
-                            series_power(pent, -1, -(-n // 2)), 2, n)
+        inverse = naive_power(pent, -1, -(-n // 2))
+        quotient = _product(naive_power(pent, 2, n), spread(inverse, 2, n), n)
         assert _gauss_phi(n) == quotient, n
 
 
@@ -211,12 +198,11 @@ def test_gauss_rewrite_vs_naive():
     cases = [((1, 2),), ((1, 5),),
              ((3, 2),),            # the push opens the absent stride 6
              ((1, 2), (2, 2)),     # the push completes a cube at stride 2
-             ((1, 2), (2, -1)),    # the push cancels a negative power
              ((2, 5), (2, 3), (4, 1))]
     rng = random.Random(17)
     for _ in range(20):
         factors = [(rng.choice((1, 2, 3, 4, 6)), rng.choice((2, 5, 8)))]
-        factors += [(rng.choice((1, 2, 3, 4, 6)), rng.randint(-2, 6))
+        factors += [(rng.choice((1, 2, 3, 4, 6)), rng.randint(1, 6))
                     for _ in range(rng.randint(0, 2))]
         cases.append(tuple(rng.sample(factors, len(factors))))
     for factors in cases:
@@ -234,37 +220,34 @@ def test_paired_eta_forms_vs_naive():
                     == naive_eta_product(factors, n)), (fid, n)
 
 
-def lacunary_and_dense_counts(factors):
-    """How many lacunary factors (cubes, P, phi) and dense powers (r < 1)
-    the rewrite up the strides makes, worked out apart from the library."""
-    exps, lacunary, dense = Counter(), 0, 0
+def lacunary_count(factors):
+    """How many lacunary factors (cubes, P, phi) the rewrite up the strides
+    makes, worked out apart from the library."""
+    exps, lacunary = Counter(), 0
     for m, r in factors:
         exps[m] += r
     while exps:
         m = min(exps)
         r = exps.pop(m)
-        dense += r < 1
-        lacunary += r // 3 + (r % 3 > 0) if r > 0 else 0
-        if r > 0 and r % 3 == 2:
+        lacunary += r // 3 + (r % 3 > 0)
+        if r % 3 == 2:
             exps[2 * m] += 1
-    return lacunary, dense
+    return lacunary
 
 
 def test_random_factor_multisets_vs_naive():
-    # odd and even counts of lacunary factors, with and without dense
-    # (r <= 0) factors beside them
+    # odd and even counts of lacunary factors
     rng = random.Random(23)
     counts = Counter()
     for trial in range(50):
-        factors = tuple((rng.randint(1, 12), rng.randint(-3, 6))
+        factors = tuple((rng.randint(1, 12), rng.randint(1, 6))
                         for _ in range(rng.randint(1, 4)))
         n = rng.randint(1, 150)
         assert (eta_product(factors, n)
                 == naive_eta_product(factors, n)), (trial, factors, n)
-        lacunary, dense = lacunary_and_dense_counts(factors)
-        counts[dense > 0, lacunary % 2] += 1
-    # every mix of dense factors and an odd or even lacunary count was drawn
-    assert len(counts) == 4, counts
+        counts[lacunary_count(factors) % 2] += 1
+    # an odd and an even lacunary count were both drawn
+    assert len(counts) == 2, counts
 
 
 def test_lacunary_pairs_skip_the_kronecker_kernel(monkeypatch):
@@ -282,13 +265,7 @@ def test_lacunary_pairs_skip_the_kronecker_kernel(monkeypatch):
         out = eta_product(ETA_FORMS[fid], 500)
         assert len(calls) == expected, fid
         assert out == naive_eta_product(ETA_FORMS[fid], 500), fid
-    # a dense factor stays on the kernel, even beside a lone cube it could
-    # pair with: one product per residue mod 2 of the cube's stride
-    calls.clear()
-    assert eta_product(((1, -1), (2, 3)), 200) == naive_eta_product(
-        ((1, -1), (2, 3)), 200)
-    assert len(calls) == 2
-    # so does an unpaired lacunary factor, here P(x^5) beside one pair at
+    # an unpaired lacunary factor, here P(x^5) beside one pair at
     # stride 2: both at stride 1, one product per residue mod 2
     calls.clear()
     assert eta_product(((2, 6), (5, 1)), 200) == naive_eta_product(
@@ -301,11 +278,12 @@ def test_h4_split_product_vs_unsplit_kernel(n):
     # h4 = phi(-x) phi(-x^2) times phi(-x^4) P^3(x^8): the dense pair
     # against the x^4 factor in one Kronecker product, three slots in four
     # empty, as before that factor was split by residue mod 4
-    dense = _product(_gauss_phi(n), 1, _gauss_phi(-(-n // 2)), 2, n)
+    dense = _product(_gauss_phi(n), spread(_gauss_phi(-(-n // 2)), 2, n), n)
     quarter = -(-n // 4)
-    sparse = _product(_gauss_phi(quarter), 1, _jacobi_cube(-(-n // 8)), 2,
-                      quarter)
-    assert eta_product(ETA_FORMS["h4"], n) == _product(dense, 1, sparse, 4, n)
+    sparse = _product(_gauss_phi(quarter),
+                      spread(_jacobi_cube(-(-n // 8)), 2, quarter), quarter)
+    assert eta_product(ETA_FORMS["h4"], n) == _product(dense,
+                                                       spread(sparse, 4, n), n)
 
 
 def test_eta_power_matches_naive_multiplication():
@@ -316,10 +294,11 @@ def test_eta_power_matches_naive_multiplication():
     assert eta_product(((1, 3), (1, 3)), n) == naive_mul(s3, s3, n)
 
 
-def test_negative_eta_powers():
-    # eta(q)^-1 * eta(q) == 1
-    n = 50
-    assert eta_product(((1, 1), (1, -1)), n) == [1] + [0] * (n - 1)
+def test_nonpositive_eta_powers_are_refused():
+    # a zero, a negative and a cancelling net exponent at stride 1
+    for factors in (((1, 0),), ((1, -1),), ((1, 1), (1, -1))):
+        with pytest.raises(ValueError, match="only positive powers expand"):
+            eta_product(factors, 50)
 
 
 def test_eta_quotient_metadata():
